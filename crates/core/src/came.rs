@@ -26,7 +26,7 @@ use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 
 use crate::workspace::{copy_into, resize_tracked, CameScratch, LAZY_SLACK};
-use crate::{ExecutionPlan, HotPathStats, McdcError, Workspace};
+use crate::{ClusterProfile, ExecutionPlan, HotPathStats, McdcError, Workspace};
 
 /// Row count below which the parallel paths are not worth the fork/join
 /// (the shim thread pool spawns scoped threads per call, so the crossover
@@ -638,11 +638,11 @@ fn label_chunks(labels: &[usize], n: usize) -> Vec<(usize, &[usize])> {
 }
 
 /// Recomputes per-cluster modes from the current labels via one flat CSR
-/// count matrix (`k × total_values` of plain `u32` — modes need counts
-/// only, none of `ClusterProfile`'s similarity caches). The parallel path
-/// accumulates per-chunk matrices and sums them — integer counts make the
-/// merge exact, so the resulting modes equal the sequential ones. The
-/// serial path counts into the workspace's persistent buffer; the parallel
+/// count matrix (`k × total_values` of plain `u32` in one workspace
+/// buffer — modes need counts only, not `k` separate `ClusterProfile`s).
+/// The parallel path accumulates per-chunk matrices and sums them —
+/// integer counts make the merge exact, so the resulting modes equal the
+/// sequential ones. The serial path counts into the workspace's persistent buffer; the parallel
 /// reduce keeps per-chunk accumulators (inherent to the merge tree).
 fn modes_of_matrix(
     encoding: &CategoricalTable,
@@ -785,33 +785,16 @@ fn granularity_guided_modes(encoding: &CategoricalTable, k: usize) -> Option<Vec
     if members.iter().any(Vec::is_empty) {
         return None;
     }
-    // Plain value counting per member set — modes need counts only, not the
-    // similarity caches a full ClusterProfile maintains per add.
-    let layout = encoding.schema().csr_layout();
-    let offsets = layout.offsets();
-    let sigma = encoding.n_features();
-    let mut counts = vec![0u32; layout.total_values()];
+    // One reused profile: a bulk build keeps only counts, present-counts and
+    // one reciprocal per feature, so it costs what plain value counting does.
+    let mut profile = ClusterProfile::new(encoding.schema());
     Some(
         members
             .iter()
             .map(|m| {
-                counts.fill(0);
-                for &i in m {
-                    for (r, &code) in encoding.row(i).iter().enumerate() {
-                        if code != MISSING {
-                            counts[offsets[r] as usize + code as usize] += 1;
-                        }
-                    }
-                }
-                (0..sigma)
-                    .map(|r| {
-                        counts[offsets[r] as usize..offsets[r + 1] as usize]
-                            .iter()
-                            .enumerate()
-                            .max_by(|(ta, ca), (tb, cb)| ca.cmp(cb).then(tb.cmp(ta)))
-                            .map_or(0, |(t, _)| t as u32)
-                    })
-                    .collect()
+                profile.reset();
+                profile.extend_rows(m.iter().map(|&i| encoding.row(i)));
+                profile.mode()
             })
             .collect(),
     )

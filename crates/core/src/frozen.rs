@@ -4,17 +4,19 @@
 //! Fitting needs the full [`ClusterProfile`] machinery — mutable integer
 //! counts, cached reciprocals, ω/θ learning scaffolding — but serving
 //! traffic is dominated by "label this row", which only ever reads the
-//! pre-scaled frequencies. [`FrozenModel`] strips everything else: the
-//! compaction keeps one f64 per (value, cluster) pair in a *value-major,
-//! lane-padded* layout (all `k` cluster entries of a value contiguous,
-//! padded to a multiple of [`LANES`] so the sweep runs in fixed-width
-//! register blocks with no tail handling), plus the schema's CSR offsets
-//! and the per-cluster prefactors baked in next to it. Scoring one row is
-//! then `d` contiguous column loads and a running argmax — no counts, no
-//! reciprocals, no per-cluster pointer chase.
+//! Eq. (2) relative frequencies `count · 1/present`. [`FrozenModel`] forms
+//! each of those products once, at freeze time, and strips everything
+//! else: the compaction keeps one f64 per (value, cluster) pair in a
+//! *value-major, lane-padded* layout (all `k` cluster entries of a value
+//! contiguous, padded to a multiple of [`LANES`] so the sweep runs in
+//! fixed-width register blocks with no tail handling), plus the schema's
+//! CSR offsets and the per-cluster prefactors baked in next to it. Scoring
+//! one row is then `d` contiguous column loads and a running argmax — no
+//! counts, no reciprocals, no per-cluster pointer chase.
 //!
 //! The scores are **bit-identical** to the live kernels': the table entries
-//! are the exact [`ClusterProfile::scaled_frequencies`] values, the sweep
+//! are the exact products [`ClusterProfile::value_similarity`] forms (same
+//! two operands, one rounding, never contracted into an FMA), the sweep
 //! accumulates them in the same ascending-feature order, and the final
 //! `prefactor · (acc · post_scale)` association matches
 //! [`score_all`](crate::score_all) / `score_all_transposed`, so the argmax
@@ -77,7 +79,7 @@ pub struct FrozenModel {
     k_pad: usize,
     /// The schema's CSR offsets (`d + 1` prefix sums over cardinalities).
     offsets: Vec<u32>,
-    /// Pre-scaled frequencies, value-major and lane-padded:
+    /// Relative frequencies `count · 1/present`, value-major and lane-padded:
     /// `table[(offsets[r] + code) · k_pad + l]` is cluster `l`'s Eq. (2)
     /// similarity term for value `code` of feature `r`; padded lanes
     /// (`l ≥ k`) are zero.
@@ -134,12 +136,14 @@ impl FrozenModel {
         let k_pad = k.div_ceil(LANES) * LANES;
         let total = layout.total_values();
         let mut table = vec![0.0f64; total * k_pad];
+        let d = layout.n_features();
         for (l, profile) in profiles.iter().enumerate() {
-            for (v, &scaled) in profile.scaled_frequencies().iter().enumerate() {
-                table[v * k_pad + l] = scaled;
+            for r in 0..d {
+                for (v, s) in layout.range(r).zip(profile.relative_frequencies(r)) {
+                    table[v * k_pad + l] = s;
+                }
             }
         }
-        let d = layout.n_features();
         FrozenModel {
             k,
             k_pad,

@@ -503,11 +503,10 @@ impl Cohort {
         self.value_major.clear();
         self.value_major.resize(total * k, 0.0);
         for (l, profile) in self.profiles.iter().enumerate() {
-            let scaled = profile.scaled_frequencies();
             for r in 0..d {
                 let w = if weighted { self.omega[l * d + r] } else { 1.0 };
-                for i in self.layout.range(r) {
-                    self.value_major[i * k + l] = w * scaled[i];
+                for (i, s) in self.layout.range(r).zip(profile.relative_frequencies(r)) {
+                    self.value_major[i * k + l] = w * s;
                 }
             }
         }
@@ -519,12 +518,12 @@ impl Cohort {
     fn sync_value_major(&mut self, l: usize, row: &[u32], weighted: bool) {
         let d = self.layout.n_features();
         let k = self.len();
-        let scaled = self.profiles[l].scaled_frequencies();
+        let profile = &self.profiles[l];
         for (r, &code) in row.iter().enumerate() {
             if code != MISSING {
                 let w = if weighted { self.omega[l * d + r] } else { 1.0 };
-                for i in self.layout.range(r) {
-                    self.value_major[i * k + l] = w * scaled[i];
+                for (i, s) in self.layout.range(r).zip(profile.relative_frequencies(r)) {
+                    self.value_major[i * k + l] = w * s;
                 }
             }
         }
@@ -546,14 +545,14 @@ impl Cohort {
     ) {
         let d = self.layout.n_features();
         let k = self.len();
-        let scaled = self.profiles[l].scaled_frequencies();
+        let profile = &self.profiles[l];
         let feature_max = &mut lazy.feature_max[l * d..(l + 1) * d];
         for (r, &code) in row.iter().enumerate() {
             if code != MISSING {
                 let w = if weighted { self.omega[l * d + r] } else { 1.0 };
                 let mut fmax = 0.0f64;
-                for i in self.layout.range(r) {
-                    let new = w * scaled[i];
+                for (i, s) in self.layout.range(r).zip(profile.relative_frequencies(r)) {
+                    let new = w * s;
                     self.value_major[i * k + l] = new;
                     if new > fmax {
                         fmax = new;
@@ -583,14 +582,13 @@ impl Cohort {
         resize_tracked(&mut lazy.sim_cap, k, 0.0, allocs);
         self.value_major.clear();
         self.value_major.resize(total * k, 0.0);
-        for l in 0..k {
-            let scaled = self.profiles[l].scaled_frequencies();
+        for (l, profile) in self.profiles.iter().enumerate() {
             let feature_max = &mut lazy.feature_max[l * d..(l + 1) * d];
             for (r, fmax_slot) in feature_max.iter_mut().enumerate() {
                 let w = if weighted { self.omega[l * d + r] } else { 1.0 };
                 let mut fmax = 0.0f64;
-                for i in self.layout.range(r) {
-                    let new = w * scaled[i];
+                for (i, s) in self.layout.range(r).zip(profile.relative_frequencies(r)) {
+                    let new = w * s;
                     self.value_major[i * k + l] = new;
                     if new > fmax {
                         fmax = new;
@@ -1635,7 +1633,7 @@ impl Mgcpl {
         }
 
         // Exact profile merge from the settled memberships, grouped by
-        // owning shard (bulk deferred-rescale builds into the slots'
+        // owning shard (bulk `extend_rows` builds into the slots'
         // persistent profile buffers, parallel across shards). Grouping
         // walks the full assignment — not just this segment's rows — so a
         // sub-pass merge still rebuilds the complete consensus profiles
@@ -1884,6 +1882,80 @@ mod tests {
         let result =
             Mgcpl::builder().weighted_similarity(false).seed(1).build().fit(&table).unwrap();
         assert!(!result.partitions.is_empty());
+    }
+
+    #[test]
+    fn patched_value_major_matches_fresh_rebuild_bit_for_bit() {
+        // Random moves patched into the value-major matrix (and the lazy
+        // cache's maxima/caps) must leave exactly what a full rebuild from
+        // the moved profiles writes — weighted and unweighted, on a
+        // mixed-cardinality schema with MISSING values in the rows.
+        use rand::Rng;
+        let cardinalities = [3u32, 5, 2, 4, 6];
+        let d = cardinalities.len();
+        let schema = categorical_data::Schema::new(
+            cardinalities
+                .iter()
+                .enumerate()
+                .map(|(r, &m)| categorical_data::FeatureDomain::anonymous(format!("f{r}"), m))
+                .collect(),
+        );
+        let layout = schema.csr_layout();
+        let k = 7;
+        let mut rng = ChaCha8Rng::seed_from_u64(0x5EED);
+        let rows: Vec<Vec<u32>> = (0..60)
+            .map(|_| {
+                cardinalities
+                    .iter()
+                    .map(|&m| if rng.gen_bool(0.2) { MISSING } else { rng.gen_range(0..m) })
+                    .collect()
+            })
+            .collect();
+        for weighted in [false, true] {
+            let mut labels: Vec<usize> = (0..rows.len()).map(|i| i % k).collect();
+            let mut profiles = vec![ClusterProfile::with_layout(layout.clone()); k];
+            for (row, &l) in rows.iter().zip(&labels) {
+                profiles[l].add(row);
+            }
+            let post_scale = if weighted { 1.0 } else { 1.0 / d as f64 };
+            let omega: Vec<f64> = (0..k * d).map(|_| rng.gen_range(0.01..1.0)).collect();
+            let mut cohort = Cohort {
+                profiles,
+                delta: vec![1.0; k],
+                wins_prev: vec![0; k],
+                wins_now: vec![0; k],
+                omega,
+                value_major: Vec::new(),
+                layout: layout.clone(),
+            };
+            let mut capped = cohort.clone();
+            let mut lazy = LazyCache::default();
+            let mut allocs = 0;
+            cohort.rebuild_value_major(weighted);
+            capped.rebuild_value_major_capped(weighted, post_scale, &mut lazy, &mut allocs);
+            for _ in 0..300 {
+                let i = rng.gen_range(0..rows.len());
+                let (from, to) = (labels[i], rng.gen_range(0..k));
+                for c in [&mut cohort, &mut capped] {
+                    c.profiles[from].remove(&rows[i]);
+                    c.profiles[to].add(&rows[i]);
+                }
+                cohort.sync_value_major(from, &rows[i], weighted);
+                cohort.sync_value_major(to, &rows[i], weighted);
+                capped.sync_value_major_capped(from, &rows[i], weighted, post_scale, &mut lazy);
+                capped.sync_value_major_capped(to, &rows[i], weighted, post_scale, &mut lazy);
+                labels[i] = to;
+            }
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let mut fresh = cohort.clone();
+            fresh.rebuild_value_major(weighted);
+            assert_eq!(bits(&cohort.value_major), bits(&fresh.value_major), "weighted={weighted}");
+            let mut fresh_lazy = LazyCache::default();
+            fresh.rebuild_value_major_capped(weighted, post_scale, &mut fresh_lazy, &mut allocs);
+            assert_eq!(bits(&capped.value_major), bits(&fresh.value_major), "weighted={weighted}");
+            assert_eq!(bits(&lazy.feature_max), bits(&fresh_lazy.feature_max));
+            assert_eq!(bits(&lazy.sim_cap), bits(&fresh_lazy.sim_cap));
+        }
     }
 
     #[test]

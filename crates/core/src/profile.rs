@@ -3,11 +3,11 @@ use std::sync::LazyLock;
 use categorical_data::{CategoricalTable, CsrLayout, Schema, MISSING};
 
 /// Shared reciprocal table `INV[p] = 1/p` for the present-count sizes that
-/// occur in practice. `rescale_feature` runs on every membership change
-/// (`d` times per add/remove), and an f64 division there costs more than
-/// the whole per-feature rescale; the table turns it into a load. Entries
-/// are computed with the same `1.0 / p` operation they replace, so results
-/// are bit-identical to dividing inline.
+/// occur in practice. The reciprocal is refreshed on every membership
+/// change (once per touched feature per add/remove), and an f64 division
+/// there costs more than the rest of the O(1) update; the table turns it
+/// into a load. Entries are computed with the same `1.0 / p` operation they
+/// replace, so results are bit-identical to dividing inline.
 static INV_TABLE: LazyLock<Box<[f64]>> =
     LazyLock::new(|| (0..65_536).map(|p| if p == 0 { 0.0 } else { 1.0 / p as f64 }).collect());
 
@@ -27,11 +27,10 @@ fn inv_count(table: &[f64], p: u32) -> f64 {
 /// This is the data structure behind the paper's object–cluster similarity
 /// (Eqs. 1–2): `Ψ_{F_r = x_ir}(C_l)` is a direct count lookup and
 /// `Ψ_{F_r ≠ NULL}(C_l)` a per-feature present-count. A membership change
-/// costs `O(Σ_r m_r)` (each touched feature's pre-scaled frequencies are
-/// refreshed, see below) while scoring stays `O(d)` — the right trade for
-/// competitive learning, where an object is scored against every cluster
-/// but moves between at most two, keeping a full pass `O(ndk)` and MGCPL
-/// overall linear in `n`.
+/// costs `O(d)` (one count, one present-count and one cached reciprocal per
+/// touched feature) and scoring `O(d)` — competitive learning scores an
+/// object against every cluster but moves it between at most two, keeping
+/// a full pass `O(ndk)` and MGCPL overall linear in `n`.
 ///
 /// # Memory layout and the scoring hot path
 ///
@@ -40,10 +39,13 @@ fn inv_count(table: &[f64], p: u32) -> f64 {
 /// each feature's reciprocal present-count is cached in `inv_present` —
 /// maintained on every `add`/`remove` by recomputing `1 / present[r]` from
 /// the integer count, so it is exact and two profiles with the same members
-/// compare equal. Scoring a row is therefore one linear sweep of
-/// multiply–adds with no division and no pointer chasing; see `DESIGN.md`
-/// §"Hot path" for the measured effect and [`score_all`] for the fused
-/// batch kernel built on top.
+/// compare equal. The Eq. (2) per-value similarity is formed where it is
+/// read, as `counts[i] as f64 * inv_present[r]`: one rounding of the same
+/// two operands wherever it happens, so every reader (scoring, MGCPL's
+/// value-major matrix, [`FrozenModel`](crate::FrozenModel)) sees the same
+/// f64. Scoring a row is therefore one linear sweep with no division and no
+/// pointer chasing; see `DESIGN.md` §"Hot path" for the measured effect and
+/// [`score_all`] for the fused batch kernel built on top.
 ///
 /// Query codes must be in-domain (or [`MISSING`]): rows produced by a
 /// [`CategoricalTable`] always are (construction validates them), and the
@@ -75,10 +77,6 @@ pub struct ClusterProfile {
     layout: CsrLayout,
     /// Flat value counts, indexed `layout.offset(r) + code`.
     counts: Vec<u32>,
-    /// Pre-scaled relative frequencies `counts[i] · inv_present[r]`, the
-    /// Eq. (2) per-value similarities, maintained alongside `counts` so the
-    /// scoring sweep is a single lookup–multiply–add per feature.
-    scaled: Vec<f64>,
     /// `present[r]` = members with a non-missing value in feature `r`.
     present: Vec<u32>,
     /// Cached reciprocals `1 / present[r]` (0 when the feature is empty),
@@ -104,7 +102,6 @@ impl ClusterProfile {
         ClusterProfile {
             layout,
             counts: vec![0; total],
-            scaled: vec![0.0; total],
             present: vec![0; d],
             inv_present: vec![0.0; d],
             inv_arity: if d == 0 { 0.0 } else { 1.0 / d as f64 },
@@ -112,46 +109,31 @@ impl ClusterProfile {
         }
     }
 
-    /// Refreshes feature `r`'s cached reciprocal and pre-scaled frequencies
-    /// after its present-count changed (`O(m_r)`, division-free via
-    /// [`INV_TABLE`]).
-    fn rescale_feature(&mut self, inv_table: &[f64], r: usize) {
-        let inv = inv_count(inv_table, self.present[r]);
-        self.inv_present[r] = inv;
-        let range = self.layout.range(r);
-        for (scaled, &count) in self.scaled[range.clone()].iter_mut().zip(&self.counts[range]) {
-            *scaled = count as f64 * inv;
-        }
-    }
-
-    /// Refreshes every feature's cached reciprocal and pre-scaled
-    /// frequencies from the integer counts — the bulk counterpart of
-    /// [`rescale_feature`](Self::rescale_feature) used after a deferred
-    /// batch of count updates.
-    fn rescale_all(&mut self) {
+    /// Refreshes every feature's cached reciprocal from the integer
+    /// present-counts (`O(d)`).
+    fn refresh_reciprocals(&mut self) {
         let inv_table: &[f64] = &INV_TABLE;
-        for r in 0..self.present.len() {
-            self.rescale_feature(inv_table, r);
+        for (inv, &present) in self.inv_present.iter_mut().zip(&self.present) {
+            *inv = inv_count(inv_table, present);
         }
     }
 
-    /// Adds every row of `rows` with the per-feature rescale deferred to one
-    /// final sweep: `O(Σ_rows d + total_values)` instead of `add`'s
-    /// `O(Σ_rows Σ_r m_r)`. The end state is identical to repeated
-    /// [`add`](Self::add) calls (the cached reciprocals and pre-scaled
-    /// frequencies are always recomputed from the integer counts), which is
-    /// what makes bulk-built shard profiles mergeable with incrementally
-    /// maintained ones.
+    /// Adds every row of `rows` with the reciprocal refresh deferred to one
+    /// final `O(d)` sweep: `O(Σ_rows d)` overall. The end state is identical
+    /// to repeated [`add`](Self::add) calls (the cached reciprocals are
+    /// always recomputed from the integer counts), which is what makes
+    /// bulk-built shard profiles mergeable with incrementally maintained
+    /// ones.
     ///
     /// # Panics
     ///
-    /// Panics (in debug builds) if a row's arity mismatches the profile.
+    /// Panics if a row's arity mismatches the profile.
     pub fn extend_rows<'a, I>(&mut self, rows: I)
     where
         I: IntoIterator<Item = &'a [u32]>,
     {
         for row in rows {
-            debug_assert_eq!(row.len(), self.present.len());
+            assert_eq!(row.len(), self.present.len(), "row arity mismatches the profile");
             for (r, &code) in row.iter().enumerate() {
                 if code != MISSING {
                     self.counts[self.layout.offset(r) + code as usize] += 1;
@@ -160,11 +142,11 @@ impl ClusterProfile {
             }
             self.size += 1;
         }
-        self.rescale_all();
+        self.refresh_reciprocals();
     }
 
     /// Creates a profile holding exactly the rows of `table` selected by
-    /// `members` (bulk path: counts first, one rescale sweep at the end).
+    /// `members` (bulk path: counts first, one reciprocal sweep at the end).
     pub fn from_members(table: &CategoricalTable, members: &[usize]) -> Self {
         let mut profile = ClusterProfile::new(table.schema());
         profile.extend_rows(members.iter().map(|&i| table.row(i)));
@@ -201,32 +183,32 @@ impl ClusterProfile {
         self.layout.cardinality(r)
     }
 
-    /// Adds one object's row to the cluster.
+    /// Adds one object's row to the cluster (`O(d)`).
     ///
     /// # Panics
     ///
-    /// Panics (in debug builds) if the row arity mismatches the profile.
+    /// Panics if the row arity mismatches the profile.
     pub fn add(&mut self, row: &[u32]) {
-        debug_assert_eq!(row.len(), self.present.len());
+        assert_eq!(row.len(), self.present.len(), "row arity mismatches the profile");
         let inv_table: &[f64] = &INV_TABLE;
         for (r, &code) in row.iter().enumerate() {
             if code != MISSING {
                 self.counts[self.layout.offset(r) + code as usize] += 1;
                 self.present[r] += 1;
-                self.rescale_feature(inv_table, r);
+                self.inv_present[r] = inv_count(inv_table, self.present[r]);
             }
         }
         self.size += 1;
     }
 
-    /// Removes one object's row from the cluster.
+    /// Removes one object's row from the cluster (`O(d)`).
     ///
     /// # Panics
     ///
-    /// Panics if the removal would drive any count negative (i.e. the row was
-    /// never added).
+    /// Panics if the row arity mismatches the profile, or if the removal
+    /// would drive any count negative (i.e. the row was never added).
     pub fn remove(&mut self, row: &[u32]) {
-        debug_assert_eq!(row.len(), self.present.len());
+        assert_eq!(row.len(), self.present.len(), "row arity mismatches the profile");
         assert!(self.size > 0, "cannot remove from an empty cluster");
         let inv_table: &[f64] = &INV_TABLE;
         for (r, &code) in row.iter().enumerate() {
@@ -235,18 +217,17 @@ impl ClusterProfile {
                 assert!(*slot > 0, "row was not a member of this cluster");
                 *slot -= 1;
                 self.present[r] -= 1;
-                self.rescale_feature(inv_table, r);
+                self.inv_present[r] = inv_count(inv_table, self.present[r]);
             }
         }
         self.size -= 1;
     }
 
-    /// Empties the profile in place (counts, presence, caches), keeping the
-    /// layout and every buffer's capacity — the reuse counterpart of
+    /// Empties the profile in place (counts, presence, reciprocals), keeping
+    /// the layout and every buffer's capacity — the reuse counterpart of
     /// [`with_layout`](Self::with_layout) for workspace-pooled profiles.
     pub fn reset(&mut self) {
         self.counts.fill(0);
-        self.scaled.fill(0.0);
         self.present.fill(0);
         self.inv_present.fill(0.0);
         self.size = 0;
@@ -258,7 +239,6 @@ impl ClusterProfile {
     pub(crate) fn copy_from_profile(&mut self, src: &ClusterProfile) {
         if self.layout == src.layout {
             self.counts.copy_from_slice(&src.counts);
-            self.scaled.copy_from_slice(&src.scaled);
             self.present.copy_from_slice(&src.present);
             self.inv_present.copy_from_slice(&src.inv_present);
             self.inv_arity = src.inv_arity;
@@ -284,11 +264,10 @@ impl ClusterProfile {
         for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
             *mine += theirs;
         }
-        let inv_table: &[f64] = &INV_TABLE;
-        for r in 0..self.present.len() {
-            self.present[r] += other.present[r];
-            self.rescale_feature(inv_table, r);
+        for (mine, theirs) in self.present.iter_mut().zip(&other.present) {
+            *mine += theirs;
         }
+        self.refresh_reciprocals();
         self.size += other.size;
     }
 
@@ -323,34 +302,37 @@ impl ClusterProfile {
         self.inv_present[r]
     }
 
-    /// The full pre-scaled frequency buffer (`counts[i] · inv_present[r]`,
-    /// CSR-addressed like [`CsrLayout::offsets`]): the per-value
-    /// similarities of Eq. (2) for every value at once. Callers that fold
-    /// extra per-feature factors into a derived buffer (e.g. MGCPL's
-    /// ω-weighted view) read slices of this after each membership change.
-    pub fn scaled_frequencies(&self) -> &[f64] {
-        &self.scaled
+    /// Feature `r`'s Eq. (2) per-value similarities in code order, each
+    /// formed as `count · inv_present(r)` — the same f64 as
+    /// [`value_similarity`](Self::value_similarity). Readers that fold a
+    /// per-feature factor into a derived table (MGCPL's value-major matrix,
+    /// [`FrozenModel`](crate::FrozenModel)) write `w * s` from this.
+    pub(crate) fn relative_frequencies(&self, r: usize) -> impl Iterator<Item = f64> + '_ {
+        let inv = self.inv_present[r];
+        self.feature_counts(r).iter().map(move |&c| c as f64 * inv)
     }
 
     /// Per-feature similarity `s(x_ir, C_l)` of Eq. (2): the relative
-    /// frequency of `code` among the cluster's non-missing values in `r`.
-    /// Missing query values and empty features score 0.
+    /// frequency of `code` among the cluster's non-missing values in `r`,
+    /// formed as `count · inv_present(r)` — bit for bit the product every
+    /// other reader of the profile forms. Missing query values and empty
+    /// features score 0.
     #[inline]
     pub fn value_similarity(&self, r: usize, code: u32) -> f64 {
         if code == MISSING {
             return 0.0;
         }
         debug_assert!((code as usize) < self.layout.cardinality(r), "code out of domain");
-        self.scaled[self.layout.offset(r) + code as usize]
+        self.counts[self.layout.offset(r) + code as usize] as f64 * self.inv_present[r]
     }
 
     /// Object–cluster similarity `s(x_i, C_l)` of Eq. (1): the mean of the
     /// per-feature similarities.
     ///
-    /// One lookup–add per feature against the pre-scaled frequency buffer:
-    /// no division, no count-to-float conversion, no per-feature pointer
-    /// chase. Uniform-cardinality schemas take a strided fast path with two
-    /// interleaved accumulators (a fixed, deterministic combine order).
+    /// One count lookup, one multiply by the cached reciprocal and one add
+    /// per feature, in ascending feature order: no division, no per-feature
+    /// pointer chase. Uniform-cardinality schemas take a strided fast path
+    /// (`r·stride + code` in a register instead of loading `offsets[r]`).
     #[inline]
     pub fn similarity(&self, row: &[u32]) -> f64 {
         debug_assert_eq!(row.len(), self.present.len());
@@ -359,10 +341,10 @@ impl ClusterProfile {
             let stride = stride as usize;
             let mut acc = 0.0f64;
             let mut base = 0usize;
-            for &code in row {
+            for (&code, &inv) in row.iter().zip(&self.inv_present) {
                 if code != MISSING {
                     debug_assert!((code as usize) < stride, "code out of domain");
-                    acc += self.scaled[base + code as usize];
+                    acc += self.counts[base + code as usize] as f64 * inv;
                 }
                 base += stride;
             }
@@ -370,10 +352,11 @@ impl ClusterProfile {
         }
         let offsets = &self.layout.offsets()[..d];
         let mut acc = 0.0;
-        for ((r, &code), &off) in row.iter().enumerate().zip(offsets) {
+        for (((r, &code), &off), &inv) in row.iter().enumerate().zip(offsets).zip(&self.inv_present)
+        {
             if code != MISSING {
                 debug_assert!((code as usize) < self.layout.cardinality(r), "code out of domain");
-                acc += self.scaled[off as usize + code as usize];
+                acc += self.counts[off as usize + code as usize] as f64 * inv;
             }
         }
         acc * self.inv_arity
@@ -438,10 +421,10 @@ impl ClusterProfile {
             let stride = stride as usize;
             let mut acc = 0.0f64;
             let mut base = 0usize;
-            for (&code, &w) in row.iter().zip(weights) {
+            for ((&code, &w), &inv) in row.iter().zip(weights).zip(&self.inv_present) {
                 if code != MISSING {
                     debug_assert!((code as usize) < stride, "code out of domain");
-                    acc += w * self.scaled[base + code as usize];
+                    acc += w * (self.counts[base + code as usize] as f64 * inv);
                 }
                 base += stride;
             }
@@ -449,10 +432,12 @@ impl ClusterProfile {
         }
         let offsets = &self.layout.offsets()[..d];
         let mut acc = 0.0;
-        for ((r, (&code, &w)), &off) in row.iter().zip(weights).enumerate().zip(offsets) {
+        for ((r, (&code, &w)), (&off, &inv)) in
+            row.iter().zip(weights).enumerate().zip(offsets.iter().zip(&self.inv_present))
+        {
             if code != MISSING {
                 debug_assert!((code as usize) < self.layout.cardinality(r), "code out of domain");
-                acc += w * self.scaled[off as usize + code as usize];
+                acc += w * (self.counts[off as usize + code as usize] as f64 * inv);
             }
         }
         acc
@@ -647,7 +632,7 @@ const DENSE_MIN_K: usize = 12;
 /// top two scores, so the winner/rival verdict — including the dense
 /// kernel's lowest-index-wins tie resolution — is bit-for-bit identical:
 /// exact evaluations go through the cluster *profiles* (Eq. (14)/(1) over
-/// the contiguous `scaled_frequencies` buffer, whose products and
+/// the contiguous count buffer, whose `w · (count · 1/present)` products and
 /// ascending-feature summation are exactly the value-major entries'), tie
 /// cases always evaluate (the cap test is strict with [`CAP_SLACK`] to
 /// spare), and selection takes the lowest-index argmax over the evaluated
@@ -788,6 +773,11 @@ mod tests {
 
     fn schema() -> Schema {
         Schema::uniform(3, 4)
+    }
+
+    /// Every value's relative frequency, CSR-addressed like the layout.
+    fn frequencies(profile: &ClusterProfile) -> Vec<f64> {
+        (0..profile.n_features()).flat_map(|r| profile.relative_frequencies(r)).collect()
     }
 
     #[test]
@@ -985,7 +975,7 @@ mod tests {
         let total = layout.total_values();
         let mut matrix_t = vec![0.0f64; total * k];
         for (l, profile) in profiles.iter().enumerate() {
-            for (v, &s) in profile.scaled_frequencies().iter().enumerate() {
+            for (v, s) in frequencies(profile).into_iter().enumerate() {
                 matrix_t[v * k + l] = s;
             }
         }
@@ -1026,7 +1016,7 @@ mod tests {
         let layout = schema.csr_layout();
         let mut profile = ClusterProfile::new(&schema);
         profile.add(&[0, 1]);
-        let matrix_t: Vec<f64> = profile.scaled_frequencies().to_vec(); // k = 1
+        let matrix_t: Vec<f64> = frequencies(&profile); // k = 1
         let mut accumulators = vec![0.0];
         let (best, rival) = score_all_transposed(
             &[0, 1],
@@ -1080,7 +1070,7 @@ mod tests {
                 let mut matrix_t = vec![0.0f64; total * k];
                 let mut sim_cap = vec![0.0f64; k];
                 for (l, profile) in profiles.iter().enumerate() {
-                    let scaled = profile.scaled_frequencies();
+                    let scaled = frequencies(profile);
                     let mut cap = 0.0;
                     for r in 0..d {
                         let w = if weighted { omega[l * d + r] } else { 1.0 };
@@ -1170,6 +1160,28 @@ mod tests {
         dst.add(&[0, 0, 0]);
         dst.copy_from_profile(&src);
         assert_eq!(dst, src);
+    }
+
+    #[test]
+    #[should_panic(expected = "arity")]
+    fn adding_short_row_panics() {
+        let mut p = ClusterProfile::new(&schema());
+        p.add(&[0, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "arity")]
+    fn removing_long_row_panics() {
+        let mut p = ClusterProfile::new(&schema());
+        p.add(&[0, 0, 0]);
+        p.remove(&[0, 0, 0, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "arity")]
+    fn extending_with_short_row_panics() {
+        let mut p = ClusterProfile::new(&schema());
+        p.extend_rows([&[0u32, 0, 0][..], &[0, 0][..]]);
     }
 
     #[test]

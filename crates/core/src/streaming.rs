@@ -996,7 +996,7 @@ fn build_profiles(table: &CategoricalTable, result: &MgcplResult) -> Vec<Vec<Clu
         .zip(&result.kappa)
         .map(|(partition, &k)| {
             // Bulk profile construction: group members first, then one
-            // deferred-rescale build per cluster (see ClusterProfile::extend_rows).
+            // bulk build per cluster (see ClusterProfile::extend_rows).
             let mut members: Vec<Vec<usize>> = vec![Vec::new(); k];
             for (i, &l) in partition.iter().enumerate() {
                 members[l].push(i);

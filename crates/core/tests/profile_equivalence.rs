@@ -1,10 +1,17 @@
-//! Kernel-equivalence property test: the flat CSR `ClusterProfile` (one
-//! contiguous count buffer, cached reciprocals, pre-scaled frequencies)
-//! must agree with a straightforward nested-vec reference implementation on
-//! every query, across random add/remove sequences that include MISSING
-//! values. Agreement is to 1e-12 on the float kernels (the flat profile
-//! multiplies by cached reciprocals instead of dividing, which may differ
-//! in the last ulp) and exact on counts, modes, and presence.
+//! Kernel-equivalence property tests for the flat CSR `ClusterProfile` (one
+//! contiguous count buffer plus one cached reciprocal per feature; relative
+//! frequencies are formed as `count · 1/present` where they are read):
+//!
+//! - it must agree with a straightforward nested-vec reference
+//!   implementation on every query, across random add/remove sequences that
+//!   include MISSING values — to 1e-12 on the float kernels (the flat
+//!   profile multiplies by cached reciprocals instead of dividing, which may
+//!   differ in the last ulp) and exactly on counts, modes, and presence;
+//! - its float kernels must equal, bit for bit, the products
+//!   `feature_counts(r)[t] as f64 * inv_present(r)` and their
+//!   ascending-feature sums, across add/remove/merge/extend_rows/reset
+//!   sequences — the invariant `FrozenModel` and MGCPL's value-major scoring
+//!   matrix rely on when they form the same products themselves.
 
 // As in mcdc-core itself: the loops walk one index across several parallel
 // structures, and the iterator rewrite would obscure the access pattern.
@@ -187,5 +194,97 @@ fn flat_profile_agrees_with_reference_under_random_mutation() {
             reference.remove(&row);
         }
         assert_eq!(flat, ClusterProfile::new(&schema));
+    }
+}
+
+/// The per-value product every reader of a profile forms.
+fn product(profile: &ClusterProfile, r: usize, code: u32) -> f64 {
+    profile.feature_counts(r)[code as usize] as f64 * profile.inv_present(r)
+}
+
+/// Checks `value_similarity`, `similarity` and `weighted_similarity` against
+/// the products and their ascending-feature sums, bit for bit.
+fn assert_products_bit_exact(profile: &ClusterProfile, query: &[u32], weights: &[f64]) {
+    let d = query.len();
+    let mut plain = 0.0f64;
+    let mut weighted = 0.0f64;
+    for r in 0..d {
+        if query[r] == MISSING {
+            assert_eq!(profile.value_similarity(r, MISSING).to_bits(), 0.0f64.to_bits());
+            continue;
+        }
+        let s = product(profile, r, query[r]);
+        assert_eq!(profile.value_similarity(r, query[r]).to_bits(), s.to_bits(), "feature {r}");
+        plain += s;
+        weighted += weights[r] * s;
+    }
+    let plain = plain * (1.0 / d as f64);
+    assert_eq!(profile.similarity(query).to_bits(), plain.to_bits(), "similarity");
+    assert_eq!(
+        profile.weighted_similarity(query, weights).to_bits(),
+        weighted.to_bits(),
+        "weighted similarity"
+    );
+}
+
+#[test]
+fn float_kernels_are_the_read_time_products_bit_for_bit() {
+    for case_seed in 0..30u64 {
+        let mut rng = ChaCha8Rng::seed_from_u64(0xB17E ^ case_seed);
+        let d = rng.gen_range(1usize..9);
+        // Even seeds take the uniform-stride path, odd seeds the CSR path.
+        let cardinalities: Vec<u32> = if case_seed % 2 == 0 {
+            vec![rng.gen_range(2u32..7); d]
+        } else {
+            (0..d).map(|_| rng.gen_range(2u32..7)).collect()
+        };
+        let schema = Schema::new(
+            cardinalities
+                .iter()
+                .enumerate()
+                .map(|(r, &m)| categorical_data::FeatureDomain::anonymous(format!("f{r}"), m))
+                .collect(),
+        );
+        let mut profile = ClusterProfile::new(&schema);
+        let mut members: Vec<Vec<u32>> = Vec::new();
+        for _step in 0..80 {
+            match rng.gen_range(0..10) {
+                0..=3 => {
+                    let row = random_row(&mut rng, &cardinalities, 0.15);
+                    profile.add(&row);
+                    members.push(row);
+                }
+                4..=5 if !members.is_empty() => {
+                    let row = members.swap_remove(rng.gen_range(0..members.len()));
+                    profile.remove(&row);
+                }
+                6 => {
+                    let mut other = ClusterProfile::new(&schema);
+                    for _ in 0..rng.gen_range(0..6) {
+                        let row = random_row(&mut rng, &cardinalities, 0.15);
+                        other.add(&row);
+                        members.push(row);
+                    }
+                    profile.merge(&other);
+                }
+                7..=8 => {
+                    let batch: Vec<Vec<u32>> = (0..rng.gen_range(0..6))
+                        .map(|_| random_row(&mut rng, &cardinalities, 0.15))
+                        .collect();
+                    profile.extend_rows(batch.iter().map(Vec::as_slice));
+                    members.extend(batch);
+                }
+                _ => {
+                    profile.reset();
+                    members.clear();
+                }
+            }
+            assert_eq!(profile.size() as usize, members.len());
+            for _q in 0..3 {
+                let query = random_row(&mut rng, &cardinalities, 0.2);
+                let weights: Vec<f64> = (0..d).map(|_| rng.gen_range(0.0..1.0)).collect();
+                assert_products_bit_exact(&profile, &query, &weights);
+            }
+        }
     }
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate plus style/lint hygiene. Run from anywhere.
 #
-#   scripts/verify.sh           # build + tests + fmt + clippy + docs + perf smoke
+#   scripts/verify.sh           # build + tests + fmt + clippy + docs + perf smoke + perfbench
 #
 # The tier-1 gate (ROADMAP.md) is `cargo build --release && cargo test -q`;
 # fmt/clippy keep the tree warning-free, the rustdoc build (warnings
@@ -34,7 +34,10 @@
 # (`conformance --quick`) and check the deterministic work counters
 # against the `PERF_GATES.toml` baselines, self-testing that the gate
 # still has teeth (`conformance --gate`); re-baseline deliberate
-# changes with scripts/update_gates.sh.
+# changes with scripts/update_gates.sh. The benchmark (`perfbench/`) is a
+# workspace of its own, so it gets its own fmt/clippy steps and its tests
+# (which run its `--smoke` mode) — a library API change that breaks it
+# fails here rather than at benchmark time.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -73,5 +76,14 @@ cargo run --release -p mcdc-bench --bin conformance -- --quick
 
 echo "==> counter gates (conformance --gate)"
 cargo run --release -p mcdc-bench --bin conformance -- --gate
+
+echo "==> perfbench: cargo fmt --check"
+cargo fmt --check --manifest-path perfbench/Cargo.toml
+
+echo "==> perfbench: cargo clippy --all-targets -- -D warnings"
+cargo clippy --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
+
+echo "==> perfbench: cargo test --release (smoke mode)"
+cargo test --release --manifest-path perfbench/Cargo.toml
 
 echo "verify: OK"
