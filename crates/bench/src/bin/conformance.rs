@@ -8,12 +8,13 @@
 //!        [--replay SEED] [--gates PATH]`
 //!
 //! * `--quick` (also the default mode): replays `--tables` seeded tables
-//!   (default 50) through all 13 grid cells; any divergence prints a
+//!   (default 50) through all 11 grid cells; any divergence prints a
 //!   seed + shrunk-table witness and exits nonzero. This is the
 //!   `scripts/verify.sh` conformance gate.
 //! * `--gate`: measures the fixed counter suites, compares them against
-//!   the checked-in baselines, then self-tests the gate by re-running the
-//!   lazy suite with pruning disabled — the inflated counters must fail.
+//!   the checked-in baselines, then self-tests the gate by holding the
+//!   measured `[replicated]` counters to the `[serial]` baseline — the
+//!   replica merges must fail it.
 //! * `--write-gates`: re-measures and rewrites `PERF_GATES.toml`,
 //!   printing the old → new diff (wrapped by `scripts/update_gates.sh`).
 //! * `--replay SEED`: verbose single-seed replay, one line per cell.
@@ -23,7 +24,7 @@ use std::process::ExitCode;
 use mcdc_bench::conformance::{
     cell_divergence, compare_counters, gate_suites, grid, measure_suite, minimize_table,
     parse_gates, random_table, render_gates, render_witness, replay_table, run_reference,
-    GateCounters, GateSuite,
+    GateCounters,
 };
 
 /// Default fuzz breadth for `--quick`.
@@ -205,6 +206,7 @@ fn run_gate(path: &str) -> bool {
     };
     let suites = gate_suites();
     let mut ok = true;
+    let mut measured_suites: Vec<(String, GateCounters)> = Vec::new();
     for (name, baseline) in &file.suites {
         let Some(suite) = suites.iter().find(|s| s.name == name) else {
             eprintln!("gate: unknown suite [{name}] in {path} — re-baseline");
@@ -212,6 +214,7 @@ fn run_gate(path: &str) -> bool {
             continue;
         };
         let measured = measure_suite(suite);
+        measured_suites.push((name.clone(), measured));
         match compare_counters(name, baseline, &measured, file.tolerance) {
             Ok(stale) => {
                 println!("gate: [{name}] within tolerance {}", file.tolerance);
@@ -233,31 +236,32 @@ fn run_gate(path: &str) -> bool {
             ok = false;
         }
     }
-    ok && gate_self_test(&file.suites, file.tolerance)
+    ok && gate_self_test(&file.suites, &measured_suites, file.tolerance)
 }
 
-/// The gate's own regression test: re-run the lazy suite with pruning
-/// disabled. Every presentation then pays a full scoring sweep, inflating
-/// `full_rescans` well past the tolerance band, so the counters must
-/// violate the lazy baseline — if they pass, the gate is vacuous and the
-/// run fails.
-fn gate_self_test(baselines: &[(String, GateCounters)], tolerance: f64) -> bool {
-    let Some((name, baseline)) = baselines.iter().find(|(name, _)| name == "serial-lazy") else {
-        eprintln!("gate: self-test needs a [serial-lazy] baseline");
+/// The gate's own regression test: hold the measured `[replicated]`
+/// counters to the `[serial]` baseline. The replicated suite merges shard
+/// profiles every pass while the serial one never merges, so the
+/// comparison must report violations (`merges` alone grows from 0) — if it
+/// passes, the gate is vacuous and the run fails.
+fn gate_self_test(
+    baselines: &[(String, GateCounters)],
+    measured: &[(String, GateCounters)],
+    tolerance: f64,
+) -> bool {
+    let Some((_, baseline)) = baselines.iter().find(|(name, _)| name == "serial") else {
+        eprintln!("gate: self-test needs a [serial] baseline");
         return false;
     };
-    let inflated = measure_suite(&GateSuite {
-        name: "serial-lazy",
-        lazy: false,
-        batch: 0,
-        cadence: 0,
-        ingest: false,
-    });
-    match compare_counters(name, baseline, &inflated, tolerance) {
+    let Some((_, replicated)) = measured.iter().find(|(name, _)| name == "replicated") else {
+        eprintln!("gate: self-test needs a measured [replicated] suite");
+        return false;
+    };
+    match compare_counters("serial", baseline, replicated, tolerance) {
         Err(violations) => {
             println!(
-                "gate: self-test OK — lazy-off counters correctly violate the [{name}] baseline \
-                 ({} violations, e.g. {})",
+                "gate: self-test OK — [replicated] counters correctly violate the [serial] \
+                 baseline ({} violations, e.g. {})",
                 violations.len(),
                 violations[0]
             );
@@ -265,7 +269,7 @@ fn gate_self_test(baselines: &[(String, GateCounters)], tolerance: f64) -> bool 
         }
         Ok(_) => {
             eprintln!(
-                "gate: self-test FAILED — disabling lazy scoring did not move the counters; \
+                "gate: self-test FAILED — [replicated] counters pass the [serial] baseline; \
                  the gate has no teeth"
             );
             false

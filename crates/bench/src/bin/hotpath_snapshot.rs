@@ -1,27 +1,23 @@
 //! Machine-readable perf baseline for the clustering hot path: times the
-//! MGCPL exploration (eager-serial, lazy-serial, mini-batch, and
-//! mini-batch + δ-momentum engines), Γ encoding, and CAME aggregation
-//! (eager and lazy) on the `scaling::syn_n` family ({3k, 10k, 30k} rows by
-//! default) and writes `BENCH_hotpath.json` (stage, engine, n, median wall
-//! ms, throughput rows/s, plus — for the lazy rows — the pruning and
-//! workspace counters: rescans skipped by the convergence-aware lazy
-//! scoring and workspace buffer growths per pass) so future PRs can diff
-//! performance without re-deriving a harness.
+//! MGCPL exploration (serial, mini-batch, and mini-batch + δ-momentum
+//! engines), Γ encoding, and CAME aggregation on the `scaling::syn_n`
+//! family ({3k, 10k, 30k} rows by default) and writes `BENCH_hotpath.json`
+//! (stage, engine, n, median wall ms, throughput rows/s, plus — for the
+//! serial MGCPL and CAME rows — the rescan and workspace counters: rows
+//! CAME's dirty-cluster tracking skipped and workspace buffer growths per
+//! pass) so future PRs can diff performance without re-deriving a harness.
 //!
-//! The MGCPL engine runs are *interleaved* (eager rep, lazy rep,
-//! mini-batch rep, momentum rep, eager rep, …) so neighbor-load drift on
-//! the shared-vCPU build hosts hits every engine alike and the medians
-//! stay comparable — which is what makes the lazy column directly
-//! comparable to the eager baseline rows. The lazy rows run through a
-//! persistent [`Workspace`], so their `allocations_per_pass` reflects the
-//! warm steady state a long-lived service sees.
+//! The MGCPL engine runs are *interleaved* (serial rep, mini-batch rep,
+//! momentum rep, serial rep, …) so neighbor-load drift on the
+//! shared-vCPU build hosts hits every engine alike and the medians stay
+//! comparable. The serial MGCPL and CAME rows run through a persistent
+//! [`Workspace`], so their `allocations_per_pass` reflects the warm
+//! steady state a long-lived service sees.
 //!
 //! Beyond the n sweep, the full run adds a **large-`d·k` shape sweep**
 //! (`shape` column: d ∈ {32, 96, 192}, cardinalities 8/16 at n = 3k, so
 //! the value-major scoring matrix grows from ~112 KB to ~1.3 MB — well
-//! past L2): interleaved `mgcpl_explore` vs `mgcpl_lazy` fits in exactly
-//! the regime where the capped pruning was predicted to win (ROADMAP
-//! standing item; verdict recorded in DESIGN.md §3).
+//! past L2) of serial `mgcpl_explore` fits.
 //!
 //! Usage: `cargo run --release -p mcdc-bench --bin hotpath_snapshot
 //!        [--out PATH] [--seed N] [--sizes a,b,c] [--quick]`
@@ -29,9 +25,7 @@
 //! `--quick` is the CI perf-smoke mode (`scripts/verify.sh`): n = 10k
 //! only, writes to `target/hotpath_quick.json` unless `--out` is given,
 //! and exits non-zero when any median is non-finite/zero (panic/NaN
-//! guard), when `mgcpl_lazy` runs more than 15% slower than
-//! `mgcpl_explore` (the lazy path's engagement gate is supposed to keep
-//! it at worst at parity), or when the lazy fit skipped no rescans.
+//! guard) or a smoke row is missing.
 
 use std::time::Instant;
 
@@ -46,7 +40,7 @@ struct Entry {
     shape: &'static str,
     median_ms: f64,
     rows_per_s: f64,
-    /// Pruning/workspace counters for lazy rows.
+    /// Rescan/workspace counters for the warm-workspace rows.
     stats: Option<HotPathStats>,
 }
 
@@ -98,8 +92,7 @@ fn main() {
             3
         };
         let data = scaling::syn_n(n, args.seed);
-        let eager = Mgcpl::builder().seed(1).lazy_scoring(false).build();
-        let lazy = Mgcpl::builder().seed(1).build();
+        let serial = Mgcpl::builder().seed(1).build();
         // Four shards: enough replicas to exercise the merge machinery
         // without drowning a single-core host in clone overhead.
         let minibatch =
@@ -114,30 +107,26 @@ fn main() {
             .reconcile(DeltaMomentum { beta: 0.5 })
             .build();
 
-        // One persistent workspace per lazy learner: the timed lazy reps
-        // (and the CAME lazy reps below) run warm, which is both the
-        // realistic service configuration and what keeps
-        // `allocations_per_pass` at its steady-state value.
-        let mut lazy_ws = Workspace::new();
+        // One persistent workspace each for the serial MGCPL and CAME
+        // rows: the timed reps run warm, which is both the realistic
+        // service configuration and what keeps `allocations_per_pass` at
+        // its steady-state value.
+        let mut serial_ws = Workspace::new();
         let mut came_ws = Workspace::new();
 
-        let explored = eager.fit(data.table()).expect("synthetic data fits");
+        let explored = serial.fit(data.table()).expect("synthetic data fits");
         let encoding = encode_mgcpl(&explored).expect("Gamma is encodable");
 
         // Interleaved engine reps: alternating samples see the same
         // neighbor load, so their medians stay comparable.
-        let mut eager_samples = Vec::with_capacity(reps);
-        let mut lazy_samples = Vec::with_capacity(reps);
+        let mut serial_samples = Vec::with_capacity(reps);
         let mut minibatch_samples = Vec::with_capacity(reps);
         let mut momentum_samples = Vec::with_capacity(reps);
-        let mut lazy_stats = HotPathStats::default();
+        let mut serial_stats = HotPathStats::default();
         for _ in 0..reps {
-            eager_samples.push(time_ms(|| {
-                std::hint::black_box(eager.fit(data.table()).expect("fit succeeds"));
-            }));
-            lazy_samples.push(time_ms(|| {
-                let result = lazy.fit_with(data.table(), &mut lazy_ws).expect("fit succeeds");
-                lazy_stats = result.stats;
+            serial_samples.push(time_ms(|| {
+                let result = serial.fit_with(data.table(), &mut serial_ws).expect("fit succeeds");
+                serial_stats = result.stats;
                 std::hint::black_box(result);
             }));
             minibatch_samples.push(time_ms(|| {
@@ -147,8 +136,7 @@ fn main() {
                 std::hint::black_box(momentum.fit(data.table()).expect("fit succeeds"));
             }));
         }
-        push("mgcpl_explore", "serial", n, "", reps, median(eager_samples), None);
-        push("mgcpl_lazy", "lazy", n, "", reps, median(lazy_samples), Some(lazy_stats));
+        push("mgcpl_explore", "serial", n, "", reps, median(serial_samples), Some(serial_stats));
         push("mgcpl_minibatch", "minibatch", n, "", reps, median(minibatch_samples), None);
         push("mgcpl_momentum", "momentum", n, "", reps, median(momentum_samples), None);
 
@@ -161,36 +149,27 @@ fn main() {
             .collect();
         push("encode_gamma", "serial", n, "", reps, median(encode_samples), None);
 
-        // CAME eager vs lazy, interleaved like the MGCPL engines. The
-        // default builder enables the chunked-parallel paths (exact, so
-        // only throughput differs) — on one-worker pools both fall back
+        // The default builder enables CAME's chunked-parallel paths (exact,
+        // so only throughput differs) — on one-worker pools they fall back
         // to the serial sweep.
-        let came_eager = Came::builder().lazy_scoring(false).build();
-        let came_lazy = Came::builder().build();
-        let mut came_eager_samples = Vec::with_capacity(reps);
-        let mut came_lazy_samples = Vec::with_capacity(reps);
+        let came = Came::builder().build();
+        let mut came_samples = Vec::with_capacity(reps);
         let mut came_stats = HotPathStats::default();
         for _ in 0..reps {
-            came_eager_samples.push(time_ms(|| {
-                std::hint::black_box(came_eager.fit(&encoding, 3).expect("fit succeeds"));
-            }));
-            came_lazy_samples.push(time_ms(|| {
-                let result = came_lazy.fit_with(&encoding, 3, &mut came_ws).expect("fit succeeds");
+            came_samples.push(time_ms(|| {
+                let result = came.fit_with(&encoding, 3, &mut came_ws).expect("fit succeeds");
                 came_stats = *result.stats();
                 std::hint::black_box(result);
             }));
         }
-        push("came_aggregate", "eager", n, "", reps, median(came_eager_samples), None);
-        push("came_lazy", "lazy", n, "", reps, median(came_lazy_samples), Some(came_stats));
+        push("came_aggregate", "serial", n, "", reps, median(came_samples), Some(came_stats));
     }
 
     // Large-`d·k` shape sweep (full runs only — the quick gate stays
-    // fast): eager vs lazy MGCPL interleaved at n = 3k with k₀ = √n ≈ 55
-    // and wide, high-cardinality schemas, so the value-major scoring
-    // matrix (d · m · k₀ · 8 bytes) grows from ~112 KB through ~1.3 MB —
-    // the out-of-L2 regime where the capped pruning's skipped sweeps were
-    // predicted to start paying for the cap maintenance (DESIGN.md §3,
-    // ROADMAP standing item).
+    // fast): serial MGCPL at n = 3k with k₀ = √n ≈ 55 and wide,
+    // high-cardinality schemas, so the value-major scoring matrix
+    // (d · m · k₀ · 8 bytes) grows from ~112 KB through ~1.3 MB — the
+    // out-of-L2 regime (DESIGN.md §3).
     if !args.quick {
         const DK_N: usize = 3_000;
         const DK_SHAPES: &[(&str, usize, u32)] =
@@ -201,24 +180,18 @@ fn main() {
                 .noise(0.05)
                 .generate(args.seed)
                 .dataset;
-            let eager = Mgcpl::builder().seed(1).lazy_scoring(false).build();
-            let lazy = Mgcpl::builder().seed(1).build();
-            let mut lazy_ws = Workspace::new();
-            let mut eager_samples = Vec::with_capacity(reps);
-            let mut lazy_samples = Vec::with_capacity(reps);
-            let mut lazy_stats = HotPathStats::default();
+            let serial = Mgcpl::builder().seed(1).build();
+            let mut ws = Workspace::new();
+            let mut samples = Vec::with_capacity(reps);
+            let mut stats = HotPathStats::default();
             for _ in 0..reps {
-                eager_samples.push(time_ms(|| {
-                    std::hint::black_box(eager.fit(data.table()).expect("fit succeeds"));
-                }));
-                lazy_samples.push(time_ms(|| {
-                    let result = lazy.fit_with(data.table(), &mut lazy_ws).expect("fit succeeds");
-                    lazy_stats = result.stats;
+                samples.push(time_ms(|| {
+                    let result = serial.fit_with(data.table(), &mut ws).expect("fit succeeds");
+                    stats = result.stats;
                     std::hint::black_box(result);
                 }));
             }
-            push("mgcpl_explore", "serial", DK_N, name, reps, median(eager_samples), None);
-            push("mgcpl_lazy", "lazy", DK_N, name, reps, median(lazy_samples), Some(lazy_stats));
+            push("mgcpl_explore", "serial", DK_N, name, reps, median(samples), Some(stats));
         }
     }
 
@@ -231,9 +204,8 @@ fn main() {
     }
 }
 
-/// The `--quick` gate: fail loudly (exit 1) on NaN/zero medians, on the
-/// lazy MGCPL row losing to the eager baseline beyond noise tolerance, or
-/// on the pruning never firing.
+/// The `--quick` gate: fail loudly (exit 1) on NaN/zero medians or a
+/// missing smoke row.
 fn smoke_check(entries: &[Entry]) {
     let mut failures: Vec<String> = Vec::new();
     for e in entries {
@@ -244,24 +216,11 @@ fn smoke_check(entries: &[Entry]) {
             ));
         }
     }
-    let median_of = |stage: &str, n: usize| {
-        entries.iter().find(|e| e.stage == stage && e.n == n).map(|e| (e.median_ms, e.stats))
-    };
     const SMOKE_N: usize = 10_000;
-    const NOISE_TOLERANCE: f64 = 1.15;
-    match (median_of("mgcpl_explore", SMOKE_N), median_of("mgcpl_lazy", SMOKE_N)) {
-        (Some((explore, _)), Some((lazy, stats))) => {
-            if lazy > explore * NOISE_TOLERANCE {
-                failures.push(format!(
-                    "mgcpl_lazy median {lazy:.3} ms exceeds mgcpl_explore {explore:.3} ms \
-                     beyond the {NOISE_TOLERANCE}x noise tolerance"
-                ));
-            }
-            if stats.is_none_or(|s| s.skipped_rescans == 0) {
-                failures.push("mgcpl_lazy skipped no rescans — the pruning never fired".into());
-            }
+    for stage in ["mgcpl_explore", "mgcpl_minibatch", "encode_gamma", "came_aggregate"] {
+        if !entries.iter().any(|e| e.stage == stage && e.n == SMOKE_N) {
+            failures.push(format!("smoke row {stage} missing at n = {SMOKE_N}"));
         }
-        _ => failures.push(format!("smoke rows missing at n = {SMOKE_N}")),
     }
     if failures.is_empty() {
         println!("perf smoke: OK");

@@ -1,5 +1,5 @@
 //! Quality-band and quality-recovery ablation of the reconciliation
-//! layer (DESIGN.md §5, §7, §12): sweeps policy × rotation period ×
+//! layer (DESIGN.md §5, §7): sweeps policy × rotation period ×
 //! warm-start × batch size on the well-separated and the nested
 //! high-overlap synthetic suites, 10 fit seeds each, and writes
 //! `BENCH_reconcile.json` with the per-cell ACC/ARI mean and band
@@ -7,26 +7,22 @@
 //! reference: the open question this ablation answers is which
 //! replicated configuration recovers serial's nested-suite *mean* (the
 //! band question was settled by the §5 grid — δ-momentum — and those
-//! cells are re-measured here unchanged). The cadence axis (DESIGN.md
-//! §12) re-runs each base policy at sub-pass merge cadences
-//! m ∈ {1, n/16, n/4, batch}, sliding the staleness window between
-//! serial-equivalent (m = 1) and the per-pass barrier (m = batch).
+//! cells are re-measured here unchanged).
 //!
 //! Usage: `cargo run --release -p mcdc-bench --bin reconcile_ablation
 //!        [--out PATH] [--seeds N] [--n ROWS] [--quick]`
 //!
 //! `--quick` runs a tiny smoke grid (n = 240, 2 seeds, one batch size,
-//! one rotating + one degenerate + one sub-pass-cadence configuration),
-//! asserts every metric is finite, that the rotating configurations
-//! actually rotated (the cadence one at mini-merge granularity), and
-//! writes nothing — the `scripts/verify.sh` gate.
+//! one rotating + one degenerate configuration), asserts every metric is
+//! finite, that the rotating configuration actually rotated, and writes
+//! nothing — the `scripts/verify.sh` gate.
 
 use categorical_data::synth::GeneratorConfig;
 use categorical_data::Dataset;
 use cluster_eval::{accuracy, adjusted_rand_index};
 use mcdc_core::{
-    DeltaAverage, DeltaMomentum, ExecutionPlan, Mcdc, McdcBuilder, MergeCadence, OverlapShards,
-    Reconcile, Rotate, WarmStart,
+    DeltaAverage, DeltaMomentum, ExecutionPlan, Mcdc, McdcBuilder, OverlapShards, Reconcile,
+    Rotate, WarmStart,
 };
 
 /// The base (per-pass) merge rule of one configuration.
@@ -38,13 +34,12 @@ enum Base {
 }
 
 /// One replicated configuration under test: base policy × rotation period
-/// × warm-start mode × merge cadence (0 = per-pass barrier).
+/// × warm-start mode.
 #[derive(Debug, Clone, Copy)]
 struct Config {
     base: Base,
     rotation: usize,
     warm: WarmStart,
-    cadence: usize,
 }
 
 impl Config {
@@ -71,14 +66,12 @@ impl Config {
         }
     }
 
-    /// Applies the composed policy + warm-start mode + merge cadence to a
-    /// builder. Each `Base` × rotation arm instantiates the concrete policy
-    /// type — `Rotate` composes by wrapping, so the rotating arms reuse the
-    /// same inner policies. `MergeCadence::every(0)` is the per-pass
-    /// barrier, so cadence 0 cells run the untouched default path.
+    /// Applies the composed policy + warm-start mode to a builder. Each
+    /// `Base` × rotation arm instantiates the concrete policy type —
+    /// `Rotate` composes by wrapping, so the rotating arms reuse the same
+    /// inner policies.
     fn apply(&self, builder: McdcBuilder) -> McdcBuilder {
-        let builder =
-            builder.warm_start(self.warm).merge_cadence(MergeCadence::every(self.cadence));
+        let builder = builder.warm_start(self.warm);
         match (self.base, self.rotation) {
             (Base::Average, 0) => builder.reconcile(DeltaAverage),
             (Base::Momentum(beta), 0) => builder.reconcile(DeltaMomentum { beta }),
@@ -111,7 +104,6 @@ struct Entry {
     policy: String,
     rotation: usize,
     warm: &'static str,
-    cadence: usize,
     acc_mean: f64,
     acc_min: f64,
     acc_max: f64,
@@ -159,15 +151,14 @@ fn main() {
 
     let mut entries: Vec<Entry> = Vec::new();
     println!(
-        "{:<16} {:<16} {:<34} {:>6} {:>5} {:>9} {:>9} {:>9} {:>9}",
-        "suite", "plan", "policy", "warm", "cad", "acc mean", "acc min", "acc band", "ari mean"
+        "{:<16} {:<16} {:<34} {:>6} {:>9} {:>9} {:>9} {:>9}",
+        "suite", "plan", "policy", "warm", "acc mean", "acc min", "acc band", "ari mean"
     );
     let mut record = |suite: &'static str,
                       plan: String,
                       policy: String,
                       rotation: usize,
                       warm: &'static str,
-                      cadence: usize,
                       runs: &[(f64, f64)]| {
         let accs: Vec<f64> = runs.iter().map(|r| r.0).collect();
         let aris: Vec<f64> = runs.iter().map(|r| r.1).collect();
@@ -180,7 +171,6 @@ fn main() {
             policy,
             rotation,
             warm,
-            cadence,
             acc_mean: mean(&accs),
             acc_min: min(&accs),
             acc_max: max(&accs),
@@ -194,12 +184,11 @@ fn main() {
             entry.policy
         );
         println!(
-            "{:<16} {:<16} {:<34} {:>6} {:>5} {:>9.3} {:>9.3} {:>9.3} {:>9.3}",
+            "{:<16} {:<16} {:<34} {:>6} {:>9.3} {:>9.3} {:>9.3} {:>9.3}",
             entry.suite,
             entry.plan,
             entry.policy,
             entry.warm,
-            entry.cadence,
             entry.acc_mean,
             entry.acc_min,
             entry.acc_max - entry.acc_min,
@@ -213,7 +202,7 @@ fn main() {
         // columns are moot, but warm start is plan-agnostic — both modes
         // anchor what the replicated grid is judged against.
         for warm in warms {
-            let config = Config { base: Base::Average, rotation: 0, warm, cadence: 0 };
+            let config = Config { base: Base::Average, rotation: 0, warm };
             let serial_runs: Vec<(f64, f64)> = (1..=args.seeds)
                 .map(|seed| {
                     let (labels, _) = config.fit(&ExecutionPlan::Serial, seed, data, *k);
@@ -226,7 +215,6 @@ fn main() {
                 "—".to_owned(),
                 0,
                 config.warm_label(),
-                0,
                 &serial_runs,
             );
         }
@@ -236,7 +224,7 @@ fn main() {
             for &base in &bases {
                 for &rotation in &rotations {
                     for &warm in &warms {
-                        let config = Config { base, rotation, warm, cadence: 0 };
+                        let config = Config { base, rotation, warm };
                         let runs: Vec<(f64, f64)> = (1..=args.seeds)
                             .map(|seed| {
                                 let (labels, rotations_fired) = config.fit(&plan, seed, data, *k);
@@ -260,47 +248,9 @@ fn main() {
                             config.policy_label(),
                             rotation,
                             config.warm_label(),
-                            0,
                             &runs,
                         );
                     }
-                }
-            }
-
-            // The cadence axis (DESIGN.md §12): each base policy re-run at
-            // sub-pass merge cadences, no rotation, cold start. m = 1 is the
-            // serial-equivalent endpoint, m = batch the per-pass barrier
-            // (identical to the cadence-0 cells above — kept so the JSON
-            // pins the equivalence), and the middle points trace how much
-            // staleness the blend tolerates before quality moves.
-            let mut cadences = vec![1usize, args.n / 16, args.n / 4, batch];
-            cadences.sort_unstable();
-            cadences.dedup();
-            for &base in &bases {
-                for &cadence in &cadences {
-                    let config = Config { base, rotation: 0, warm: WarmStart::Cold, cadence };
-                    let runs: Vec<(f64, f64)> = (1..=args.seeds)
-                        .map(|seed| {
-                            let (labels, rotations_fired) = config.fit(&plan, seed, data, *k);
-                            assert_eq!(
-                                rotations_fired, 0,
-                                "non-rotating cadence configuration rotated"
-                            );
-                            (
-                                accuracy(data.labels(), &labels),
-                                adjusted_rand_index(data.labels(), &labels),
-                            )
-                        })
-                        .collect();
-                    record(
-                        suite,
-                        format!("minibatch({batch})"),
-                        config.policy_label(),
-                        0,
-                        config.warm_label(),
-                        cadence,
-                        &runs,
-                    );
                 }
             }
         }
@@ -312,21 +262,15 @@ fn main() {
 }
 
 /// The `--quick` smoke grid: asserts the quality-recovery machinery is
-/// alive (no panic, finite metrics, rotation actually fires — for the
-/// sub-pass-cadence configuration at mini-merge granularity, per
-/// DESIGN.md §12 — and degenerate configurations stay degenerate)
-/// without measuring anything.
+/// alive (no panic, finite metrics, rotation actually fires, and
+/// degenerate configurations stay degenerate) without measuring anything.
 fn run_quick() {
     let n = 240;
     let suites = suites(n);
     let plan = ExecutionPlan::mini_batch(60);
     let configs = [
-        Config { base: Base::Average, rotation: 0, warm: WarmStart::Cold, cadence: 0 },
-        Config { base: Base::Momentum(0.9), rotation: 1, warm: WarmStart::Carry, cadence: 0 },
-        // Sub-pass cadence smoke: m = 15 on 4 shards slices each pass of
-        // 240 presentations into 4 mini-merges; period 1 rotates at every
-        // one, so `rotations > 0` proves the sub-pass merge path ran.
-        Config { base: Base::Momentum(0.9), rotation: 1, warm: WarmStart::Cold, cadence: 15 },
+        Config { base: Base::Average, rotation: 0, warm: WarmStart::Cold },
+        Config { base: Base::Momentum(0.9), rotation: 1, warm: WarmStart::Carry },
     ];
     for (suite, data, k) in &suites {
         for config in &configs {
@@ -348,11 +292,10 @@ fn run_quick() {
                     assert_eq!(rotations, 0, "non-rotating configuration rotated on {suite}");
                 }
                 println!(
-                    "quick {suite:<16} {:<34} warm={:<5} cadence={:<3} seed={seed} \
+                    "quick {suite:<16} {:<34} warm={:<5} seed={seed} \
                      acc={acc:.3} ari={ari:.3} rotations={rotations}",
                     config.policy_label(),
                     config.warm_label(),
-                    config.cadence,
                 );
             }
         }
@@ -371,7 +314,7 @@ fn render_json(entries: &[Entry], seeds: u64, n: usize) -> String {
     for (i, e) in entries.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"suite\": \"{}\", \"plan\": \"{}\", \"policy\": \"{}\", \
-             \"rotation\": {}, \"warm_start\": \"{}\", \"cadence\": {}, \
+             \"rotation\": {}, \"warm_start\": \"{}\", \
              \"acc_mean\": {:.4}, \"acc_min\": {:.4}, \"acc_max\": {:.4}, \
              \"acc_band\": {:.4}, \"ari_mean\": {:.4}, \"ari_min\": {:.4}}}{}\n",
             e.suite,
@@ -379,7 +322,6 @@ fn render_json(entries: &[Entry], seeds: u64, n: usize) -> String {
             e.policy,
             e.rotation,
             e.warm,
-            e.cadence,
             e.acc_mean,
             e.acc_min,
             e.acc_max,

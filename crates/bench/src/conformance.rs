@@ -28,8 +28,8 @@ use categorical_data::synth::GeneratorConfig;
 use categorical_data::{CategoricalTable, MISSING};
 use cluster_eval::accuracy;
 use mcdc_core::{
-    DeltaAverage, DeltaMomentum, ExecutionPlan, FaultPlan, Mcdc, McdcResult, MergeCadence, Mgcpl,
-    OverlapShards, Rotate, StreamingMcdc, UnseenPolicy, WarmStart,
+    DeltaAverage, DeltaMomentum, ExecutionPlan, FaultPlan, Mcdc, McdcResult, Mgcpl, OverlapShards,
+    Rotate, StreamingMcdc, UnseenPolicy, WarmStart,
 };
 use mcdc_reference::{
     distinct_labels, partition_entropy, reference_mcdc, ReferenceConfig, ReferenceMcdc,
@@ -96,9 +96,9 @@ pub enum PolicyArm {
     Momentum,
     /// Overlapping shards with a 2-row halo.
     Overlap,
-    /// Rotation every 2 merge steps over δ averaging.
+    /// Rotation every 2 passes over δ averaging.
     RotateAverage,
-    /// Rotation every 2 merge steps over δ momentum — the composed policy.
+    /// Rotation every 2 passes over δ momentum — the composed policy.
     RotateMomentum,
 }
 
@@ -116,101 +116,32 @@ pub struct GridCell {
     pub policy: PolicyArm,
     /// Warm-start mode across MGCPL stages.
     pub warm: WarmStart,
-    /// Lazy (candidate-pruned) scoring; replicated plans run eager
-    /// regardless, so only serial cells vary it.
-    pub lazy: bool,
-    /// Sub-pass merge cadence (`MergeCadence::every`); 0 keeps the
-    /// per-pass barrier. Ignored by serial plans.
-    pub cadence: usize,
 }
 
-/// The full `ExecutionPlan × Reconcile × Rotate × WarmStart × lazy ×
-/// cadence` grid — every combination with distinct semantics, 17 cells.
-///
-/// The four cadence cells (DESIGN.md §12) probe the bounded-staleness
-/// slide: `m = 1` over a single full-batch shard is the staleness-free
-/// endpoint and therefore joins the **exact** tier — it must reproduce the
-/// serial oracle bit for bit — while intermediate m over real multi-shard
-/// plans genuinely reorders the cascade and is held to the bounded floor
-/// like every other replicated cell.
+/// The full `ExecutionPlan × Reconcile × Rotate × WarmStart` grid — every
+/// combination with distinct semantics, 11 cells.
 pub fn grid() -> Vec<GridCell> {
     use PlanArm::*;
     use PolicyArm::*;
-    let cell = |name, tier, plan, policy, warm, lazy| GridCell {
-        name,
-        tier,
-        plan,
-        policy,
-        warm,
-        lazy,
-        cadence: 0,
-    };
-    let paced = |name, tier, plan, policy, warm, cadence| GridCell {
-        name,
-        tier,
-        plan,
-        policy,
-        warm,
-        lazy: false,
-        cadence,
-    };
+    let cell = |name, tier, plan, policy, warm| GridCell { name, tier, plan, policy, warm };
     vec![
-        cell("serial/cold/lazy", Tier::Exact, Serial, Average, WarmStart::Cold, true),
-        cell("serial/cold/eager", Tier::Exact, Serial, Average, WarmStart::Cold, false),
-        cell("serial/carry/lazy", Tier::Exact, Serial, Average, WarmStart::Carry, true),
-        cell("serial/carry/eager", Tier::Exact, Serial, Average, WarmStart::Carry, false),
-        cell("batch-full/average/cold", Tier::Exact, FullBatch, Average, WarmStart::Cold, false),
-        cell("batch/average/cold", Tier::Bounded, QuarterBatch, Average, WarmStart::Cold, false),
-        cell("batch/average/carry", Tier::Bounded, QuarterBatch, Average, WarmStart::Carry, false),
-        cell("batch/momentum/cold", Tier::Bounded, QuarterBatch, Momentum, WarmStart::Cold, false),
-        cell(
-            "batch/rotate/cold",
-            Tier::Bounded,
-            QuarterBatch,
-            RotateAverage,
-            WarmStart::Cold,
-            false,
-        ),
+        cell("serial/cold", Tier::Exact, Serial, Average, WarmStart::Cold),
+        cell("serial/carry", Tier::Exact, Serial, Average, WarmStart::Carry),
+        cell("batch-full/average/cold", Tier::Exact, FullBatch, Average, WarmStart::Cold),
+        cell("batch/average/cold", Tier::Bounded, QuarterBatch, Average, WarmStart::Cold),
+        cell("batch/average/carry", Tier::Bounded, QuarterBatch, Average, WarmStart::Carry),
+        cell("batch/momentum/cold", Tier::Bounded, QuarterBatch, Momentum, WarmStart::Cold),
+        cell("batch/rotate/cold", Tier::Bounded, QuarterBatch, RotateAverage, WarmStart::Cold),
         cell(
             "batch/rotate-momentum/carry",
             Tier::Bounded,
             QuarterBatch,
             RotateMomentum,
             WarmStart::Carry,
-            false,
         ),
-        cell("sharded/average/cold", Tier::Bounded, Sharded3, Average, WarmStart::Cold, false),
-        cell("sharded/overlap/cold", Tier::Bounded, Sharded3, Overlap, WarmStart::Cold, false),
-        cell(
-            "sharded/rotate/carry",
-            Tier::Bounded,
-            Sharded3,
-            RotateAverage,
-            WarmStart::Carry,
-            false,
-        ),
-        // m = 1 over one full-batch shard: the serial cascade rebuilt
-        // through the replicated machinery, one merge per presentation.
-        paced("batch-full/cadence-1/cold", Tier::Exact, FullBatch, Average, WarmStart::Cold, 1),
-        // Intermediate staleness over real shards.
-        paced("batch/cadence-8/cold", Tier::Bounded, QuarterBatch, Average, WarmStart::Cold, 8),
-        paced(
-            "batch/cadence-1/momentum/carry",
-            Tier::Bounded,
-            QuarterBatch,
-            Momentum,
-            WarmStart::Carry,
-            1,
-        ),
-        // Cadence × rotation: the period ticks per mini-merge.
-        paced(
-            "sharded/cadence-8/rotate/cold",
-            Tier::Bounded,
-            Sharded3,
-            RotateAverage,
-            WarmStart::Cold,
-            8,
-        ),
+        cell("sharded/average/cold", Tier::Bounded, Sharded3, Average, WarmStart::Cold),
+        cell("sharded/overlap/cold", Tier::Bounded, Sharded3, Overlap, WarmStart::Cold),
+        cell("sharded/rotate/carry", Tier::Bounded, Sharded3, RotateAverage, WarmStart::Carry),
     ]
 }
 
@@ -223,8 +154,8 @@ pub struct TableSpec {
     pub n: usize,
     /// Sought clusters (also the generator's planted fine structure).
     pub k: usize,
-    /// Optional explicit `k₀` override; chosen above the dense-kernel
-    /// floor on a third of the seeds so the candidate-pruned sweep arms.
+    /// Optional explicit `k₀` override (13–24) on about a third of the
+    /// seeds, so wide first stages are covered at small `n`.
     pub initial_k: Option<usize>,
     /// Per-feature cardinalities, skewed: most features are narrow, a
     /// random minority wide.
@@ -296,7 +227,7 @@ pub fn run_cell(
     cell: &GridCell,
 ) -> McdcResult {
     let n = table.n_rows();
-    let mut builder = Mcdc::builder().seed(seed).warm_start(cell.warm).lazy_scoring(cell.lazy);
+    let mut builder = Mcdc::builder().seed(seed).warm_start(cell.warm);
     if let Some(k0) = initial_k {
         builder = builder.initial_k(k0);
     }
@@ -317,9 +248,6 @@ pub fn run_cell(
             builder.reconcile(Rotate { period: 2, inner: DeltaMomentum { beta: 0.5 } })
         }
     };
-    if cell.cadence > 0 {
-        builder = builder.merge_cadence(MergeCadence::every(cell.cadence));
-    }
     builder.build().fit(table, k).expect("conformance tables are non-degenerate")
 }
 
@@ -564,7 +492,8 @@ pub struct GateCounters {
     pub passes: u64,
     /// Full scoring sweeps.
     pub full_rescans: u64,
-    /// Sweeps skipped by lazy pruning.
+    /// Row scans CAME's dirty-cluster tracking skipped (MGCPL never
+    /// skips).
     pub skipped_rescans: u64,
     /// Rows refused at the ingestion boundary
     /// ([`mcdc_core::IngestStats::rejected_rows`]); only the
@@ -604,13 +533,8 @@ impl GateCounters {
 pub struct GateSuite {
     /// Section name in `PERF_GATES.toml`.
     pub name: &'static str,
-    /// Lazy (candidate-pruned) scoring on.
-    pub lazy: bool,
     /// Mini-batch size; 0 = serial.
     pub batch: usize,
-    /// Sub-pass merge cadence (`MergeCadence::every`); 0 keeps the
-    /// per-pass barrier.
-    pub cadence: usize,
     /// Streaming-ingest suite: drives corrupted traffic through the
     /// `try_absorb` boundary instead of batch fits (DESIGN.md §11).
     pub ingest: bool,
@@ -621,26 +545,14 @@ const GATE_N: usize = 480;
 /// Seeds each suite sums over.
 const GATE_SEEDS: [u64; 3] = [11, 12, 13];
 
-/// The checked-in gate suites: the lazy serial hot path (the one the
-/// candidate-pruned kernel accelerates — `k₀ = 24` arms it), the eager
-/// serial baseline, the replicated merge path at the per-pass barrier and
-/// at a fixed sub-pass cadence (`m = batch/4`, so `merges` must run at
-/// ≈ 4× the barrier suite per pass — the cadence growth law made a
-/// deterministic gate), and the streaming-ingest boundary under seeded
-/// row corruption.
+/// The checked-in gate suites: the serial hot path (`k₀ = 24`), the
+/// replicated merge path at the per-pass barrier, and the
+/// streaming-ingest boundary under seeded row corruption.
 pub fn gate_suites() -> Vec<GateSuite> {
     vec![
-        GateSuite { name: "serial-lazy", lazy: true, batch: 0, cadence: 0, ingest: false },
-        GateSuite { name: "serial-eager", lazy: false, batch: 0, cadence: 0, ingest: false },
-        GateSuite { name: "replicated", lazy: false, batch: GATE_N / 4, cadence: 0, ingest: false },
-        GateSuite {
-            name: "replicated-cadence",
-            lazy: false,
-            batch: GATE_N / 4,
-            cadence: GATE_N / 16,
-            ingest: false,
-        },
-        GateSuite { name: "streaming-ingest", lazy: false, batch: 0, cadence: 0, ingest: true },
+        GateSuite { name: "serial", batch: 0, ingest: false },
+        GateSuite { name: "replicated", batch: GATE_N / 4, ingest: false },
+        GateSuite { name: "streaming-ingest", batch: 0, ingest: true },
     ]
 }
 
@@ -656,13 +568,10 @@ pub fn measure_suite(suite: &GateSuite) -> GateCounters {
     for &seed in &GATE_SEEDS {
         let data =
             GeneratorConfig::new("gate", GATE_N, vec![6; 8], 3).noise(0.12).generate(seed).dataset;
-        let mut builder = Mcdc::builder().seed(seed).initial_k(24).lazy_scoring(suite.lazy);
+        let mut builder = Mcdc::builder().seed(seed).initial_k(24);
         if suite.batch > 0 {
             builder =
                 builder.execution(ExecutionPlan::mini_batch(suite.batch)).reconcile(DeltaAverage);
-        }
-        if suite.cadence > 0 {
-            builder = builder.merge_cadence(MergeCadence::every(suite.cadence));
         }
         let result = builder.build().fit(data.table(), 3).expect("gate tables are well-formed");
         for stats in [&result.mgcpl().stats, result.came().stats()] {
@@ -855,23 +764,18 @@ mod tests {
     #[test]
     fn grid_covers_every_arm() {
         let cells = grid();
-        assert_eq!(cells.len(), 17);
-        assert!(cells.iter().any(|c| c.tier == Tier::Exact && c.lazy));
+        assert_eq!(cells.len(), 11);
+        assert!(cells.iter().any(|c| c.tier == Tier::Exact && c.plan == PlanArm::Serial));
+        assert!(cells.iter().any(|c| c.tier == Tier::Exact && c.plan == PlanArm::FullBatch));
         assert!(cells.iter().any(|c| c.plan == PlanArm::Sharded3));
+        assert!(cells.iter().any(|c| c.policy == PolicyArm::Overlap));
         assert!(cells.iter().any(|c| c.policy == PolicyArm::RotateMomentum));
+        assert!(cells.iter().any(|c| c.warm == WarmStart::Carry && c.tier == Tier::Exact));
         assert!(cells.iter().any(|c| c.warm == WarmStart::Carry && c.tier == Tier::Bounded));
-        // The cadence arm: the staleness-free m = 1 endpoint is held to the
-        // exact tier, intermediate m to the bounded tier, and at least one
-        // cadence cell composes with rotation.
-        assert!(cells
-            .iter()
-            .any(|c| c.cadence == 1 && c.plan == PlanArm::FullBatch && c.tier == Tier::Exact));
-        assert!(cells.iter().any(|c| c.cadence > 1 && c.tier == Tier::Bounded));
-        assert!(cells.iter().any(|c| c.cadence > 0 && c.policy == PolicyArm::RotateAverage));
         let mut names: Vec<&str> = cells.iter().map(|c| c.name).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 17, "cell names must be unique");
+        assert_eq!(names.len(), 11, "cell names must be unique");
     }
 
     #[test]
@@ -890,7 +794,7 @@ mod tests {
     fn gate_file_round_trips() {
         let suites = vec![
             (
-                "serial-lazy".to_string(),
+                "serial".to_string(),
                 GateCounters {
                     score_evals: 123,
                     merges: 0,

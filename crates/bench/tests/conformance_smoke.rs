@@ -9,7 +9,6 @@ use categorical_data::synth::GeneratorConfig;
 use categorical_data::MISSING;
 use mcdc_bench::conformance::{
     compare_counters, gate_suites, measure_suite, random_table, replay_table, run_reference,
-    GateSuite,
 };
 use mcdc_core::{DeltaAverage, ExecutionPlan, Mcdc, WarmStart};
 use mcdc_reference::{reference_mcdc, ReferenceConfig};
@@ -25,8 +24,7 @@ fn fuzz_seeds_conform_across_the_grid() {
     }
 }
 
-/// The exact tier, probed directly: serial (lazy and eager), carry
-/// warm-start, and the one-batch replicated plan must reproduce the
+/// The exact tier, probed directly: serial, carry warm-start, and the one-batch replicated plan must reproduce the
 /// oracle's partitions, κ, Θ, and labels bit-for-bit — including on a
 /// table with injected MISSING values.
 #[test]
@@ -62,16 +60,7 @@ fn exact_tier_matches_the_oracle_bit_for_bit() {
         assert_eq!(oracle.came.theta, optimized.came().theta(), "{tag}: Θ");
         assert_eq!(oracle.labels, optimized.labels(), "{tag}: labels");
     };
-    check(
-        "serial-lazy",
-        Mcdc::builder().seed(seed),
-        ReferenceConfig { seed, ..Default::default() },
-    );
-    check(
-        "serial-eager",
-        Mcdc::builder().seed(seed).lazy_scoring(false),
-        ReferenceConfig { seed, ..Default::default() },
-    );
+    check("serial", Mcdc::builder().seed(seed), ReferenceConfig { seed, ..Default::default() });
     check(
         "serial-carry",
         Mcdc::builder().seed(seed).warm_start(WarmStart::Carry),
@@ -106,22 +95,26 @@ fn fuzz_tables_are_reproducible_from_the_seed() {
 /// counters trivially pass a gate baselined on themselves.
 #[test]
 fn gate_counters_are_deterministic() {
-    let suites = gate_suites();
-    assert!(suites.iter().any(|s| s.name == "serial-lazy"), "self-test anchor suite");
-    let suite = GateSuite { name: "serial-lazy", lazy: true, batch: 0, cadence: 0, ingest: false };
+    let suite = gate_suites().into_iter().find(|s| s.name == "serial").expect("self-test anchor");
     let first = measure_suite(&suite);
     let second = measure_suite(&suite);
     assert_eq!(first, second);
     assert!(first.score_evals > 0);
-    assert!(first.skipped_rescans > 0, "the lazy suite must actually arm the pruned kernel");
     assert_eq!(first.merges, 0, "serial plans never merge");
-    assert_eq!(compare_counters("serial-lazy", &first, &second, 0.05), Ok(vec![]));
+    assert_eq!(compare_counters("serial", &first, &second, 0.05), Ok(vec![]));
 }
 
-/// The replicated suite exercises the merge counter.
+/// The replicated suite exercises the merge counter, which is also what
+/// gives the `--gate` self-test its teeth: held to the serial baseline,
+/// the replicated counters must violate it.
 #[test]
 fn replicated_suite_counts_merges() {
-    let suite = gate_suites().into_iter().find(|s| s.batch > 0).expect("a replicated suite");
-    let counters = measure_suite(&suite);
+    let suites = gate_suites();
+    let replicated = suites.iter().find(|s| s.name == "replicated").expect("a replicated suite");
+    let serial = suites.iter().find(|s| s.name == "serial").expect("a serial suite");
+    let counters = measure_suite(replicated);
     assert!(counters.merges > 0, "replicated plans must count profile merges");
+    let violations = compare_counters("serial", &measure_suite(serial), &counters, 0.05)
+        .expect_err("the self-test's vacuous-gate probe must fail");
+    assert!(violations.iter().any(|v| v.contains("serial.merges")), "{violations:?}");
 }

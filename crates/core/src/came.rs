@@ -25,13 +25,21 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 
-use crate::workspace::{copy_into, resize_tracked, CameScratch, LAZY_SLACK};
+use crate::workspace::{copy_into, resize_tracked, CameScratch};
 use crate::{ClusterProfile, ExecutionPlan, HotPathStats, McdcError, Workspace};
 
 /// Row count below which the parallel paths are not worth the fork/join
 /// (the shim thread pool spawns scoped threads per call, so the crossover
 /// sits higher than with a persistent rayon pool).
 const PARALLEL_MIN_ROWS: usize = 8192;
+
+/// Safety slack added to every dirty-cluster margin test: the drift bounds
+/// are accumulated in f64, so the comparison leaves room for the
+/// accumulated rounding of the bound itself (≪ 1e-12 for O(1)-magnitude
+/// distances) plus the re-evaluation noise between two f64 sweeps of the
+/// same row. A margin inside the slack simply falls through to the full
+/// rescan — exactness is never at risk, only a skip is forgone.
+const LAZY_SLACK: f64 = 1e-9;
 
 /// How CAME picks its initial modes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -71,7 +79,6 @@ pub struct Came {
     init: CameInit,
     seed: u64,
     parallel: bool,
-    lazy_scoring: bool,
     force_chunking: bool,
 }
 
@@ -83,7 +90,6 @@ pub struct CameBuilder {
     init: CameInit,
     seed: u64,
     parallel: bool,
-    lazy_scoring: bool,
     force_chunking: bool,
 }
 
@@ -95,7 +101,6 @@ impl Default for CameBuilder {
             init: CameInit::default(),
             seed: 0,
             parallel: true,
-            lazy_scoring: true,
             force_chunking: false,
         }
     }
@@ -124,21 +129,6 @@ impl CameBuilder {
     /// Seeds the random fallback initialization.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Toggles dirty-cluster lazy rescoring (on by default; see `DESIGN.md`
-    /// §3 "Lazy scoring"). Modes and θ are frozen within a Step-1
-    /// iteration, so each row carries its winner margin (second-best −
-    /// best θ-Hamming distance) across iterations; a row is rescanned only
-    /// when the accumulated mode/θ drift could overturn that margin. The
-    /// skip is exact — labels are bit-for-bit those of eager scanning —
-    /// because the per-cluster drift bound (`Σ_r |Δθ_r|` plus
-    /// `Σ_{r: mode changed} max(θ_r, θ_r')`) majorizes every possible
-    /// distance movement. `false` forces the full `n×k` scan per
-    /// iteration.
-    pub fn lazy_scoring(mut self, on: bool) -> Self {
-        self.lazy_scoring = on;
         self
     }
 
@@ -178,7 +168,6 @@ impl CameBuilder {
             init: self.init,
             seed: self.seed,
             parallel: self.parallel,
-            lazy_scoring: self.lazy_scoring,
             force_chunking: self.force_chunking,
         }
     }
@@ -194,10 +183,8 @@ pub struct CameResult {
     stats: HotPathStats,
 }
 
-// Equality is semantic (labels, θ, modes, iterations): lazy and eager runs
-// of the same aggregation count rescans differently but compute the same
-// result, and the serial ≡ parallel pins compare the computation, not the
-// counters.
+// Equality is semantic (labels, θ, modes, iterations): the serial ≡
+// parallel pins compare the computation, not the counters.
 impl PartialEq for CameResult {
     fn eq(&self, other: &Self) -> bool {
         self.labels == other.labels
@@ -316,7 +303,6 @@ impl Came {
         let parallel = self.parallel
             && n >= PARALLEL_MIN_ROWS
             && (rayon::current_num_threads() > 1 || self.force_chunking);
-        let lazy = self.lazy_scoring;
 
         let mut stats = HotPathStats::default();
         let alloc_start = ws.allocs;
@@ -330,18 +316,19 @@ impl Came {
 
         let mut labels = vec![usize::MAX; n];
         let mut iterations = 0;
-        let mut have_prev = false;
         for _ in 0..self.max_iterations {
             iterations += 1;
             // Step 1: fix Θ and Z, recompute the partition Q (Eq. 20).
             // After the first iteration the per-cluster drift bound tells
-            // which rows' cached margins still prove their winner; only the
-            // rest rescan against all k modes.
-            if lazy && have_prev {
+            // which rows' cached margins still prove their winner (dirty-
+            // cluster tracking, DESIGN.md §3); only the rest rescan against
+            // all k modes.
+            let decay: Option<&[f64]> = if iterations > 1 {
                 compute_decay(scratch, &modes, &theta, k);
-            }
-            let decay: Option<&[f64]> =
-                if lazy && have_prev { Some(&scratch.decay[..k]) } else { None };
+                Some(&scratch.decay[..k])
+            } else {
+                None
+            };
             let (changed, full, skipped) = assign_labels(
                 encoding,
                 &modes,
@@ -349,7 +336,6 @@ impl Came {
                 &mut labels,
                 &mut scratch.margins,
                 decay,
-                lazy,
                 parallel,
             );
             stats.full_rescans += full;
@@ -365,11 +351,8 @@ impl Came {
             // Step 2: fix Q, update modes Z and feature weights Θ (Eqs. 21–22).
             // The (Z, Θ) the assignment above used become the drift
             // reference for the next iteration's skip test.
-            if lazy {
-                copy_into(&mut scratch.prev_modes, &modes.data, allocs);
-                copy_into(&mut scratch.prev_theta, &theta, allocs);
-                have_prev = true;
-            }
+            copy_into(&mut scratch.prev_modes, &modes.data, allocs);
+            copy_into(&mut scratch.prev_theta, &theta, allocs);
             modes = modes_of_matrix(
                 encoding,
                 &layout,
@@ -419,27 +402,11 @@ fn weighted_hamming(row: &[u32], mode: &[u32], theta: &[f64]) -> f64 {
         .sum()
 }
 
-/// Fused Step-1 kernel for one object: index of the θ-Hamming-nearest mode,
+/// Fused Step-1 kernel for one object: the θ-Hamming-nearest mode and its
+/// winner margin (second-best − best distance; `+∞` with a single mode),
 /// scanning the flat mode matrix in one pass (ties resolve to the lowest
-/// cluster index, same as the sequential loop it replaces).
-fn nearest_mode(row: &[u32], modes: &ModeMatrix, theta: &[f64]) -> usize {
-    let mut best = 0usize;
-    let mut best_dist = f64::INFINITY;
-    for l in 0..modes.k() {
-        let dist = weighted_hamming(row, modes.row(l), theta);
-        if dist < best_dist {
-            best_dist = dist;
-            best = l;
-        }
-    }
-    best
-}
-
-/// [`nearest_mode`] extended with the winner margin (second-best − best
-/// distance; `+∞` with a single mode). The winner selection runs the
-/// identical strict-`<` comparison sequence, so the verdict is bit-for-bit
-/// [`nearest_mode`]'s.
-fn nearest_mode_margin(row: &[u32], modes: &ModeMatrix, theta: &[f64]) -> (usize, f64) {
+/// cluster index).
+fn nearest_mode(row: &[u32], modes: &ModeMatrix, theta: &[f64]) -> (usize, f64) {
     let mut best = 0usize;
     let mut best_dist = f64::INFINITY;
     let mut second_dist = f64::INFINITY;
@@ -456,9 +423,9 @@ fn nearest_mode_margin(row: &[u32], modes: &ModeMatrix, theta: &[f64]) -> (usize
     (best, second_dist - best_dist)
 }
 
-/// Per-cluster skip thresholds for one Step-1 iteration (DESIGN.md §3
-/// "Lazy scoring"): cluster `l`'s distance to any row can have moved by at
-/// most `drift[l] = Σ_r |Δθ_r| + Σ_{r: mode_l changed} max(θ_r, θ'_r)`
+/// Per-cluster skip thresholds for one Step-1 iteration (DESIGN.md §3):
+/// cluster `l`'s distance to any row can have moved by at most
+/// `drift[l] = Σ_r |Δθ_r| + Σ_{r: mode_l changed} max(θ_r, θ'_r)`
 /// since the previous iteration (θ-term for features whose mismatch
 /// indicator is unchanged, worst-case term where the mode row moved), so a
 /// cached margin survives iff it exceeds `decay[l] = drift[l] +
@@ -506,7 +473,6 @@ fn assign_row(
     label: &mut usize,
     margin: &mut f64,
     decay: Option<&[f64]>,
-    lazy: bool,
     changed: &mut bool,
     full: &mut u64,
     skipped: &mut u64,
@@ -524,20 +490,12 @@ fn assign_row(
         }
     }
     *full += 1;
-    if lazy {
-        let (best, fresh_margin) = nearest_mode_margin(row, modes, theta);
-        if *label != best {
-            *label = best;
-            *changed = true;
-        }
-        *margin = fresh_margin;
-    } else {
-        let best = nearest_mode(row, modes, theta);
-        if *label != best {
-            *label = best;
-            *changed = true;
-        }
+    let (best, fresh_margin) = nearest_mode(row, modes, theta);
+    if *label != best {
+        *label = best;
+        *changed = true;
     }
+    *margin = fresh_margin;
 }
 
 /// Step 1: recomputes every object's nearest mode, returning whether any
@@ -546,7 +504,6 @@ fn assign_row(
 /// the serial one (the per-row computation is independent and
 /// deterministic); chunk buffers live in the caller's slices, so the
 /// iteration allocates only the chunk work list.
-#[allow(clippy::too_many_arguments)]
 fn assign_labels(
     encoding: &CategoricalTable,
     modes: &ModeMatrix,
@@ -554,7 +511,6 @@ fn assign_labels(
     labels: &mut [usize],
     margins: &mut [f64],
     decay: Option<&[f64]>,
-    lazy: bool,
     parallel: bool,
 ) -> (bool, u64, u64) {
     let n = encoding.n_rows();
@@ -587,7 +543,6 @@ fn assign_labels(
                         label,
                         margin,
                         decay,
-                        lazy,
                         &mut changed,
                         &mut full,
                         &mut skipped,
@@ -610,7 +565,6 @@ fn assign_labels(
                 label,
                 margin,
                 decay,
-                lazy,
                 &mut changed,
                 &mut full,
                 &mut skipped,
@@ -812,8 +766,7 @@ fn guiding_granularity(encoding: &CategoricalTable, k: usize) -> Option<usize> {
 /// Moves the farthest objects into any emptied cluster so exactly `k`
 /// clusters stay populated. A moved row's cached margin no longer
 /// describes its (forced) label, so it is invalidated — the next Step-1
-/// iteration rescans exactly that row, as the eager sweep effectively
-/// would.
+/// iteration rescans exactly that row.
 fn reseed_empty_clusters(
     encoding: &CategoricalTable,
     labels: &mut [usize],

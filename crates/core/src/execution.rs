@@ -25,14 +25,10 @@
 //! *How* the replicas reconcile is itself pluggable: the learner's
 //! [`Reconcile`](crate::Reconcile) policy chooses the δ blend and whether
 //! shards overlap by a halo of boundary rows (this module materializes the
-//! halo geometry into the [`ShardMap`]). *How often* they reconcile is the
-//! [`MergeCadence`] knob: the default merges once per pass (the historical
-//! barrier), while `MergeCadence { every: m }` runs the same exact merge
-//! step every `m` presentations per replica — parameter-server-style
-//! bounded staleness that slides continuously between the per-pass barrier
-//! and the serial cascade. See `DESIGN.md` §4 for the replica-merge
-//! semantics, §5 for the policies, §12 for the cadence, and why serial ≡
-//! mini-batch only at `batch_size = n`.
+//! halo geometry into the [`ShardMap`]). Replicas reconcile once per pass,
+//! at the pass barrier. See `DESIGN.md` §4 for the replica-merge
+//! semantics, §5 for the policies, and why serial ≡ mini-batch only at
+//! `batch_size = n`.
 
 use categorical_data::CategoricalTable;
 
@@ -452,85 +448,6 @@ pub enum WarmStart {
     /// Seed the next granularity level from the reconciled δ and ω of the
     /// level that just converged (win counts still reset).
     Carry,
-}
-
-/// How often a replicated plan's shards synchronize *within* a pass —
-/// the bounded-staleness knob of the replica-merge engine (DESIGN.md §12).
-///
-/// The historical barrier merges once per pass: every replica scores its
-/// whole shard against the frozen pass-start snapshot, then the cohort
-/// reconciles. `MergeCadence { every: m }` instead slices each pass's
-/// global presentation order into segments of `m` presentations per
-/// replica (`m · shards` rows of the shuffle) and runs the full exact
-/// merge step — [`ClusterProfile::merge`](crate::ClusterProfile::merge),
-/// the [`Reconcile`](crate::Reconcile) δ blend, and a cohort re-snapshot —
-/// at every segment boundary, so the next segment scores against the
-/// blended consensus instead of stale pass-start state. The knob slides
-/// continuously between today's per-pass barrier (`m ≥ batch`, the
-/// default) and the serial cascade (`m = 1` with a single shard is
-/// bit-exact with [`ExecutionPlan::Serial`]).
-///
-/// `every: 0` (the [`Default`]) keeps the per-pass barrier and is
-/// bit-identical — labels, κ/Θ, *and* `HotPathStats` counters — to the
-/// pre-cadence engine (pinned by `crates/core/tests/merge_cadence.rs`).
-/// Any `m` whose segment covers the whole shuffle (`m · shards ≥ n`)
-/// degenerates to the same barrier. No effect under
-/// [`ExecutionPlan::Serial`].
-///
-/// Sub-pass cadences multiply the merge-step counter: rotation periods
-/// ([`Rotate`](crate::Rotate)) and [`FaultPlan`](crate::FaultPlan) fate
-/// probes are keyed per *mini*-merge, so a pass at cadence `m` sees
-/// `⌈batch / m⌉` rotation opportunities and fault probes instead of one.
-///
-/// # Example
-///
-/// ```
-/// use mcdc_core::MergeCadence;
-///
-/// let barrier = MergeCadence::default();
-/// assert!(barrier.is_per_pass());
-/// let sub_pass = MergeCadence::every(16);
-/// assert_eq!(sub_pass.every, 16);
-/// // 4 shards × m = 16 → segments of 64 rows of the global shuffle.
-/// assert_eq!(sub_pass.segment_rows(600, 4), 64);
-/// // A segment that covers the pass is exactly the per-pass barrier.
-/// assert_eq!(MergeCadence::every(200).segment_rows(600, 4), 600);
-/// assert_eq!(barrier.segment_rows(600, 4), 600);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MergeCadence {
-    /// Presentations per replica between merge steps. `0` (default) means
-    /// the per-pass barrier: one merge at the end of each pass.
-    pub every: usize,
-}
-
-impl MergeCadence {
-    /// A sub-pass cadence merging every `m` presentations per replica.
-    pub fn every(m: usize) -> MergeCadence {
-        MergeCadence { every: m }
-    }
-
-    /// The per-pass barrier (identical to [`Default`]): one merge per pass.
-    pub fn per_pass() -> MergeCadence {
-        MergeCadence { every: 0 }
-    }
-
-    /// `true` when the cadence keeps the historical per-pass barrier.
-    pub fn is_per_pass(&self) -> bool {
-        self.every == 0
-    }
-
-    /// Rows of the global presentation order per segment for a pass of `n`
-    /// rows over `n_shards` replicas — clamped to `[1, n]`, so both the
-    /// barrier (`every: 0`) and any covering cadence yield one segment.
-    pub fn segment_rows(&self, n: usize, n_shards: usize) -> usize {
-        let n = n.max(1);
-        if self.every == 0 {
-            n
-        } else {
-            self.every.saturating_mul(n_shards.max(1)).clamp(1, n)
-        }
-    }
 }
 
 #[cfg(test)]

@@ -36,8 +36,8 @@
 //!   save/load roundtrip is bit-exact (DESIGN.md §9);
 //! * [`Workspace`] / [`WorkspacePool`] — reusable pass-scratch arenas:
 //!   `fit_with` runs repeated fits allocation-free once warm, and
-//!   [`HotPathStats`] reports the lazy-scoring pruning rate and workspace
-//!   growth per fit (DESIGN.md §3 "Lazy scoring").
+//!   [`HotPathStats`] reports scoring work, CAME's skipped rescans, and
+//!   workspace growth per fit (DESIGN.md §3).
 //!
 //! # Quickstart
 //!
@@ -85,7 +85,7 @@ pub use came::{Came, CameBuilder, CameInit, CameResult};
 pub use competitive::{CompetitiveLearning, CompetitiveResult};
 pub use encoding::{encode_mgcpl, encode_partitions};
 pub use error::McdcError;
-pub use execution::{ExecutionPlan, MergeCadence, WarmStart};
+pub use execution::{ExecutionPlan, WarmStart};
 pub use fault::{DeltaFault, FaultPlan, IngestFault, ReplicaFault};
 pub use frozen::FrozenModel;
 pub use mgcpl::{Mgcpl, MgcplBuilder, MgcplResult};

@@ -22,15 +22,13 @@ use categorical_data::{CsrLayout, MISSING};
 
 use crate::execution::ShardMap;
 use crate::fault::{DeltaFault, FaultPlan, ReplicaFault};
-use crate::profile::score_all_transposed_capped;
 use crate::weights::feature_weights_into;
 use crate::workspace::{
-    copy_into, note_growth, resize_tracked, LazyCache, MgcplScratch, ReplicaSlot,
-    ReplicatedScratch, Workspace,
+    copy_into, note_growth, resize_tracked, MgcplScratch, ReplicaSlot, ReplicatedScratch, Workspace,
 };
 use crate::{
     score_all_transposed, ClusterProfile, DeltaAverage, ExecutionPlan, HotPathStats, LearningTrace,
-    McdcError, MergeCadence, Reconcile, StageRecord, WarmStart,
+    McdcError, Reconcile, StageRecord, WarmStart,
 };
 
 /// Configurable MGCPL learner. Construct via [`Mgcpl::builder`].
@@ -59,13 +57,11 @@ pub struct Mgcpl {
     max_stages: usize,
     weighted_similarity: bool,
     random_init: bool,
-    lazy_scoring: bool,
     seed: u64,
     execution: ExecutionPlan,
     reconcile: Arc<dyn Reconcile>,
     warm_start: WarmStart,
     fault: FaultPlan,
-    merge_cadence: MergeCadence,
 }
 
 // Policies compare by descriptor (name + parameters): two learners with the
@@ -79,13 +75,11 @@ impl PartialEq for Mgcpl {
             && self.max_stages == other.max_stages
             && self.weighted_similarity == other.weighted_similarity
             && self.random_init == other.random_init
-            && self.lazy_scoring == other.lazy_scoring
             && self.seed == other.seed
             && self.execution == other.execution
             && self.reconcile.describe() == other.reconcile.describe()
             && self.warm_start == other.warm_start
             && self.fault == other.fault
-            && self.merge_cadence == other.merge_cadence
     }
 }
 
@@ -99,13 +93,11 @@ pub struct MgcplBuilder {
     max_stages: usize,
     weighted_similarity: bool,
     random_init: bool,
-    lazy_scoring: bool,
     seed: u64,
     execution: ExecutionPlan,
     reconcile: Arc<dyn Reconcile>,
     warm_start: WarmStart,
     fault: FaultPlan,
-    merge_cadence: MergeCadence,
 }
 
 impl PartialEq for MgcplBuilder {
@@ -116,13 +108,11 @@ impl PartialEq for MgcplBuilder {
             && self.max_stages == other.max_stages
             && self.weighted_similarity == other.weighted_similarity
             && self.random_init == other.random_init
-            && self.lazy_scoring == other.lazy_scoring
             && self.seed == other.seed
             && self.execution == other.execution
             && self.reconcile.describe() == other.reconcile.describe()
             && self.warm_start == other.warm_start
             && self.fault == other.fault
-            && self.merge_cadence == other.merge_cadence
     }
 }
 
@@ -135,13 +125,11 @@ impl Default for MgcplBuilder {
             max_stages: 64,
             weighted_similarity: true,
             random_init: true,
-            lazy_scoring: true,
             seed: 0,
             execution: ExecutionPlan::Serial,
             reconcile: Arc::new(DeltaAverage),
             warm_start: WarmStart::Cold,
             fault: FaultPlan::none(),
-            merge_cadence: MergeCadence::per_pass(),
         }
     }
 }
@@ -191,27 +179,6 @@ impl MgcplBuilder {
     /// known to be overlap-dominated.
     pub fn random_init(mut self, on: bool) -> Self {
         self.random_init = on;
-        self
-    }
-
-    /// Toggles convergence-aware lazy scoring (on by default; see
-    /// `DESIGN.md` §3 "Lazy scoring"). The serial cascade maintains a
-    /// per-cluster *competition cap* — an upper bound on the score any
-    /// object can reach against that cluster — and scores each
-    /// re-presented object by exactly evaluating its prior winner, the
-    /// sweep's rival cursor, and only the clusters whose cap could still
-    /// reach the running runner-up score; everything else is provably
-    /// outside the top two. The pruning is *exact*: winner, rival, and the
-    /// penalty arithmetic are bit-for-bit those of eager scoring, only the
-    /// wall time changes, and a per-pass engagement gate drops back to the
-    /// dense sweep whenever pruning stops landing (churning cascade
-    /// passes), so lazy never runs meaningfully slower than eager.
-    /// Replicated plans currently fall back to eager scoring (the caps
-    /// track the serial cascade's single state line), so the toggle is a
-    /// no-op there. `false` forces eager scoring everywhere — the baseline
-    /// `hotpath_snapshot` measures `mgcpl_lazy` against.
-    pub fn lazy_scoring(mut self, on: bool) -> Self {
-        self.lazy_scoring = on;
         self
     }
 
@@ -275,31 +242,6 @@ impl MgcplBuilder {
         self
     }
 
-    /// Sets how often a replicated plan's shards synchronize within a pass
-    /// (default [`MergeCadence::per_pass`], the historical once-per-pass
-    /// barrier, bit-exact with the pre-cadence engine). Sub-pass cadences
-    /// re-run the exact merge step every `m` presentations per replica so
-    /// later segments score against the blended consensus instead of the
-    /// stale pass-start snapshot; `m = 1` with a single shard reproduces
-    /// [`ExecutionPlan::Serial`] bit for bit. See [`MergeCadence`] and
-    /// DESIGN.md §12. No effect under serial plans.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use mcdc_core::{ExecutionPlan, MergeCadence, Mgcpl};
-    ///
-    /// let learner = Mgcpl::builder()
-    ///     .execution(ExecutionPlan::mini_batch(128))
-    ///     .merge_cadence(MergeCadence::every(16))
-    ///     .build();
-    /// # let _ = learner;
-    /// ```
-    pub fn merge_cadence(mut self, cadence: MergeCadence) -> Self {
-        self.merge_cadence = cadence;
-        self
-    }
-
     /// Validates and builds the learner.
     ///
     /// # Panics
@@ -359,13 +301,11 @@ impl MgcplBuilder {
             max_stages: self.max_stages,
             weighted_similarity: self.weighted_similarity,
             random_init: self.random_init,
-            lazy_scoring: self.lazy_scoring,
             seed: self.seed,
             execution: self.execution,
             reconcile: self.reconcile,
             warm_start: self.warm_start,
             fault: self.fault,
-            merge_cadence: self.merge_cadence,
         })
     }
 }
@@ -381,15 +321,15 @@ pub struct MgcplResult {
     pub kappa: Vec<usize>,
     /// Per-stage learning trace (Fig. 5).
     pub trace: LearningTrace,
-    /// Hot-path counters (rescans skipped by lazy scoring, workspace
-    /// growth, passes). Excluded from equality: a lazy and an eager run of
-    /// the same fit produce identical partitions but count differently.
+    /// Hot-path counters (passes, scoring sweeps, merges, workspace
+    /// growth). Excluded from equality: a warm and a cold workspace fit
+    /// the same partitions but count allocations differently.
     pub stats: HotPathStats,
 }
 
-// Equality is semantic — partitions, κ, trace — so lazy ≡ eager pins and
-// serial ≡ full-batch pins compare what the algorithm computed, not how
-// many sweeps it took to compute it.
+// Equality is semantic — partitions, κ, trace — so serial ≡ full-batch
+// pins compare what the algorithm computed, not the counters of how it
+// was computed.
 impl PartialEq for MgcplResult {
     fn eq(&self, other: &Self) -> bool {
         self.partitions == other.partitions
@@ -529,77 +469,6 @@ impl Cohort {
         }
     }
 
-    /// [`sync_value_major`](Self::sync_value_major) maintaining the lazy
-    /// cache's per-feature column maxima and competition cap for cluster
-    /// `l` alongside the patch: the maxima are recomputed for exactly the
-    /// features the patch rewrites (the same entries are being scanned
-    /// anyway), so `sim_cap[l]` stays an exact majorant of the live
-    /// column.
-    fn sync_value_major_capped(
-        &mut self,
-        l: usize,
-        row: &[u32],
-        weighted: bool,
-        post_scale: f64,
-        lazy: &mut LazyCache,
-    ) {
-        let d = self.layout.n_features();
-        let k = self.len();
-        let profile = &self.profiles[l];
-        let feature_max = &mut lazy.feature_max[l * d..(l + 1) * d];
-        for (r, &code) in row.iter().enumerate() {
-            if code != MISSING {
-                let w = if weighted { self.omega[l * d + r] } else { 1.0 };
-                let mut fmax = 0.0f64;
-                for (i, s) in self.layout.range(r).zip(profile.relative_frequencies(r)) {
-                    let new = w * s;
-                    self.value_major[i * k + l] = new;
-                    if new > fmax {
-                        fmax = new;
-                    }
-                }
-                feature_max[r] = fmax;
-            }
-        }
-        lazy.sim_cap[l] = post_scale * feature_max.iter().sum::<f64>();
-    }
-
-    /// [`rebuild_value_major`](Self::rebuild_value_major) additionally
-    /// deriving the lazy cache's per-feature column maxima and per-cluster
-    /// competition caps from the freshly written matrix — one fused sweep,
-    /// once per pass.
-    fn rebuild_value_major_capped(
-        &mut self,
-        weighted: bool,
-        post_scale: f64,
-        lazy: &mut LazyCache,
-        allocs: &mut u64,
-    ) {
-        let d = self.layout.n_features();
-        let k = self.len();
-        let total = self.layout.total_values();
-        resize_tracked(&mut lazy.feature_max, k * d, 0.0, allocs);
-        resize_tracked(&mut lazy.sim_cap, k, 0.0, allocs);
-        self.value_major.clear();
-        self.value_major.resize(total * k, 0.0);
-        for (l, profile) in self.profiles.iter().enumerate() {
-            let feature_max = &mut lazy.feature_max[l * d..(l + 1) * d];
-            for (r, fmax_slot) in feature_max.iter_mut().enumerate() {
-                let w = if weighted { self.omega[l * d + r] } else { 1.0 };
-                let mut fmax = 0.0f64;
-                for (i, s) in self.layout.range(r).zip(profile.relative_frequencies(r)) {
-                    let new = w * s;
-                    self.value_major[i * k + l] = new;
-                    if new > fmax {
-                        fmax = new;
-                    }
-                }
-                *fmax_slot = fmax;
-            }
-            lazy.sim_cap[l] = post_scale * feature_max.iter().sum::<f64>();
-        }
-    }
-
     /// `*self = src.clone()` reusing every buffer whose capacity suffices;
     /// what replica slots use to refresh their local cohort from the
     /// pass-start snapshot without the clone-allocate-drop churn. When the
@@ -675,9 +544,7 @@ impl Cohort {
     }
 
     /// Removes empty clusters, compacting every parallel array and the
-    /// `assignment` indices. (The lazy cache needs no re-mapping: its caps
-    /// and the rival cursor are re-derived/bounds-checked against the
-    /// compacted cohort at the next pass-start rebuild.)
+    /// `assignment` indices.
     fn prune_empty(&mut self, assignment: &mut [Option<usize>]) {
         let d = if self.profiles.is_empty() { 0 } else { self.profiles[0].n_features() };
         let k = self.len();
@@ -803,7 +670,9 @@ impl Mgcpl {
                 }
                 k
             }
-            None => ((n as f64).sqrt().round() as usize).clamp(2, n),
+            // √n, at least 2 but never more than n: a one-row table
+            // seeds one cluster (`clamp(2, n)` would panic there).
+            None => ((n as f64).sqrt().round() as usize).max(2).min(n),
         };
 
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
@@ -928,19 +797,8 @@ impl Mgcpl {
         // All pass scratch is checked out of the workspace: grown at most
         // once, reused across passes, stages, and fits.
         let Workspace { mgcpl: scratch, allocs, .. } = ws;
-        let MgcplScratch {
-            order,
-            one_minus_rho,
-            prefactors,
-            accumulators,
-            decisions,
-            lazy,
-            replicated,
-        } = scratch;
-        // Lazy winner-margin pruning is exact only along the serial
-        // cascade's single drift chain; replicated plans fall back to eager
-        // scoring (see `DESIGN.md` §3 "Lazy scoring").
-        let lazy_on = self.lazy_scoring && shard_map.is_none();
+        let MgcplScratch { order, one_minus_rho, prefactors, accumulators, decisions, replicated } =
+            scratch;
         note_growth(order, n, allocs);
         order.clear();
         order.extend(0..n);
@@ -956,18 +814,8 @@ impl Mgcpl {
             // sequential award/penalty cascades don't depend on storage order.
             order.shuffle(rng);
 
-            if lazy_on {
-                lazy.begin_pass();
-            }
-            let post_scale = self.snapshot_pass(
-                clusters,
-                one_minus_rho,
-                prefactors,
-                accumulators,
-                d,
-                if lazy_on { Some(lazy) } else { None },
-                allocs,
-            );
+            let post_scale =
+                self.snapshot_pass(clusters, one_minus_rho, prefactors, accumulators, d, allocs);
 
             let mut changed = match shard_map.as_deref_mut() {
                 None => {
@@ -982,7 +830,6 @@ impl Mgcpl {
                         prefactors,
                         accumulators,
                         post_scale,
-                        if lazy_on { Some(lazy) } else { None },
                         stats,
                     );
                     for (&i, &c) in order.iter().zip(decisions.iter()) {
@@ -991,62 +838,29 @@ impl Mgcpl {
                     changed
                 }
                 Some(map) => {
-                    // Sub-pass merge cadence (DESIGN.md §12): slice the
-                    // pass's global shuffle into segments of ~`every`
-                    // presentations per replica and run the full merge step
-                    // at each boundary. The default cadence covers the pass
-                    // in one segment -- exactly the historical per-pass
-                    // barrier, same code path, same counters.
-                    let seg = self.merge_cadence.segment_rows(n, map.n_shards);
-                    let mut changed = false;
-                    let mut start = 0usize;
-                    while start < n {
-                        let end = (start + seg).min(n);
-                        changed |= self.apply_replicated(
-                            table,
-                            &order[start..end],
-                            clusters,
-                            assignment,
-                            one_minus_rho,
-                            prefactors,
-                            post_scale,
-                            *merge_steps,
-                            map,
-                            replicated,
-                            allocs,
-                            stats,
-                        );
-                        // Replica rotation (DESIGN.md §6): between merge
-                        // steps -- never within one, so each segment's
-                        // profile merge stays exact -- a rotating policy
-                        // shifts the row -> replica map so no row stays with
-                        // the same cohort for the whole fit. The period
-                        // counts *mini*-merges: under a sub-pass cadence a
-                        // rotating policy therefore rotates batch/m times
-                        // more often per pass, by design (see `Rotate`).
-                        *merge_steps += 1;
-                        let period = self.reconcile.rotation_period() as u64;
-                        if period > 0 && merge_steps.is_multiple_of(period) && map.rotate() {
-                            stats.rotations += 1;
-                        }
-                        start = end;
-                        if start < n {
-                            // Re-snapshot against the blended consensus so
-                            // the next segment competes on fresh state: the
-                            // prefactors re-derive from the merged δ (the
-                            // same pure function the serial cascade applies
-                            // inline) and the value-major matrix rebuilds
-                            // from the merged profiles under the
-                            // pass-frozen ω. Pass-scoped state -- win
-                            // counters, 1−ρ, pruning, ω -- stays untouched,
-                            // exactly as in the serial pass.
-                            for (pf, (&m, &dl)) in
-                                prefactors.iter_mut().zip(one_minus_rho.iter().zip(&clusters.delta))
-                            {
-                                *pf = m * sigmoid_weight(dl);
-                            }
-                            clusters.rebuild_value_major(self.weighted_similarity);
-                        }
+                    let changed = self.apply_replicated(
+                        table,
+                        order,
+                        clusters,
+                        assignment,
+                        one_minus_rho,
+                        prefactors,
+                        post_scale,
+                        *merge_steps,
+                        map,
+                        replicated,
+                        allocs,
+                        stats,
+                    );
+                    // Replica rotation (DESIGN.md §6): between passes --
+                    // never within one, so each pass's profile merge stays
+                    // exact -- a rotating policy shifts the row -> replica
+                    // map so no row stays with the same cohort for the
+                    // whole fit.
+                    *merge_steps += 1;
+                    let period = self.reconcile.rotation_period() as u64;
+                    if period > 0 && merge_steps.is_multiple_of(period) && map.rotate() {
+                        stats.rotations += 1;
                     }
                     changed
                 }
@@ -1093,11 +907,8 @@ impl Mgcpl {
     /// `1 − ρ_l` from the previous passes' win counts (Eq. 7), the hoisted
     /// `(1 − ρ_l)·u_l` prefactors, resets the pass win counters, and
     /// rebuilds the value-major scoring matrix so it reflects this pass's ω
-    /// and any pruning from the previous pass — fused, under lazy scoring,
-    /// with the derivation of the per-cluster competition caps
-    /// (DESIGN.md §3 "Lazy scoring"). Returns the post-scale that recovers
-    /// the Eq. (1) mean from the raw sweep sums.
-    #[allow(clippy::too_many_arguments)]
+    /// and any pruning from the previous pass. Returns the post-scale that
+    /// recovers the Eq. (1) mean from the raw sweep sums.
     fn snapshot_pass(
         &self,
         clusters: &mut Cohort,
@@ -1105,7 +916,6 @@ impl Mgcpl {
         prefactors: &mut Vec<f64>,
         accumulators: &mut Vec<f64>,
         d: usize,
-        lazy: Option<&mut LazyCache>,
         allocs: &mut u64,
     ) -> f64 {
         let total_prev: u64 = clusters.wins_prev.iter().sum();
@@ -1128,12 +938,7 @@ impl Mgcpl {
         resize_tracked(accumulators, k, 0.0, allocs);
         let use_weighted = self.weighted_similarity;
         let post_scale = if use_weighted { 1.0 } else { 1.0 / d as f64 };
-        match lazy {
-            Some(lazy) => {
-                clusters.rebuild_value_major_capped(use_weighted, post_scale, lazy, allocs);
-            }
-            None => clusters.rebuild_value_major(use_weighted),
-        }
+        clusters.rebuild_value_major(use_weighted);
         post_scale
     }
 
@@ -1159,17 +964,6 @@ impl Mgcpl {
     /// previous passes' win counts), and δ — hence `u` — changes for at
     /// most the winner and the rival per object, so only those two
     /// prefactors (and sigmoids) are recomputed instead of `k` per object.
-    ///
-    /// With `lazy` armed (serial plans; see `DESIGN.md` §3 "Lazy scoring")
-    /// presentations with a prior label route through the candidate-pruned
-    /// sweep instead: [`score_all_transposed_capped`] exactly evaluates the
-    /// prior winner, the rival cursor, and every cluster whose competition
-    /// cap (`prefactor · sim_cap`, maintained by the capped rebuild/sync
-    /// methods) could still reach the running runner-up score — everything
-    /// else provably sits outside the top two, so the verdict and the
-    /// award/penalty arithmetic are bit-for-bit the dense sweep's. The
-    /// per-pass engagement gate ([`LazyCache::should_attempt`]) drops back
-    /// to the dense kernel whenever the pruning stops landing.
     #[allow(clippy::too_many_arguments)]
     fn apply_span(
         &self,
@@ -1183,12 +977,8 @@ impl Mgcpl {
         prefactors: &mut [f64],
         accumulators: &mut [f64],
         post_scale: f64,
-        mut lazy: Option<&mut LazyCache>,
         stats: &mut HotPathStats,
     ) -> bool {
-        // Lazy pruning never coexists with halo confidences: replicated
-        // plans (the only confidence consumers) run eager.
-        debug_assert!(lazy.is_none() || confidences.is_none());
         let eta = self.learning_rate;
         let use_weighted = self.weighted_similarity;
         let mut changed = false;
@@ -1199,76 +989,6 @@ impl Mgcpl {
         for &i in order {
             let row = table.row(i);
 
-            let attempt =
-                prior[i].is_some() && lazy.as_deref_mut().is_some_and(|lz| lz.should_attempt());
-            if attempt {
-                let lz = lazy.as_deref_mut().expect("attempt implies lazy");
-                // Candidate-pruned scoring (DESIGN.md §3 "Lazy scoring"):
-                // evaluate the hinted top-2 exactly, then only clusters
-                // whose competition cap could still reach the running
-                // runner-up score. Verdicts — winner, rival, and the
-                // rival's similarity feeding the Eq. (13) penalty — are
-                // bit-identical to the dense sweep's; most columns are
-                // simply never read.
-                let hint_winner = prior[i].expect("gated on Some above");
-                let verdict = score_all_transposed_capped(
-                    row,
-                    clusters.layout.offsets(),
-                    &clusters.value_major,
-                    post_scale,
-                    &clusters.profiles,
-                    use_weighted.then_some(clusters.omega.as_slice()),
-                    prefactors,
-                    &lz.sim_cap,
-                    hint_winner,
-                    lz.rival_cursor as usize,
-                    &mut lz.evaluated,
-                    accumulators,
-                );
-                if verdict.pruned {
-                    stats.skipped_rescans += 1;
-                } else {
-                    stats.full_rescans += 1;
-                }
-                stats.score_evals += verdict.evals;
-                lz.note_attempt(verdict.pruned);
-                let best = verdict.winner;
-                let rival = verdict.rival;
-                if rival != usize::MAX {
-                    lz.rival_cursor = rival as u32;
-                }
-
-                // Assign x_i to the winner (Eq. 4 / Eq. 10), keeping the
-                // patched columns' caps current.
-                let previous = prior[i];
-                if previous != Some(best) {
-                    if let Some(p) = previous {
-                        clusters.profiles[p].remove(row);
-                        clusters.sync_value_major_capped(p, row, use_weighted, post_scale, lz);
-                    }
-                    clusters.profiles[best].add(row);
-                    clusters.sync_value_major_capped(best, row, use_weighted, post_scale, lz);
-                    changed = true;
-                }
-                decisions.push(best);
-                clusters.wins_now[best] += 1;
-
-                // Award/penalty exactly as the dense path below.
-                let awarded = (clusters.delta[best] + eta).min(1.0);
-                if awarded != clusters.delta[best] {
-                    clusters.delta[best] = awarded;
-                    prefactors[best] = one_minus_rho[best] * sigmoid_weight(awarded);
-                }
-                if rival != usize::MAX {
-                    let penalized =
-                        (clusters.delta[rival] - eta * verdict.rival_similarity).max(0.0);
-                    if penalized != clusters.delta[rival] {
-                        clusters.delta[rival] = penalized;
-                        prefactors[rival] = one_minus_rho[rival] * sigmoid_weight(penalized);
-                    }
-                }
-                continue;
-            }
             stats.full_rescans += 1;
             stats.score_evals += prefactors.len() as u64;
 
@@ -1326,15 +1046,13 @@ impl Mgcpl {
         changed
     }
 
-    /// Replica-merge apply phase — one *merge step*: one
+    /// Replica-merge apply phase — one *merge step* per pass: one
     /// [`apply_span`](Self::apply_span) per shard against a frozen clone of
-    /// the segment-start cohort, rayon-parallel across shards, reconciled
-    /// into `clusters` under the configured [`Reconcile`] policy
-    /// (DESIGN.md §5). `order` is the segment of the pass's global shuffle
-    /// this step presents — the whole pass under the default per-pass
-    /// [`MergeCadence`], a sub-pass slice otherwise (DESIGN.md §12):
+    /// the pass-start cohort, rayon-parallel across shards, reconciled into
+    /// `clusters` under the configured [`Reconcile`] policy (DESIGN.md §5).
+    /// `order` is the pass's global shuffle:
     ///
-    /// * **spans** — each replica presents its owned segment rows plus,
+    /// * **spans** — each replica presents its owned rows plus,
     ///   when the policy declares a halo, the boundary rows borrowed from
     ///   adjacent shards ([`ExecutionPlan::shard_map`] materializes the
     ///   geometry);
@@ -1343,9 +1061,8 @@ impl Mgcpl {
     ///   policy's [`resolve`](Reconcile::resolve) vote over the replicas'
     ///   `(winner, similarity)` verdicts;
     /// * **profiles** — per-cluster profiles are rebuilt over each shard's
-    ///   *owned* rows from the settled memberships (the full assignment,
-    ///   so sub-pass merges keep rows outside the segment), then merged
-    ///   via [`ClusterProfile::merge`]. Every row is owned by exactly one
+    ///   *owned* rows from the settled memberships, then merged via
+    ///   [`ClusterProfile::merge`]. Every row is owned by exactly one
     ///   shard whatever the halo, so the merged integer counts stay exact;
     /// * **δ** — span-size-weighted average of the replica accumulators,
     ///   handed to the policy's [`blend_delta`](Reconcile::blend_delta)
@@ -1391,12 +1108,6 @@ impl Mgcpl {
         stats: &mut HotPathStats,
     ) -> bool {
         let k = clusters.len();
-        // `order` is one segment of the pass's global shuffle — the whole
-        // pass under the default per-pass cadence, a sub-pass slice under
-        // `MergeCadence { every: m }`. Verdicts, the orphan fallback, and
-        // win counts touch only the presented rows; the profile merge
-        // covers every settled membership so the merged cohort is always
-        // the full-table consensus.
         let n_rows = assignment.len();
         let overlap = map.has_overlap();
 
@@ -1499,7 +1210,6 @@ impl Mgcpl {
                     &mut slot.prefactors,
                     &mut slot.accumulators,
                     post_scale,
-                    None,
                     &mut span_stats,
                 );
                 slot.stats = span_stats;
@@ -1635,12 +1345,10 @@ impl Mgcpl {
         // Exact profile merge from the settled memberships, grouped by
         // owning shard (bulk `extend_rows` builds into the slots'
         // persistent profile buffers, parallel across shards). Grouping
-        // walks the full assignment — not just this segment's rows — so a
-        // sub-pass merge still rebuilds the complete consensus profiles
-        // (rows outside the segment keep their standing membership), and a
-        // mid-pass rotation regroups by the *current* ownership. Profile
-        // state is a pure function of the member multiset, so the walk
-        // order is immaterial and the per-pass barrier stays bit-exact.
+        // follows the *current* ownership, so a rotation between passes
+        // regroups. Profile state is a pure function of the member
+        // multiset, so the walk order is immaterial and the merge stays
+        // bit-exact.
         let layout = &clusters.layout;
         let settled: &[Option<usize>] = assignment;
         let mut slots: Vec<ReplicaSlot> = slots
@@ -1886,10 +1594,10 @@ mod tests {
 
     #[test]
     fn patched_value_major_matches_fresh_rebuild_bit_for_bit() {
-        // Random moves patched into the value-major matrix (and the lazy
-        // cache's maxima/caps) must leave exactly what a full rebuild from
-        // the moved profiles writes — weighted and unweighted, on a
-        // mixed-cardinality schema with MISSING values in the rows.
+        // Random moves patched into the value-major matrix must leave
+        // exactly what a full rebuild from the moved profiles writes —
+        // weighted and unweighted, on a mixed-cardinality schema with
+        // MISSING values in the rows.
         use rand::Rng;
         let cardinalities = [3u32, 5, 2, 4, 6];
         let d = cardinalities.len();
@@ -1917,7 +1625,6 @@ mod tests {
             for (row, &l) in rows.iter().zip(&labels) {
                 profiles[l].add(row);
             }
-            let post_scale = if weighted { 1.0 } else { 1.0 / d as f64 };
             let omega: Vec<f64> = (0..k * d).map(|_| rng.gen_range(0.01..1.0)).collect();
             let mut cohort = Cohort {
                 profiles,
@@ -1928,33 +1635,20 @@ mod tests {
                 value_major: Vec::new(),
                 layout: layout.clone(),
             };
-            let mut capped = cohort.clone();
-            let mut lazy = LazyCache::default();
-            let mut allocs = 0;
             cohort.rebuild_value_major(weighted);
-            capped.rebuild_value_major_capped(weighted, post_scale, &mut lazy, &mut allocs);
             for _ in 0..300 {
                 let i = rng.gen_range(0..rows.len());
                 let (from, to) = (labels[i], rng.gen_range(0..k));
-                for c in [&mut cohort, &mut capped] {
-                    c.profiles[from].remove(&rows[i]);
-                    c.profiles[to].add(&rows[i]);
-                }
+                cohort.profiles[from].remove(&rows[i]);
+                cohort.profiles[to].add(&rows[i]);
                 cohort.sync_value_major(from, &rows[i], weighted);
                 cohort.sync_value_major(to, &rows[i], weighted);
-                capped.sync_value_major_capped(from, &rows[i], weighted, post_scale, &mut lazy);
-                capped.sync_value_major_capped(to, &rows[i], weighted, post_scale, &mut lazy);
                 labels[i] = to;
             }
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             let mut fresh = cohort.clone();
             fresh.rebuild_value_major(weighted);
             assert_eq!(bits(&cohort.value_major), bits(&fresh.value_major), "weighted={weighted}");
-            let mut fresh_lazy = LazyCache::default();
-            fresh.rebuild_value_major_capped(weighted, post_scale, &mut fresh_lazy, &mut allocs);
-            assert_eq!(bits(&capped.value_major), bits(&fresh.value_major), "weighted={weighted}");
-            assert_eq!(bits(&lazy.feature_max), bits(&fresh_lazy.feature_max));
-            assert_eq!(bits(&lazy.sim_cap), bits(&fresh_lazy.sim_cap));
         }
     }
 

@@ -6,8 +6,8 @@ use std::sync::Arc;
 use categorical_data::CategoricalTable;
 
 use crate::{
-    encode_mgcpl, Came, CameInit, CameResult, ExecutionPlan, FaultPlan, McdcError, MergeCadence,
-    Mgcpl, MgcplResult, Reconcile, WarmStart, Workspace,
+    encode_mgcpl, Came, CameInit, CameResult, ExecutionPlan, FaultPlan, McdcError, Mgcpl,
+    MgcplResult, Reconcile, WarmStart, Workspace,
 };
 
 /// The full MCDC clusterer. Construct via [`Mcdc::builder`].
@@ -44,10 +44,8 @@ pub struct McdcBuilder {
     came_init: Option<CameInit>,
     execution: Option<ExecutionPlan>,
     reconcile: Option<Arc<dyn Reconcile>>,
-    lazy_scoring: Option<bool>,
     warm_start: Option<WarmStart>,
     fault_plan: Option<FaultPlan>,
-    merge_cadence: Option<MergeCadence>,
     seed: u64,
 }
 
@@ -63,10 +61,8 @@ impl PartialEq for McdcBuilder {
             && self.execution == other.execution
             && self.reconcile.as_ref().map(|p| p.describe())
                 == other.reconcile.as_ref().map(|p| p.describe())
-            && self.lazy_scoring == other.lazy_scoring
             && self.warm_start == other.warm_start
             && self.fault_plan == other.fault_plan
-            && self.merge_cadence == other.merge_cadence
             && self.seed == other.seed
     }
 }
@@ -166,17 +162,6 @@ impl McdcBuilder {
         self
     }
 
-    /// Toggles convergence-aware lazy scoring for *both* stages (default
-    /// on): MGCPL's winner-margin pruning and CAME's dirty-cluster
-    /// tracking, each exact — labels are bit-for-bit those of eager
-    /// scoring (DESIGN.md §3 "Lazy scoring"). `false` forces the full
-    /// rescans everywhere, which is what the `hotpath_snapshot` baseline
-    /// columns measure against.
-    pub fn lazy_scoring(mut self, on: bool) -> Self {
-        self.lazy_scoring = Some(on);
-        self
-    }
-
     /// Installs a fault-injection schedule for the MGCPL stage's
     /// replicated merges (default [`FaultPlan::none()`], bit-exact with
     /// the pre-fault pipeline). See
@@ -186,35 +171,6 @@ impl McdcBuilder {
     /// to the learning stage only.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Sets how often the MGCPL stage's shard replicas synchronize within
-    /// a pass (default [`MergeCadence::per_pass`], the historical
-    /// once-per-pass barrier — bit-exact with the pre-cadence engine).
-    /// `MergeCadence { every: m }` runs the exact merge step every `m`
-    /// presentations per replica, parameter-server-style bounded staleness
-    /// that slides between the barrier (`m ≥ batch`) and the serial
-    /// cascade (`m = 1`, bit-exact with serial at a single shard). CAME is
-    /// unaffected — its parallel paths are exact reductions with nothing
-    /// to go stale. See [`MergeCadence`] and `DESIGN.md` §12 for the
-    /// measured quality/throughput frontier.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use mcdc_core::{DeltaMomentum, ExecutionPlan, Mcdc, MergeCadence};
-    ///
-    /// // A sharded deployment buying back quality with sub-pass merges.
-    /// let mcdc = Mcdc::builder()
-    ///     .execution(ExecutionPlan::mini_batch(256))
-    ///     .reconcile(DeltaMomentum { beta: 0.5 })
-    ///     .merge_cadence(MergeCadence::every(32))
-    ///     .build();
-    /// # let _ = mcdc;
-    /// ```
-    pub fn merge_cadence(mut self, cadence: MergeCadence) -> Self {
-        self.merge_cadence = Some(cadence);
         self
     }
 
@@ -269,18 +225,11 @@ impl McdcBuilder {
         if let Some(policy) = self.reconcile {
             mgcpl = mgcpl.reconcile_arc(policy);
         }
-        if let Some(on) = self.lazy_scoring {
-            mgcpl = mgcpl.lazy_scoring(on);
-            came = came.lazy_scoring(on);
-        }
         if let Some(warm) = self.warm_start {
             mgcpl = mgcpl.warm_start(warm);
         }
         if let Some(plan) = self.fault_plan {
             mgcpl = mgcpl.fault_plan(plan);
-        }
-        if let Some(cadence) = self.merge_cadence {
-            mgcpl = mgcpl.merge_cadence(cadence);
         }
         Ok(Mcdc { mgcpl: mgcpl.try_build()?, came: came.build() })
     }

@@ -585,188 +585,6 @@ pub fn score_all_transposed(
     (best, rival)
 }
 
-/// Safety slack for the candidate-pruning comparison in
-/// [`score_all_transposed_capped`]: a cluster is skipped only when its cap
-/// sits at least this far below the running second-best score, absorbing
-/// the (≤ a few ulp of O(1) magnitudes) rounding difference between the
-/// cap's sum-of-maxima and the exact sweep sum it majorizes. Clusters
-/// inside the slack are simply evaluated exactly — exactness is never at
-/// risk, only a pruning is forgone.
-const CAP_SLACK: f64 = 1e-12;
-
-/// Verdict of one candidate-pruned scoring sweep.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct CappedVerdict {
-    /// Argmax of the competition scores (lowest index on ties — the dense
-    /// kernel's semantics).
-    pub(crate) winner: usize,
-    /// Runner-up (`usize::MAX` when only one cluster competes).
-    pub(crate) rival: usize,
-    /// The rival's Eq. (14) similarity, bit-identical to the dense
-    /// kernel's `accumulators[rival] · post_scale`; 0 without a rival.
-    pub(crate) rival_similarity: f64,
-    /// Whether any cluster was pruned (skipped without an exact sweep).
-    pub(crate) pruned: bool,
-    /// Exact per-cluster evaluations this sweep performed: the candidates
-    /// scored through the profiles, plus `k` more when the sweep bailed to
-    /// (or started in) the dense kernel. Feeds `HotPathStats::score_evals`.
-    pub(crate) evals: u64,
-}
-
-/// Evaluated-count ceiling above which the pruned sweep abandons pruning
-/// and falls back to the dense kernel. Kept small and absolute: a sparse
-/// win needs only a handful of exact evaluations, and a presentation that
-/// keeps evaluating is contested — bailing after a few cheap evaluations
-/// caps the worst case near one dense sweep instead of one-and-a-half.
-const DENSE_BAIL_EVALS: usize = 6;
-/// Cluster-count floor below which the dense sweep is trivially cheap.
-const DENSE_MIN_K: usize = 12;
-
-/// The candidate-pruned counterpart of [`score_all_transposed`] (DESIGN.md
-/// §3 "Lazy scoring"): one fused scan over the per-cluster competition
-/// caps `prefactors[l] · sim_cap[l]`, exactly evaluating only the hinted
-/// candidates (the object's prior label and the sweep-global rival
-/// cursor — the likely top-2, seeding the pruning threshold immediately)
-/// plus every cluster whose cap could still reach the running second-best
-/// score. Clusters skipped by the scan provably sit strictly below the
-/// top two scores, so the winner/rival verdict — including the dense
-/// kernel's lowest-index-wins tie resolution — is bit-for-bit identical:
-/// exact evaluations go through the cluster *profiles* (Eq. (14)/(1) over
-/// the contiguous count buffer, whose `w · (count · 1/present)` products and
-/// ascending-feature summation are exactly the value-major entries'), tie
-/// cases always evaluate (the cap test is strict with [`CAP_SLACK`] to
-/// spare), and selection takes the lowest-index argmax over the evaluated
-/// set. A presentation that refuses to prune (more than `k/2` evaluations)
-/// bails to the dense kernel mid-scan — same verdict, better constant.
-///
-/// # Panics
-///
-/// Panics (in debug builds) when slice lengths disagree, and (always) when
-/// `prefactors` is empty.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn score_all_transposed_capped(
-    row: &[u32],
-    offsets: &[u32],
-    matrix_t: &[f64],
-    post_scale: f64,
-    profiles: &[ClusterProfile],
-    omega: Option<&[f64]>,
-    prefactors: &[f64],
-    sim_cap: &[f64],
-    hint_winner: usize,
-    hint_rival: usize,
-    evaluated: &mut Vec<(u32, f64, f64)>,
-    accumulators: &mut [f64],
-) -> CappedVerdict {
-    let k = prefactors.len();
-    assert!(k > 0, "cannot score against zero clusters");
-    debug_assert_eq!(sim_cap.len(), k);
-    debug_assert_eq!(profiles.len(), k);
-    let d = row.len();
-    // Exact per-cluster similarity over the profile's contiguous buffers;
-    // bit-identical to `accumulators[l] * post_scale` of the dense sweep
-    // (same products, same ascending-feature summation, same final
-    // scaling — `x * 1.0` in weighted mode).
-    let similarity = |l: usize| -> f64 {
-        match omega {
-            Some(omega) => {
-                profiles[l].weighted_similarity(row, &omega[l * d..(l + 1) * d]) * post_scale
-            }
-            None => profiles[l].similarity(row),
-        }
-    };
-    let eval = |l: usize,
-                evaluated: &mut Vec<(u32, f64, f64)>,
-                best_value: &mut f64,
-                second_value: &mut f64| {
-        let sim = similarity(l);
-        let score = prefactors[l] * sim;
-        evaluated.push((l as u32, score, sim));
-        if score > *best_value {
-            *second_value = *best_value;
-            *best_value = score;
-        } else if score > *second_value {
-            *second_value = score;
-        }
-    };
-
-    // Cleared before the small-`k` check so `evaluated.len()` is the
-    // sparse-evaluation count on every exit path (0 on the trivial-dense
-    // one), keeping the `evals` accounting branch-free below.
-    evaluated.clear();
-    'sparse: {
-        if k <= DENSE_MIN_K {
-            break 'sparse;
-        }
-        let mut best_value = f64::NEG_INFINITY;
-        let mut second_value = f64::NEG_INFINITY;
-        let first = if hint_winner < k { hint_winner } else { 0 };
-        eval(first, evaluated, &mut best_value, &mut second_value);
-        let second = if hint_rival < k && hint_rival != first { hint_rival } else { usize::MAX };
-        if second != usize::MAX {
-            eval(second, evaluated, &mut best_value, &mut second_value);
-        }
-        let bail = DENSE_BAIL_EVALS.min(k - 1);
-        for (l, (&pref, &cap)) in prefactors.iter().zip(sim_cap).enumerate() {
-            if l == first || l == second {
-                continue;
-            }
-            // A cluster whose cap cannot reach the running second-best
-            // score is provably outside the top two — strictly, so it
-            // cannot even tie into the verdict.
-            if pref * cap < second_value - CAP_SLACK {
-                continue;
-            }
-            eval(l, evaluated, &mut best_value, &mut second_value);
-            if evaluated.len() > bail {
-                break 'sparse;
-            }
-        }
-        // Lowest-index argmax over the evaluated set (then again for the
-        // rival) reproduces the dense kernel's in-order tie resolution:
-        // anything unevaluated is strictly below both.
-        let mut winner = usize::MAX;
-        let mut winner_score = f64::NEG_INFINITY;
-        for &(l, score, _) in evaluated.iter() {
-            let l = l as usize;
-            if score > winner_score || (score == winner_score && l < winner) {
-                winner = l;
-                winner_score = score;
-            }
-        }
-        let mut rival = usize::MAX;
-        let mut rival_score = f64::NEG_INFINITY;
-        let mut rival_sim = 0.0;
-        for &(l, score, sim) in evaluated.iter() {
-            let l = l as usize;
-            if l == winner {
-                continue;
-            }
-            if score > rival_score || (score == rival_score && l < rival) {
-                rival = l;
-                rival_score = score;
-                rival_sim = sim;
-            }
-        }
-        return CappedVerdict {
-            winner,
-            rival,
-            rival_similarity: if rival == usize::MAX { 0.0 } else { rival_sim },
-            pruned: evaluated.len() < k,
-            evals: evaluated.len() as u64,
-        };
-    }
-    let (winner, rival) =
-        score_all_transposed(row, offsets, matrix_t, post_scale, prefactors, accumulators);
-    CappedVerdict {
-        winner,
-        rival,
-        rival_similarity: if rival == usize::MAX { 0.0 } else { accumulators[rival] * post_scale },
-        pruned: false,
-        evals: (evaluated.len() + k) as u64,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1029,113 +847,6 @@ mod tests {
         assert_eq!(best, 0);
         assert_eq!(rival, usize::MAX);
         assert!((accumulators[0] * 0.5 - profile.similarity(&[0, 1])).abs() < 1e-15);
-    }
-
-    #[test]
-    fn capped_kernel_matches_dense_kernel_verdicts() {
-        // The candidate-pruned sweep must reproduce the dense kernel's
-        // winner/rival — and the rival similarity feeding the penalty —
-        // bit for bit, for every hint combination, with and without ω
-        // weighting, across a spread of cluster counts (pruning engages
-        // above DENSE_MIN_K; below it the capped path falls back anyway).
-        let d = 4usize;
-        let schema = Schema::uniform(d, 3);
-        let layout = schema.csr_layout();
-        let total = layout.total_values();
-        for k in [1usize, 2, 3, 8, 13, 24] {
-            let mut profiles: Vec<ClusterProfile> =
-                (0..k).map(|_| ClusterProfile::new(&schema)).collect();
-            // Deterministic pseudo-random membership spread.
-            let mut x = 0x2545F4914F6CDD1Du64;
-            for i in 0..(4 * k + 7) {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                let row: Vec<u32> = (0..d)
-                    .map(|r| {
-                        let v = (x >> (8 + 7 * r)) & 0xFF;
-                        if v.is_multiple_of(11) {
-                            MISSING
-                        } else {
-                            (v % 3) as u32
-                        }
-                    })
-                    .collect();
-                profiles[i % k].add(&row);
-            }
-            let prefactors: Vec<f64> = (0..k).map(|l| 0.2 + 0.7 * (l as f64 / k as f64)).collect();
-            let omega: Vec<f64> =
-                (0..k * d).map(|i| 1.0 / d as f64 * (1.0 + (i % 3) as f64 * 0.2)).collect();
-            for weighted in [false, true] {
-                let post_scale = if weighted { 1.0 } else { 1.0 / d as f64 };
-                // Build the value-major matrix exactly as the cohort does.
-                let mut matrix_t = vec![0.0f64; total * k];
-                let mut sim_cap = vec![0.0f64; k];
-                for (l, profile) in profiles.iter().enumerate() {
-                    let scaled = frequencies(profile);
-                    let mut cap = 0.0;
-                    for r in 0..d {
-                        let w = if weighted { omega[l * d + r] } else { 1.0 };
-                        let mut fmax = 0.0f64;
-                        for i in layout.range(r) {
-                            let entry = w * scaled[i];
-                            matrix_t[i * k + l] = entry;
-                            if entry > fmax {
-                                fmax = entry;
-                            }
-                        }
-                        cap += fmax;
-                    }
-                    sim_cap[l] = post_scale * cap;
-                }
-                let queries: [&[u32]; 4] =
-                    [&[0, 1, 2, 0], &[2, MISSING, 1, 1], &[1, 1, 1, 1], &[MISSING, 0, 2, 2]];
-                for query in queries {
-                    let mut dense_acc = vec![0.0; k];
-                    let (want_best, want_rival) = score_all_transposed(
-                        query,
-                        layout.offsets(),
-                        &matrix_t,
-                        post_scale,
-                        &prefactors,
-                        &mut dense_acc,
-                    );
-                    let want_rival_sim = if want_rival == usize::MAX {
-                        0.0
-                    } else {
-                        dense_acc[want_rival] * post_scale
-                    };
-                    for hint_w in [0usize, k / 2, k.saturating_sub(1), usize::MAX] {
-                        for hint_r in [0usize, k.saturating_sub(1), usize::MAX] {
-                            let mut evaluated = Vec::new();
-                            let mut acc = vec![0.0; k];
-                            let verdict = score_all_transposed_capped(
-                                query,
-                                layout.offsets(),
-                                &matrix_t,
-                                post_scale,
-                                &profiles,
-                                weighted.then_some(omega.as_slice()),
-                                &prefactors,
-                                &sim_cap,
-                                hint_w,
-                                hint_r,
-                                &mut evaluated,
-                                &mut acc,
-                            );
-                            assert_eq!(
-                                (verdict.winner, verdict.rival),
-                                (want_best, want_rival),
-                                "k={k} weighted={weighted} hints=({hint_w},{hint_r})"
-                            );
-                            assert_eq!(
-                                verdict.rival_similarity.to_bits(),
-                                want_rival_sim.to_bits(),
-                                "rival similarity must be bit-exact (k={k} weighted={weighted})"
-                            );
-                        }
-                    }
-                }
-            }
-        }
     }
 
     #[test]

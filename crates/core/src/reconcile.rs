@@ -73,8 +73,7 @@ pub struct ReconcileDescriptor {
     pub beta: f64,
     /// Halo width in rows (0 for non-overlapping policies).
     pub halo: usize,
-    /// Replica-rotation period in merge steps (0 for non-rotating
-    /// policies).
+    /// Replica-rotation period in passes (0 for non-rotating policies).
     pub rotation: usize,
 }
 
@@ -133,22 +132,16 @@ pub trait Reconcile: fmt::Debug + Send + Sync {
     /// only when their policies describe identically.
     fn describe(&self) -> ReconcileDescriptor;
 
-    /// Rotation period, in merge steps: every `period` reconciliations the
-    /// engine permutes the row → replica map (a cyclic shift of the row
+    /// Rotation period, in passes: every `period` reconciliations (one per
+    /// replicated pass, at the pass barrier) the engine permutes the row → replica map (a cyclic shift of the row
     /// space), so rows stop being grouped with one fixed cohort for the
     /// whole fit. The permutation preserves shard sizes and, for
     /// contiguous mini-batch shards, keeps cohorts contiguous — only the
     /// boundaries move; shift-*invariant* explicit partitions (perfect
     /// round-robin) are merely relabeled, see the [`Rotate`] caveat. `0`
     /// (the default) never rotates; serial plans have no map to rotate and
-    /// ignore the period entirely.
-    ///
-    /// A "merge step" is one reconciliation, *not* one pass: under the
-    /// default per-pass [`MergeCadence`](crate::MergeCadence) the two
-    /// coincide, but a sub-pass cadence runs ⌈batch/m⌉ merge steps per
-    /// pass and the period counts each *mini*-merge — a rotating policy
-    /// therefore rotates proportionally more often per pass, by design
-    /// (pinned by `crates/core/tests/merge_cadence.rs`).
+    /// ignore the period entirely. The counter spans stage boundaries, so
+    /// short stages cannot pin the rotation at one offset.
     fn rotation_period(&self) -> usize {
         0
     }
@@ -296,7 +289,7 @@ impl Reconcile for OverlapShards {
     }
 }
 
-/// Cross-pass replica rotation: every `period` merge steps the engine
+/// Cross-pass replica rotation: every `period` passes the engine
 /// permutes the row → replica map (a cyclic shift of the row space that
 /// preserves shard sizes), so no row is permanently trapped with the same
 /// cohort. Wraps any inner policy — the δ blend, halo, and vote hooks all
@@ -316,15 +309,8 @@ impl Reconcile for OverlapShards {
 ///
 /// `period = 0` never rotates and is bit-exact with the bare inner policy
 /// (pinned by `crates/core/tests/quality_recovery.rs`); `period = 1`
-/// rotates after every merge step. Rotation changes which replica *owns*
-/// each row between merge steps, never within one, so profile merges stay
-/// exact. The period counts merge steps, not passes: under a sub-pass
-/// [`MergeCadence`](crate::MergeCadence) each of a pass's ⌈batch/m⌉
-/// *mini*-merges ticks the period, so a rotating policy rotates
-/// proportionally more often per pass — deliberate (fresher regrouping is
-/// exactly what a finer cadence buys), not a silent multiply; the
-/// interaction is pinned by `crates/core/tests/merge_cadence.rs` and
-/// documented in DESIGN.md §12.
+/// rotates after every pass. Rotation changes which replica *owns* each
+/// row between passes, never within one, so profile merges stay exact.
 ///
 /// One honest caveat: the permutation is a cyclic shift, so an explicit
 /// [`Sharded`](crate::ExecutionPlan::Sharded) partition that is itself
@@ -364,14 +350,14 @@ impl Reconcile for OverlapShards {
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Rotate<P = DeltaAverage> {
-    /// Merge steps between rotations; 0 disables rotation.
+    /// Passes between rotations; 0 disables rotation.
     pub period: usize,
     /// The policy whose merge semantics each individual pass keeps.
     pub inner: P,
 }
 
 impl Rotate<DeltaAverage> {
-    /// Rotation every `period` merge steps over the default
+    /// Rotation every `period` passes over the default
     /// [`DeltaAverage`] merge rule.
     pub fn every(period: usize) -> Self {
         Rotate { period, inner: DeltaAverage }

@@ -1,21 +1,23 @@
 /// Hot-path execution counters for one fit (MGCPL or CAME).
 ///
 /// Observability, not semantics: two runs that produce identical labels
-/// may count differently (an eager run performs every rescan a lazy run
-/// skips), so result types exclude these counters from their equality —
+/// may count differently (a cold workspace grows buffers a warm one
+/// reuses), so result types exclude these counters from their equality —
 /// see `MgcplResult` / `CameResult`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HotPathStats {
-    /// Full object rescans performed (one `d×k` scoring sweep each).
+    /// Full object rescans performed (one `d×k` scoring sweep each). MGCPL
+    /// rescans every presentation.
     pub full_rescans: u64,
-    /// Rescans skipped by the lazy winner-margin pruning (DESIGN.md §3
-    /// "Lazy scoring"); each skip replaces a `d×k` sweep with an `O(d)`
-    /// (MGCPL) or `O(1)` (CAME) update.
+    /// Rescans CAME's dirty-cluster tracking skipped (DESIGN.md §3): a row
+    /// whose winner margin exceeds every cluster's score drift keeps its
+    /// label with an `O(1)` check. Always 0 for MGCPL, which scores every
+    /// presentation against every live cluster.
     pub skipped_rescans: u64,
     /// Object–cluster score evaluations performed: each `O(d)` similarity
     /// (MGCPL) or θ-Hamming distance (CAME) computed against one cluster.
-    /// A dense sweep over `k` live clusters contributes `k`; the lazy
-    /// kernel contributes only the candidates it actually scored. This is
+    /// A dense sweep over `k` live clusters contributes `k`; a row CAME
+    /// skips contributes nothing. This is
     /// the deterministic work measure the conformance perf gates compare
     /// (DESIGN.md §10) — unlike wall time, it is machine-independent.
     pub score_evals: u64,

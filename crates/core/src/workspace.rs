@@ -1,11 +1,11 @@
-//! Zero-allocation pass workspaces (DESIGN.md §3 "Lazy scoring", §4).
+//! Zero-allocation pass workspaces (DESIGN.md §3, §4).
 //!
 //! Every MGCPL pass used to allocate its scratch on entry — and replicated
 //! plans re-cloned the full cohort (profiles, δ, value-major matrix) *per
 //! replica per pass*. [`Workspace`] is the arena that ends that churn: all
 //! pass- and replica-scoped scratch (presentation orders, δ/prefactor
-//! vectors, replica cohorts, vote buffers, the lazy-scoring competition
-//! caps) is checked out of one reusable workspace and grown at most once,
+//! vectors, replica cohorts, vote buffers, CAME's dirty-cluster margins)
+//! is checked out of one reusable workspace and grown at most once,
 //! so a warm workspace runs whole fits without touching the allocator.
 //!
 //! `Mgcpl::fit` / `Came::fit` create a throwaway workspace internally;
@@ -20,14 +20,6 @@ use std::sync::Mutex;
 use crate::mgcpl::Cohort;
 use crate::trace::HotPathStats;
 use crate::ClusterProfile;
-
-/// Safety slack added to every lazy-scoring margin test: the drift bounds
-/// are accumulated in f64, so the comparison leaves room for the
-/// accumulated rounding of the bound itself (≪ 1e-12 for O(1)-magnitude
-/// scores) plus the re-evaluation noise between two f64 sweeps of the same
-/// object. A margin inside the slack simply falls through to the full
-/// rescore — exactness is never at risk, only a skip is forgone.
-pub(crate) const LAZY_SLACK: f64 = 1e-9;
 
 /// Notes a growth event if `vec` would have to reallocate to hold `needed`.
 #[inline]
@@ -51,101 +43,6 @@ pub(crate) fn copy_into<T: Copy>(dst: &mut Vec<T>, src: &[T], allocs: &mut u64) 
 pub(crate) fn resize_tracked<T: Clone>(vec: &mut Vec<T>, len: usize, fill: T, allocs: &mut u64) {
     note_growth(vec, len, allocs);
     vec.resize(len, fill);
-}
-
-/// State behind MGCPL's lazy scoring (DESIGN.md §3 "Lazy scoring"):
-/// per-cluster *competition caps* driving the candidate-pruned scoring
-/// sweep.
-///
-/// `sim_cap[l]` upper-bounds cluster `l`'s sweep similarity against *any*
-/// object: `post_scale · Σ_r max_t value_major[t·k + l]` — the sum of the
-/// cluster's per-feature column maxima. An object reads exactly one entry
-/// per feature, so no row can score above the cap; `pref_l · sim_cap[l]`
-/// therefore caps the competition score cluster `l` can offer anyone.
-/// The caps are recomputed from current state at every pass-start rebuild
-/// and membership patch — there is no drift accounting to keep sound (and
-/// no per-object state at all), which is what lets the pruning survive
-/// the cascade's per-prune δ/ρ resets: prefactors are read fresh at every
-/// test, never integrated.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct LazyCache {
-    /// Per-cluster competition cap on the sweep similarity (post-scale
-    /// folded in), maintained alongside the value-major matrix.
-    pub(crate) sim_cap: Vec<f64>,
-    /// Per-cluster per-feature column maxima of the value-major matrix,
-    /// row-major `k×d`; `sim_cap` is each row's sum.
-    pub(crate) feature_max: Vec<f64>,
-    /// Scratch for the candidate-pruned sweep: `(cluster, score, raw
-    /// accumulator)` per exactly-evaluated cluster.
-    pub(crate) evaluated: Vec<(u32, f64, f64)>,
-    /// Sweep-global rival cursor: the previous presentation's rival,
-    /// evaluated eagerly to seed the pruning threshold (rivals repeat
-    /// heavily across objects once the cascade concentrates). Lives in
-    /// the cache line the sweep already owns — no per-object state.
-    pub(crate) rival_cursor: u32,
-    /// Capped-sweep attempts in the current adaptivity window.
-    pub(crate) window_attempts: u32,
-    /// Window attempts resolved sparsely (pruned).
-    pub(crate) window_sparse: u32,
-    /// Presentation tick driving the disengaged probe trickle.
-    pub(crate) tick: u32,
-    /// Whether the capped sweep is currently engaged.
-    pub(crate) engaged: bool,
-}
-
-/// Adaptivity windows for the convergence-aware engagement gate: while
-/// engaged, re-decide every `ENGAGED_WINDOW` capped attempts (stay if at
-/// least half resolved sparsely); while disengaged, probe one
-/// presentation in [`PROBE_EVERY`] and re-engage only once `PROBE_WINDOW`
-/// probes show three quarters resolving sparsely — conservative on both
-/// sides, so the sweep engages only where pruning clearly pays and
-/// churning passes run at eager cost. The trickle is what lets the
-/// sweep re-engage *mid-pass*: right after a pass-start δ/ρ reset every
-/// cap ties and pruning is hopeless, but penalties spread the caps back
-/// out within the same pass.
-pub(crate) const ENGAGED_WINDOW: u32 = 512;
-pub(crate) const PROBE_WINDOW: u32 = 32;
-pub(crate) const PROBE_EVERY: u32 = 16;
-
-impl LazyCache {
-    /// Starts a pass optimistically engaged with fresh windows.
-    pub(crate) fn begin_pass(&mut self) {
-        self.window_attempts = 0;
-        self.window_sparse = 0;
-        self.tick = 0;
-        self.engaged = true;
-    }
-
-    /// Whether this presentation should run the capped sweep: always
-    /// while engaged, one in [`PROBE_EVERY`] while disengaged.
-    #[inline]
-    pub(crate) fn should_attempt(&mut self) -> bool {
-        if self.engaged {
-            return true;
-        }
-        self.tick = self.tick.wrapping_add(1);
-        self.tick.is_multiple_of(PROBE_EVERY)
-    }
-
-    /// Folds one capped attempt into the adaptivity window, flipping the
-    /// engagement state at window boundaries.
-    #[inline]
-    pub(crate) fn note_attempt(&mut self, sparse: bool) {
-        self.window_attempts += 1;
-        if sparse {
-            self.window_sparse += 1;
-        }
-        let (window, keep) = if self.engaged {
-            (ENGAGED_WINDOW, self.window_sparse * 2 >= self.window_attempts)
-        } else {
-            (PROBE_WINDOW, self.window_sparse * 4 >= self.window_attempts * 3)
-        };
-        if self.window_attempts >= window {
-            self.engaged = keep;
-            self.window_attempts = 0;
-            self.window_sparse = 0;
-        }
-    }
 }
 
 /// Per-replica scratch for replicated MGCPL passes: the replica's cohort
@@ -227,15 +124,12 @@ pub(crate) struct MgcplScratch {
     pub(crate) order: Vec<usize>,
     /// `1 − ρ_l` snapshot.
     pub(crate) one_minus_rho: Vec<f64>,
-    /// Hoisted `(1 − ρ)·u` prefactors (persist across passes so the lazy
-    /// layer can measure the pass-start refresh drift).
+    /// Hoisted `(1 − ρ)·u` prefactors.
     pub(crate) prefactors: Vec<f64>,
     /// Scoring accumulators.
     pub(crate) accumulators: Vec<f64>,
     /// Winner per presented row (serial path).
     pub(crate) decisions: Vec<usize>,
-    /// The lazy-scoring margin cache.
-    pub(crate) lazy: LazyCache,
     /// Replica-merge scratch.
     pub(crate) replicated: ReplicatedScratch,
 }

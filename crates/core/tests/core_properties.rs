@@ -2,7 +2,8 @@
 //! data (not just generator output).
 
 use categorical_data::{CategoricalTable, Schema};
-use mcdc_core::{encode_mgcpl, Came, Mcdc, Mgcpl};
+use mcdc_core::{encode_mgcpl, Came, Mcdc, Mgcpl, StreamingMcdc};
+use mcdc_reference::{reference_mcdc, ReferenceConfig};
 use proptest::prelude::*;
 
 fn arbitrary_table() -> impl Strategy<Value = CategoricalTable> {
@@ -70,4 +71,26 @@ proptest! {
             }
         }
     }
+}
+
+#[test]
+fn one_row_table_fits_with_a_single_cluster() {
+    // k₀ = √n rounded, floored at 2 and capped at n: a one-row table seeds
+    // exactly one cluster instead of asking for two out of one row.
+    let mut table = CategoricalTable::new(Schema::uniform(3, 4));
+    table.push_row(&[1, 0, 3]).unwrap();
+    let mgcpl = Mgcpl::builder().seed(4).build().fit(&table).unwrap();
+    assert_eq!(mgcpl.kappa, vec![1]);
+    assert_eq!(mgcpl.partitions, vec![vec![0]]);
+    let mcdc = Mcdc::builder().seed(4).build().fit(&table, 1).unwrap();
+    assert_eq!(mcdc.mgcpl().kappa, vec![1]);
+    assert_eq!(mcdc.labels(), &[0]);
+    let stream = StreamingMcdc::bootstrap(Mgcpl::builder().seed(4).build(), &table).unwrap();
+    assert_eq!(stream.kappa(), vec![1]);
+    assert_eq!(stream.serve_one(&[1, 0, 3]), 0);
+    let config = ReferenceConfig { seed: 4, ..ReferenceConfig::default() };
+    let oracle = reference_mcdc(&table, 1, &config).unwrap();
+    assert_eq!(oracle.mgcpl.kappa, vec![1]);
+    assert_eq!(oracle.mgcpl.partitions, mcdc.mgcpl().partitions);
+    assert_eq!(oracle.labels, mcdc.labels());
 }

@@ -13,12 +13,6 @@
 //! * past the budget the shard is quarantined, the merge degrades to the
 //!   survivors, and clustering quality stays within the replicated band
 //!   (the measured grid lives in `BENCH_faults.json`);
-//! * fault handling composes with the sub-pass [`MergeCadence`]
-//!   (DESIGN.md §12): the fate probes key on *mini*-merge steps, chaos
-//!   under a sub-pass cadence never panics or leaks NaN and stays
-//!   deterministic, a recovered retry of a sub-pass segment is bit-exact
-//!   with the clean cadence fit, and a quarantine at a mid-pass merge
-//!   still yields dense labels;
 //! * the builder boundary rejects non-finite knobs with
 //!   [`McdcError::InvalidConfig`] naming the offending parameter, for
 //!   MGCPL and the MCDC pipeline alike.
@@ -27,8 +21,8 @@ use categorical_data::synth::GeneratorConfig;
 use categorical_data::{CategoricalTable, Dataset};
 use cluster_eval::accuracy;
 use mcdc_core::{
-    DeltaAverage, DeltaMomentum, ExecutionPlan, FaultPlan, Mcdc, McdcError, MergeCadence, Mgcpl,
-    MgcplBuilder, OverlapShards, Reconcile, Rotate, WarmStart,
+    DeltaAverage, DeltaMomentum, ExecutionPlan, FaultPlan, Mcdc, McdcError, Mgcpl, MgcplBuilder,
+    OverlapShards, Reconcile, Rotate, WarmStart,
 };
 use proptest::prelude::*;
 
@@ -142,19 +136,12 @@ proptest! {
         table in arbitrary_table(),
         batch_divisor in 1usize..5,
         fault_seed in 0u64..1000,
-        every in 0usize..24,
     ) {
         let n = table.n_rows();
         let batch = (n / batch_divisor).max(1);
-        // `every = 0` is the per-pass barrier; anything else exercises the
-        // sub-pass cadence, where the fate probes fire per mini-merge.
         let result = fit(
             &table,
-            |b| {
-                b.execution(ExecutionPlan::mini_batch(batch))
-                    .fault_plan(chaos(fault_seed))
-                    .merge_cadence(MergeCadence::every(every))
-            },
+            |b| b.execution(ExecutionPlan::mini_batch(batch)).fault_plan(chaos(fault_seed)),
             3,
         );
         // Whatever the schedule injected, the cascade invariants hold:
@@ -210,93 +197,6 @@ fn chaos_schedules_are_deterministic_per_seed() {
         let (a, b) = (run(), run());
         assert_eq!(a.stats, b.stats, "counters non-deterministic under {plan:?}");
         assert_eq!(a, b, "chaos non-deterministic under {plan:?}");
-    }
-}
-
-#[test]
-fn chaos_under_sub_pass_cadence_is_deterministic_per_seed() {
-    // More merge steps per pass means more fate probes at the same rates,
-    // but every probe stays keyed on (mini-merge step, shard, attempt), so
-    // the thread schedule still cannot change the outcome.
-    let data = nested(240, 2);
-    for plan in plans(240).into_iter().filter(ExecutionPlan::is_parallel) {
-        for every in [1usize, 7, 15] {
-            let run = || {
-                fit(
-                    data.table(),
-                    |b| {
-                        b.execution(plan.clone())
-                            .fault_plan(chaos(11))
-                            .merge_cadence(MergeCadence::every(every))
-                    },
-                    5,
-                )
-            };
-            let (a, b) = (run(), run());
-            assert_eq!(a.stats, b.stats, "counters non-deterministic under {plan:?} m={every}");
-            assert_eq!(a, b, "cadence chaos non-deterministic under {plan:?} m={every}");
-            // Whatever was injected, the cascade invariants hold.
-            assert!(a.kappa.windows(2).all(|w| w[0] > w[1]) || a.kappa.len() <= 1);
-            for (partition, &k) in a.partitions.iter().zip(&a.kappa) {
-                assert_eq!(partition.len(), 240);
-                assert!(partition.iter().all(|&l| l < k));
-            }
-        }
-    }
-}
-
-#[test]
-fn recovered_retry_of_a_sub_pass_segment_is_bit_identical_to_clean() {
-    // A crash of shard 1 at mini-merge step 3 — a coordinate that only
-    // exists because the cadence slices the pass into segments — with
-    // retry headroom: the re-executed segment attempt is deterministic, so
-    // the fit matches the clean cadence fit bit for bit and the failure is
-    // visible only in the accounting.
-    let data = nested(240, 7);
-    let plan = ExecutionPlan::mini_batch(60); // 4 shards, m = 15 → 4 mini-merges per pass
-    let cadence = MergeCadence::every(15);
-    let clean = fit(data.table(), |b| b.execution(plan.clone()).merge_cadence(cadence), 9);
-    let retried = fit(
-        data.table(),
-        |b| {
-            b.execution(plan.clone())
-                .merge_cadence(cadence)
-                .fault_plan(FaultPlan::none().fail_replica(3, 1))
-        },
-        9,
-    );
-    assert_eq!(clean.stats.quarantined_shards, 0);
-    assert_eq!(clean, retried, "a recovered sub-pass retry must not change results");
-    assert_eq!(retried.stats.replica_failures, 1);
-    assert_eq!(retried.stats.retries, 1);
-    assert_eq!(retried.stats.quarantined_shards, 0);
-    assert_eq!(retried.stats.min_survivor_permille, 1000);
-}
-
-#[test]
-fn quarantine_at_a_mid_pass_merge_keeps_labels_dense() {
-    // Exhaust the budget at a mini-merge in the middle of the first pass:
-    // only that segment's rows orphan (they fall back to their standing
-    // membership, or a frozen-snapshot rescore when they have none), the
-    // merge degrades to the survivors, and every granularity still gets a
-    // full dense labeling.
-    let data = nested(240, 7);
-    let plan = ExecutionPlan::mini_batch(60); // 4 shards
-    let result = fit(
-        data.table(),
-        |b| {
-            b.execution(plan.clone())
-                .merge_cadence(MergeCadence::every(15))
-                .fault_plan(FaultPlan::none().fail_replica(2, 2).retry_budget(1))
-        },
-        9,
-    );
-    assert_eq!(result.stats.replica_failures, 1);
-    assert_eq!(result.stats.quarantined_shards, 1);
-    assert_eq!(result.stats.min_survivor_permille, 750);
-    for (partition, &k) in result.partitions.iter().zip(&result.kappa) {
-        assert_eq!(partition.len(), 240);
-        assert!(partition.iter().all(|&l| l < k), "quarantined mid-pass merge leaked a label");
     }
 }
 

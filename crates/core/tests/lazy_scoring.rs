@@ -1,23 +1,12 @@
-//! Exactness pins for convergence-aware lazy scoring (DESIGN.md §3
-//! "Lazy scoring") and the pass workspaces:
-//!
-//! * MGCPL with the candidate-pruned capped sweep produces partitions,
-//!   κ, and trace **bit-exactly** equal to eager scoring — property-tested over
-//!   random tables *with MISSING values*, seeds, and every
-//!   `ExecutionPlan` × `Reconcile` combination (replicated plans fall
-//!   back to eager internally; the pin holds regardless);
-//! * CAME with dirty-cluster tracking matches the eager scan the same way;
-//! * the pruning genuinely fires: late passes of a converging fit skip a
-//!   positive number of rescans, and eager runs report zero skips;
-//! * a warm [`Workspace`] runs a repeat fit without growing a single
-//!   buffer, and the second fit's result is identical.
+//! Exactness pin for CAME's dirty-cluster tracking (DESIGN.md §3), the one
+//! lazy scoring mechanism left: on Γ encodings built from MGCPL runs over
+//! random tables *with MISSING values*, `Came` reproduces the reference
+//! oracle (`mcdc-reference`), which rescans every row every iteration, bit
+//! for bit, and accounts for every row scan as either full or skipped.
 
-use categorical_data::synth::GeneratorConfig;
 use categorical_data::{CategoricalTable, Schema, MISSING};
-use mcdc_core::{
-    encode_partitions, Came, DeltaAverage, DeltaMomentum, ExecutionPlan, Mgcpl, OverlapShards,
-    Reconcile, Workspace,
-};
+use mcdc_core::{encode_partitions, Came, Mgcpl};
+use mcdc_reference::reference_came;
 use proptest::prelude::*;
 
 /// Random tables over a uniform 4-value schema where code 4 maps to
@@ -36,79 +25,8 @@ fn arbitrary_table_with_missing() -> impl Strategy<Value = CategoricalTable> {
     })
 }
 
-fn plans(n: usize) -> Vec<ExecutionPlan> {
-    vec![
-        ExecutionPlan::Serial,
-        ExecutionPlan::mini_batch((n / 3).max(1)),
-        ExecutionPlan::mini_batch(n),
-        // Round-robin explicit shards: worst-case locality.
-        ExecutionPlan::sharded(vec![(0..n).step_by(2).collect(), (1..n).step_by(2).collect()]),
-    ]
-}
-
-fn policies() -> Vec<Box<dyn Fn() -> Box<dyn Reconcile>>> {
-    vec![
-        Box::new(|| Box::new(DeltaAverage)),
-        Box::new(|| Box::new(DeltaMomentum { beta: 0.5 })),
-        Box::new(|| Box::new(OverlapShards { halo: 2 })),
-    ]
-}
-
-fn fit_mgcpl(
-    table: &CategoricalTable,
-    plan: ExecutionPlan,
-    policy: Box<dyn Reconcile>,
-    seed: u64,
-    lazy: bool,
-) -> mcdc_core::MgcplResult {
-    let builder = Mgcpl::builder().seed(seed).execution(plan).lazy_scoring(lazy);
-    // `reconcile` takes the policy by value; route through a small adapter.
-    struct Boxed(Box<dyn Reconcile>);
-    impl std::fmt::Debug for Boxed {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            write!(f, "{:?}", self.0)
-        }
-    }
-    impl Reconcile for Boxed {
-        fn describe(&self) -> mcdc_core::ReconcileDescriptor {
-            self.0.describe()
-        }
-        fn halo(&self) -> usize {
-            self.0.halo()
-        }
-        fn blend_delta(&self, pass_start: &[f64], blended: &mut [f64]) {
-            self.0.blend_delta(pass_start, blended)
-        }
-        fn resolve(&self, votes: &[(usize, f64)]) -> usize {
-            self.0.resolve(votes)
-        }
-    }
-    builder.reconcile(Boxed(policy)).build().fit(table).unwrap()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
-
-    #[test]
-    fn lazy_mgcpl_is_bit_exact_with_eager_across_engines_and_policies(
-        table in arbitrary_table_with_missing(),
-        seed in 0u64..40,
-    ) {
-        let n = table.n_rows();
-        for plan in plans(n) {
-            for policy in policies() {
-                let eager = fit_mgcpl(&table, plan.clone(), policy(), seed, false);
-                let lazy = fit_mgcpl(&table, plan.clone(), policy(), seed, true);
-                prop_assert_eq!(
-                    &eager, &lazy,
-                    "lazy/eager divergence under plan {:?}", plan
-                );
-                prop_assert_eq!(lazy.stats.full_rescans + lazy.stats.skipped_rescans,
-                                eager.stats.full_rescans,
-                                "lazy must account for every presentation under plan {:?}", plan);
-            }
-        }
-    }
 
     #[test]
     fn lazy_came_is_bit_exact_with_eager(
@@ -120,133 +38,17 @@ proptest! {
         let mgcpl = Mgcpl::builder().seed(seed).build().fit(&table).unwrap();
         let encoding = encode_partitions(&mgcpl.partitions).unwrap();
         let k = k.min(encoding.n_rows());
-        let eager = Came::builder().seed(seed).lazy_scoring(false).build().fit(&encoding, k).unwrap();
+        let eager = reference_came(&encoding, k, true, seed).unwrap();
         let lazy = Came::builder().seed(seed).build().fit(&encoding, k).unwrap();
-        prop_assert_eq!(&eager, &lazy);
+        prop_assert_eq!(lazy.labels(), eager.labels.as_slice());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(lazy.theta()), bits(&eager.theta));
+        prop_assert_eq!(lazy.modes(), eager.modes.as_slice());
+        prop_assert_eq!(lazy.iterations(), eager.iterations);
         prop_assert_eq!(
             lazy.stats().full_rescans + lazy.stats().skipped_rescans,
-            eager.stats().full_rescans,
+            (eager.iterations * encoding.n_rows()) as u64,
             "lazy CAME must account for every row scan"
         );
-        prop_assert_eq!(eager.stats().skipped_rescans, 0u64);
-    }
-}
-
-#[test]
-fn late_passes_skip_rescans_on_converging_data() {
-    // A well-separated suite converges over several passes per stage, so
-    // once the cascade settles the competition caps must start pruning
-    // clusters out of the scoring sweep: the skip counter has to be
-    // strictly positive, while the eager run of the identical fit
-    // reports zero.
-    let data = GeneratorConfig::new("lazy", 600, vec![4; 8], 3).noise(0.05).generate(11).dataset;
-    let lazy = Mgcpl::builder().seed(3).build().fit(data.table()).unwrap();
-    let eager = Mgcpl::builder().seed(3).lazy_scoring(false).build().fit(data.table()).unwrap();
-    assert_eq!(lazy, eager, "pruning must not change the fit");
-    assert!(lazy.stats.skipped_rescans > 0, "late passes skipped nothing: {:?}", lazy.stats);
-    assert_eq!(eager.stats.skipped_rescans, 0);
-    // Presentations must balance: every (object, pass) is either skipped
-    // or fully rescanned.
-    assert_eq!(lazy.stats.full_rescans + lazy.stats.skipped_rescans, eager.stats.full_rescans);
-}
-
-#[test]
-fn came_dirty_tracking_skips_on_multi_iteration_fits() {
-    let out = GeneratorConfig::new("lazy-came", 2_000, vec![4; 8], 3)
-        .subclusters(2)
-        .noise(0.15)
-        .generate(7);
-    let fine = out.fine_labels.clone();
-    let coarse = out.dataset.labels().to_vec();
-    let encoding = encode_partitions(&[fine, coarse]).unwrap();
-    let lazy = Came::builder().build().fit(&encoding, 3).unwrap();
-    let eager = Came::builder().lazy_scoring(false).build().fit(&encoding, 3).unwrap();
-    assert_eq!(lazy, eager);
-    if lazy.iterations() > 1 {
-        assert!(
-            lazy.stats().skipped_rescans > 0,
-            "multi-iteration CAME skipped nothing: {:?}",
-            lazy.stats()
-        );
-    }
-}
-
-#[test]
-fn warm_workspace_runs_allocation_free() {
-    let data = GeneratorConfig::new("warm", 400, vec![4; 8], 3).noise(0.05).generate(5).dataset;
-    // The quality-recovery axes (cross-pass rotation, warm carry; DESIGN.md
-    // §6) must preserve the zero-allocation steady state: rotation rebuilds
-    // the shard map into its own reused buffers and the carry needs no
-    // scratch at all, so the workspace arena's warm-fit guarantee is
-    // identical with them on.
-    let configure: [&dyn Fn(mcdc_core::MgcplBuilder) -> mcdc_core::MgcplBuilder; 3] = [
-        &|b| b.execution(ExecutionPlan::Serial),
-        &|b| b.execution(ExecutionPlan::mini_batch(100)),
-        &|b| {
-            b.execution(ExecutionPlan::mini_batch(100))
-                .reconcile(mcdc_core::Rotate {
-                    period: 1,
-                    inner: mcdc_core::OverlapShards { halo: 8 },
-                })
-                .warm_start(mcdc_core::WarmStart::Carry)
-        },
-    ];
-    for configure in configure {
-        let mgcpl = configure(Mgcpl::builder().seed(2)).build();
-        let plan = mgcpl.execution_plan().clone();
-        let mut ws = Workspace::new();
-        let cold = mgcpl.fit_with(data.table(), &mut ws).unwrap();
-        assert!(ws.allocations() > 0, "cold fit must grow the workspace ({plan:?})");
-        ws.reset_allocations();
-        let warm = mgcpl.fit_with(data.table(), &mut ws).unwrap();
-        assert_eq!(cold, warm, "workspace reuse must not change results ({plan:?})");
-        assert_eq!(
-            ws.allocations(),
-            0,
-            "warm repeat fit must not grow any workspace buffer ({plan:?})"
-        );
-        assert_eq!(warm.stats.allocations, 0);
-    }
-}
-
-#[test]
-fn replicated_workspace_survives_shrinking_tables() {
-    // Regression: the replica slots' per-cluster member lists grow to the
-    // widest k a workspace ever saw and only the first k are cleared per
-    // pass. The profile rebuild must not walk the stale high-water tail —
-    // reusing a workspace from a wide fit (large table, large k₀) for a
-    // narrow fit used to panic on out-of-range row indices.
-    let schema_rows = |n: usize, seed: u64| {
-        GeneratorConfig::new("shrink", n, vec![4; 6], 3).noise(0.05).generate(seed).dataset
-    };
-    let wide = schema_rows(2_000, 1);
-    let narrow = schema_rows(200, 2);
-    let mut ws = Workspace::new();
-    let wide_fit =
-        Mgcpl::builder().seed(1).initial_k(24).execution(ExecutionPlan::mini_batch(500)).build();
-    let narrow_fit =
-        Mgcpl::builder().seed(1).initial_k(4).execution(ExecutionPlan::mini_batch(50)).build();
-    let a = wide_fit.fit_with(wide.table(), &mut ws).unwrap();
-    let b = narrow_fit.fit_with(narrow.table(), &mut ws).unwrap();
-    assert_eq!(a, wide_fit.fit(wide.table()).unwrap());
-    assert_eq!(b, narrow_fit.fit(narrow.table()).unwrap());
-}
-
-#[test]
-fn workspace_survives_schema_changes() {
-    // Reusing one workspace across fits over different schemas must stay
-    // correct (buffers shaped for the old layout are rebuilt, not
-    // misused).
-    let wide = GeneratorConfig::new("wide", 200, vec![4; 10], 3).noise(0.05).generate(1).dataset;
-    let narrow = GeneratorConfig::new("narrow", 150, vec![3; 4], 2).noise(0.05).generate(2).dataset;
-    let mut ws = Workspace::new();
-    for plan in [ExecutionPlan::Serial, ExecutionPlan::mini_batch(50)] {
-        let mgcpl = Mgcpl::builder().seed(1).execution(plan).build();
-        let a = mgcpl.fit_with(wide.table(), &mut ws).unwrap();
-        let b = mgcpl.fit_with(narrow.table(), &mut ws).unwrap();
-        let fresh_a = mgcpl.fit(wide.table()).unwrap();
-        let fresh_b = mgcpl.fit(narrow.table()).unwrap();
-        assert_eq!(a, fresh_a);
-        assert_eq!(b, fresh_b);
     }
 }

@@ -69,8 +69,9 @@ pub fn reference_mgcpl(
     let k0 = match config.initial_k {
         Some(k) if k == 0 || k > n => return Err(format!("initial k {k} out of 1..={n}")),
         Some(k) => k,
-        // The paper's √n heuristic (Alg. 1 step 2).
-        None => ((n as f64).sqrt().round() as usize).clamp(2, n),
+        // The paper's √n heuristic (Alg. 1 step 2), at least 2 but never
+        // more than n.
+        None => ((n as f64).sqrt().round() as usize).max(2).min(n),
     };
     let cardinalities: Vec<usize> =
         table.schema().cardinalities().iter().map(|&m| m as usize).collect();

@@ -7,18 +7,14 @@
 # fmt/clippy keep the tree warning-free, the rustdoc build (warnings
 # denied) + doctests keep the documented API contracts honest, and the
 # perf-smoke step (`hotpath_snapshot --quick`, n = 10k) fails on
-# panics/NaN medians, on `mgcpl_lazy` losing to `mgcpl_explore` beyond
-# noise tolerance, and on the lazy pruning never firing — so perf
-# regressions surface immediately too. The inference smoke
+# panics/NaN medians or a missing stage row. The inference smoke
 # (`infer_hotpath --quick`) times the frozen-model serving path on three
 # shapes and fails on panics/NaN medians, on frozen/live argmax parity
 # breaking on the pinned seed, or on the frozen kernels losing to the
 # live `score_all` path they compact. The reconcile smoke
-# (`reconcile_ablation --quick`) runs a tiny quality-recovery grid —
-# including a sub-pass merge-cadence arm (DESIGN.md §12) — and fails on
-# panics, non-finite metrics, or a rotating policy that never rotates
-# (the cadence arm rotates at mini-merge granularity, so it also proves
-# the sub-pass merge path ran). The chaos smoke (`fault_chaos --quick`) runs the fault arms
+# (`reconcile_ablation --quick`) runs a tiny quality-recovery grid and
+# fails on panics, non-finite metrics, or a rotating policy that never
+# rotates. The chaos smoke (`fault_chaos --quick`) runs the fault arms
 # (retry, quarantine, probabilistic chaos) on a small grid and fails on
 # panics, non-finite metrics, a chaos arm that never injects a failure,
 # a retry arm that diverges from the clean labels, or a quarantined fit
@@ -33,7 +29,8 @@
 # `mcdc-reference` oracle across the full execution grid
 # (`conformance --quick`) and check the deterministic work counters
 # against the `PERF_GATES.toml` baselines, self-testing that the gate
-# still has teeth (`conformance --gate`); re-baseline deliberate
+# still has teeth — the `[replicated]` counters must fail the `[serial]`
+# baseline (`conformance --gate`); re-baseline deliberate
 # changes with scripts/update_gates.sh. The benchmark (`perfbench/`) is a
 # workspace of its own, so it gets its own fmt/clippy steps and its tests
 # (which run its `--smoke` mode) — a library API change that breaks it
