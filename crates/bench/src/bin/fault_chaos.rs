@@ -117,9 +117,9 @@ struct Entry {
 }
 
 fn suites(n: usize) -> Vec<(&'static str, Dataset, usize)> {
-    // The same two regimes the reconciliation ablation measures: cleanly
-    // separated clusters and nested high-overlap clusters, so the fault
-    // arms are directly comparable to BENCH_reconcile.json's cells.
+    // Two regimes: cleanly separated clusters, and the nested high-overlap
+    // family BENCH_reconcile.json measures (its n600/seed3 table at the
+    // default n).
     vec![
         (
             "separated",

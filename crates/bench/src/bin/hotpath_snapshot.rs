@@ -1,6 +1,5 @@
 //! Machine-readable perf baseline for the clustering hot path: times the
-//! MGCPL exploration (serial, mini-batch, and mini-batch + δ-momentum
-//! engines), Γ encoding, and CAME aggregation on the `scaling::syn_n`
+//! MGCPL exploration (serial and mini-batch engines), Γ encoding, and CAME aggregation on the `scaling::syn_n`
 //! family ({3k, 10k, 30k} rows by default) and writes `BENCH_hotpath.json`
 //! (stage, engine, n, median wall ms, throughput rows/s, plus — for the
 //! serial MGCPL and CAME rows — the rescan and workspace counters: rows
@@ -8,7 +7,7 @@
 //! pass) so future PRs can diff performance without re-deriving a harness.
 //!
 //! The MGCPL engine runs are *interleaved* (serial rep, mini-batch rep,
-//! momentum rep, serial rep, …) so neighbor-load drift on the
+//! serial rep, …) so neighbor-load drift on the
 //! shared-vCPU build hosts hits every engine alike and the medians stay
 //! comparable. The serial MGCPL and CAME rows run through a persistent
 //! [`Workspace`], so their `allocations_per_pass` reflects the warm
@@ -30,7 +29,7 @@
 use std::time::Instant;
 
 use categorical_data::synth::{scaling, GeneratorConfig};
-use mcdc_core::{encode_mgcpl, Came, DeltaMomentum, ExecutionPlan, HotPathStats, Mgcpl, Workspace};
+use mcdc_core::{encode_mgcpl, Came, ExecutionPlan, HotPathStats, Mgcpl, Workspace};
 
 struct Entry {
     stage: &'static str,
@@ -97,15 +96,6 @@ fn main() {
         // without drowning a single-core host in clone overhead.
         let minibatch =
             Mgcpl::builder().seed(1).execution(ExecutionPlan::mini_batch(n.div_ceil(4))).build();
-        // The same plan under δ-momentum reconciliation (DESIGN.md §5). The
-        // blend itself is O(k) per pass; what this column actually measures
-        // is the *convergence* cost of damping — smoothed δ slows cluster
-        // elimination, so fits spend more passes per stage (~2× at β = 0.5).
-        let momentum = Mgcpl::builder()
-            .seed(1)
-            .execution(ExecutionPlan::mini_batch(n.div_ceil(4)))
-            .reconcile(DeltaMomentum { beta: 0.5 })
-            .build();
 
         // One persistent workspace each for the serial MGCPL and CAME
         // rows: the timed reps run warm, which is both the realistic
@@ -121,7 +111,6 @@ fn main() {
         // neighbor load, so their medians stay comparable.
         let mut serial_samples = Vec::with_capacity(reps);
         let mut minibatch_samples = Vec::with_capacity(reps);
-        let mut momentum_samples = Vec::with_capacity(reps);
         let mut serial_stats = HotPathStats::default();
         for _ in 0..reps {
             serial_samples.push(time_ms(|| {
@@ -132,13 +121,9 @@ fn main() {
             minibatch_samples.push(time_ms(|| {
                 std::hint::black_box(minibatch.fit(data.table()).expect("fit succeeds"));
             }));
-            momentum_samples.push(time_ms(|| {
-                std::hint::black_box(momentum.fit(data.table()).expect("fit succeeds"));
-            }));
         }
         push("mgcpl_explore", "serial", n, "", reps, median(serial_samples), Some(serial_stats));
         push("mgcpl_minibatch", "minibatch", n, "", reps, median(minibatch_samples), None);
-        push("mgcpl_momentum", "momentum", n, "", reps, median(momentum_samples), None);
 
         let encode_samples: Vec<f64> = (0..reps)
             .map(|_| {

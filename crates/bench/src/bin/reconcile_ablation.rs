@@ -1,138 +1,109 @@
-//! Quality-band and quality-recovery ablation of the reconciliation
-//! layer (DESIGN.md §5, §7): sweeps policy × rotation period ×
-//! warm-start × batch size on the well-separated and the nested
-//! high-overlap synthetic suites, 10 fit seeds each, and writes
-//! `BENCH_reconcile.json` with the per-cell ACC/ARI mean and band
-//! (max − min across seeds). The serial engine rides along as the
-//! reference: the open question this ablation answers is which
-//! replicated configuration recovers serial's nested-suite *mean* (the
-//! band question was settled by the §5 grid — δ-momentum — and those
-//! cells are re-measured here unchanged).
+//! Paired quality grid of the replica merge (DESIGN.md §5): the one merge
+//! rule (span-size-weighted δ average) with and without a shard halo,
+//! against the serial cascade, on the nested high-overlap tables where
+//! replicated plans lose quality.
+//!
+//! Tables: 3 classes × 3 sub-clusters sharing 70% of their features, noise
+//! 0.08 — n = 600 at generator seeds {3, 5, 11, 17, 29}, n = 1200 at {3,
+//! 23}, n = 2400 at {3}. Arms per table: `Serial`, and `mini_batch(n/4)`
+//! and `mini_batch(n/8)` each at halo 0 and halo n/32. Every arm runs the
+//! same fit seeds, so arms pair per seed.
+//!
+//! Per cell the grid reports ACC mean, band (max − min), wall ms per fit,
+//! and two-tailed paired Wilcoxon signed-rank p-values
+//! (`cluster_eval::wilcoxon_signed_rank`, as in the paper's Table IV):
+//! each halo cell against halo 0 on the same plan, and each replicated
+//! cell against serial. One comparison family has 16 tests (8 tables × 2
+//! batch sizes), so a difference counts as a win or a loss only below the
+//! Bonferroni level α = 0.05 / 16. Writes `BENCH_reconcile.json`.
 //!
 //! Usage: `cargo run --release -p mcdc-bench --bin reconcile_ablation
-//!        [--out PATH] [--seeds N] [--n ROWS] [--quick]`
+//!        [--out PATH] [--seeds N] [--quick]`
 //!
-//! `--quick` runs a tiny smoke grid (n = 240, 2 seeds, one batch size,
-//! one rotating + one degenerate configuration), asserts every metric is
-//! finite, that the rotating configuration actually rotated, and writes
-//! nothing — the `scripts/verify.sh` gate.
+//! `--quick` runs a tiny smoke grid (n = 240, 2 seeds, one batch size at
+//! halo 0 and n/32, plus serial), asserts every metric is finite, and
+//! writes nothing — the `scripts/verify.sh` gate.
+
+use std::time::Instant;
 
 use categorical_data::synth::GeneratorConfig;
 use categorical_data::Dataset;
-use cluster_eval::{accuracy, adjusted_rand_index};
-use mcdc_core::{
-    DeltaAverage, DeltaMomentum, ExecutionPlan, Mcdc, McdcBuilder, OverlapShards, Reconcile,
-    Rotate, WarmStart,
-};
+use cluster_eval::{accuracy, wilcoxon_signed_rank};
+use mcdc_core::{ExecutionPlan, Mcdc};
 
-/// The base (per-pass) merge rule of one configuration.
-#[derive(Debug, Clone, Copy)]
-enum Base {
-    Average,
-    Momentum(f64),
-    Overlap(usize),
+/// Family-wise significance level, split over the 16 tests of one family.
+const ALPHA: f64 = 0.05;
+const FAMILY: usize = 16;
+
+/// `(n, generator seed)` of every nested-overlap table.
+const TABLES: [(usize, u64); 8] =
+    [(600, 3), (600, 5), (600, 11), (600, 17), (600, 29), (1200, 3), (1200, 23), (2400, 3)];
+
+fn nested(n: usize, seed: u64) -> Dataset {
+    GeneratorConfig::new("nested", n, vec![4; 8], 3)
+        .subclusters(3)
+        .shared_fraction(0.7)
+        .noise(0.08)
+        .generate(seed)
+        .dataset
 }
 
-/// One replicated configuration under test: base policy × rotation period
-/// × warm-start mode.
-#[derive(Debug, Clone, Copy)]
-struct Config {
-    base: Base,
-    rotation: usize,
-    warm: WarmStart,
+/// One arm's per-seed ACCs and its mean wall time per fit.
+struct Arm {
+    accs: Vec<f64>,
+    ms_per_fit: f64,
 }
 
-impl Config {
-    /// The canonical policy label (`ReconcileDescriptor`'s `Display` of
-    /// the composed policy), so the JSON labels can never drift from what
-    /// the policies report.
-    fn policy_label(&self) -> String {
-        self.describe_policy().to_string()
-    }
-
-    fn describe_policy(&self) -> mcdc_core::ReconcileDescriptor {
-        let inner: Box<dyn Reconcile> = match self.base {
-            Base::Average => Box::new(DeltaAverage),
-            Base::Momentum(beta) => Box::new(DeltaMomentum { beta }),
-            Base::Overlap(halo) => Box::new(OverlapShards { halo }),
-        };
-        mcdc_core::ReconcileDescriptor { rotation: self.rotation, ..inner.describe() }
-    }
-
-    fn warm_label(&self) -> &'static str {
-        match self.warm {
-            WarmStart::Cold => "cold",
-            WarmStart::Carry => "carry",
-        }
-    }
-
-    /// Applies the composed policy + warm-start mode to a builder. Each
-    /// `Base` × rotation arm instantiates the concrete policy type —
-    /// `Rotate` composes by wrapping, so the rotating arms reuse the same
-    /// inner policies.
-    fn apply(&self, builder: McdcBuilder) -> McdcBuilder {
-        let builder = builder.warm_start(self.warm);
-        match (self.base, self.rotation) {
-            (Base::Average, 0) => builder.reconcile(DeltaAverage),
-            (Base::Momentum(beta), 0) => builder.reconcile(DeltaMomentum { beta }),
-            (Base::Overlap(halo), 0) => builder.reconcile(OverlapShards { halo }),
-            (Base::Average, p) => builder.reconcile(Rotate::every(p)),
-            (Base::Momentum(beta), p) => {
-                builder.reconcile(Rotate { period: p, inner: DeltaMomentum { beta } })
-            }
-            (Base::Overlap(halo), p) => {
-                builder.reconcile(Rotate { period: p, inner: OverlapShards { halo } })
-            }
-        }
-    }
-
-    /// Runs one fit; returns the labels and the rotation count the MGCPL
-    /// stage reported.
-    fn fit(&self, plan: &ExecutionPlan, seed: u64, data: &Dataset, k: usize) -> (Vec<usize>, u64) {
-        let result = self
-            .apply(Mcdc::builder().seed(seed).execution(plan.clone()))
-            .build()
-            .fit(data.table(), k)
-            .expect("ablation fit succeeds");
-        (result.labels().to_vec(), result.mgcpl().stats.rotations)
-    }
+fn run_arm(data: &Dataset, plan: &ExecutionPlan, halo: usize, seeds: u64) -> Arm {
+    let mut total_ms = 0.0;
+    let accs = (1..=seeds)
+        .map(|seed| {
+            let mcdc = Mcdc::builder().seed(seed).execution(plan.clone()).halo(halo).build();
+            let start = Instant::now();
+            let result = mcdc.fit(data.table(), 3).expect("ablation fit succeeds");
+            total_ms += start.elapsed().as_secs_f64() * 1e3;
+            let acc = accuracy(data.labels(), result.labels());
+            assert!(acc.is_finite(), "non-finite ACC under {plan:?} halo {halo}");
+            acc
+        })
+        .collect();
+    Arm { accs, ms_per_fit: total_ms / seeds as f64 }
 }
 
 struct Entry {
-    suite: &'static str,
+    table: String,
     plan: String,
-    policy: String,
-    rotation: usize,
-    warm: &'static str,
+    halo: usize,
     acc_mean: f64,
     acc_min: f64,
     acc_max: f64,
-    ari_mean: f64,
-    ari_min: f64,
+    ms_per_fit: f64,
+    /// Paired p-value against halo 0 on the same plan (halo cells only).
+    p_vs_halo0: Option<f64>,
+    /// Paired p-value against serial (replicated cells only).
+    p_vs_serial: Option<f64>,
 }
 
-fn suites(n: usize) -> Vec<(&'static str, Dataset, usize)> {
-    // The two regimes DESIGN.md §4 contrasts: cleanly separated clusters,
-    // where every engine recovers the structure, and nested high-overlap
-    // clusters (3 classes × 3 sub-clusters sharing 70% of their features),
-    // where shard-local cascades land on different granularities run to run.
-    vec![
-        (
-            "separated",
-            GeneratorConfig::new("sep", n, vec![4; 8], 3).noise(0.05).generate(5).dataset,
-            3,
-        ),
-        (
-            "nested-overlap",
-            GeneratorConfig::new("nested", n, vec![4; 8], 3)
-                .subclusters(3)
-                .shared_fraction(0.7)
-                .noise(0.08)
-                .generate(3)
-                .dataset,
-            3,
-        ),
-    ]
+/// Tallies significant wins and losses of one comparison family.
+#[derive(Default)]
+struct Tally {
+    wins: usize,
+    losses: usize,
+}
+
+impl Tally {
+    /// Tests `x` against `y`, counts the verdict, and returns the p-value.
+    fn test(&mut self, x: &[f64], y: &[f64], alpha: f64) -> f64 {
+        let test = wilcoxon_signed_rank(x, y);
+        if test.is_significant(alpha) {
+            if test.first_is_better() {
+                self.wins += 1;
+            } else {
+                self.losses += 1;
+            }
+        }
+        test.p_value
+    }
 }
 
 fn main() {
@@ -141,193 +112,127 @@ fn main() {
         run_quick();
         return;
     }
-
-    let suites = suites(args.n);
-    let batches = [args.n / 4, args.n / 8];
-    let bases =
-        [Base::Average, Base::Momentum(0.5), Base::Momentum(0.9), Base::Overlap(args.n / 32)];
-    let rotations = [0usize, 1, 4];
-    let warms = [WarmStart::Cold, WarmStart::Carry];
-
+    let alpha = ALPHA / FAMILY as f64;
     let mut entries: Vec<Entry> = Vec::new();
+    let mut halo_vs_plain = Tally::default();
+    let mut plain_vs_serial = Tally::default();
+    let mut halo_vs_serial = Tally::default();
+    println!("Bonferroni alpha = {ALPHA} / {FAMILY} = {alpha:.5}; {} fit seeds", args.seeds);
     println!(
-        "{:<16} {:<16} {:<34} {:>6} {:>9} {:>9} {:>9} {:>9}",
-        "suite", "plan", "policy", "warm", "acc mean", "acc min", "acc band", "ari mean"
+        "{:<12} {:<16} {:>5} {:>8} {:>8} {:>8} {:>10} {:>10}",
+        "table", "plan", "halo", "acc mean", "band", "ms/fit", "p vs h0", "p vs ser"
     );
-    let mut record = |suite: &'static str,
-                      plan: String,
-                      policy: String,
-                      rotation: usize,
-                      warm: &'static str,
-                      runs: &[(f64, f64)]| {
-        let accs: Vec<f64> = runs.iter().map(|r| r.0).collect();
-        let aris: Vec<f64> = runs.iter().map(|r| r.1).collect();
-        let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-        let min = |v: &[f64]| v.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = |v: &[f64]| v.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let entry = Entry {
-            suite,
-            plan,
-            policy,
-            rotation,
-            warm,
-            acc_mean: mean(&accs),
-            acc_min: min(&accs),
-            acc_max: max(&accs),
-            ari_mean: mean(&aris),
-            ari_min: min(&aris),
-        };
-        assert!(
-            entry.acc_mean.is_finite() && entry.ari_mean.is_finite(),
-            "non-finite metric in {suite}/{}/{}",
-            entry.plan,
-            entry.policy
-        );
+    let mut record = |entry: Entry| {
+        let p = |v: Option<f64>| v.map_or("—".to_owned(), |p| format!("{p:.4}"));
         println!(
-            "{:<16} {:<16} {:<34} {:>6} {:>9.3} {:>9.3} {:>9.3} {:>9.3}",
-            entry.suite,
+            "{:<12} {:<16} {:>5} {:>8.3} {:>8.3} {:>8.2} {:>10} {:>10}",
+            entry.table,
             entry.plan,
-            entry.policy,
-            entry.warm,
+            entry.halo,
             entry.acc_mean,
-            entry.acc_min,
             entry.acc_max - entry.acc_min,
-            entry.ari_mean
+            entry.ms_per_fit,
+            p(entry.p_vs_halo0),
+            p(entry.p_vs_serial),
         );
         entries.push(entry);
     };
 
-    for (suite, data, k) in &suites {
-        // Serial reference: no reconciliation happens, so the policy/rotation
-        // columns are moot, but warm start is plan-agnostic — both modes
-        // anchor what the replicated grid is judged against.
-        for warm in warms {
-            let config = Config { base: Base::Average, rotation: 0, warm };
-            let serial_runs: Vec<(f64, f64)> = (1..=args.seeds)
-                .map(|seed| {
-                    let (labels, _) = config.fit(&ExecutionPlan::Serial, seed, data, *k);
-                    (accuracy(data.labels(), &labels), adjusted_rand_index(data.labels(), &labels))
-                })
-                .collect();
-            record(
-                suite,
-                "serial".to_owned(),
-                "—".to_owned(),
-                0,
-                config.warm_label(),
-                &serial_runs,
-            );
-        }
-
-        for &batch in &batches {
+    for (n, gen_seed) in TABLES {
+        let data = nested(n, gen_seed);
+        let table = format!("n{n}/seed{gen_seed}");
+        let serial = run_arm(&data, &ExecutionPlan::Serial, 0, args.seeds);
+        record(entry(&table, "serial".to_owned(), 0, &serial, None, None));
+        for batch in [n / 4, n / 8] {
             let plan = ExecutionPlan::mini_batch(batch);
-            for &base in &bases {
-                for &rotation in &rotations {
-                    for &warm in &warms {
-                        let config = Config { base, rotation, warm };
-                        let runs: Vec<(f64, f64)> = (1..=args.seeds)
-                            .map(|seed| {
-                                let (labels, rotations_fired) = config.fit(&plan, seed, data, *k);
-                                // A long-period config may legitimately
-                                // converge before its first rotation; the
-                                // reverse — rotating with period 0 — is
-                                // always a bug.
-                                assert!(
-                                    rotation != 0 || rotations_fired == 0,
-                                    "non-rotating configuration fired {rotations_fired} rotations"
-                                );
-                                (
-                                    accuracy(data.labels(), &labels),
-                                    adjusted_rand_index(data.labels(), &labels),
-                                )
-                            })
-                            .collect();
-                        record(
-                            suite,
-                            format!("minibatch({batch})"),
-                            config.policy_label(),
-                            rotation,
-                            config.warm_label(),
-                            &runs,
-                        );
-                    }
-                }
-            }
+            let halo = n / 32;
+            let plain = run_arm(&data, &plan, 0, args.seeds);
+            let overlap = run_arm(&data, &plan, halo, args.seeds);
+            let p_plain = plain_vs_serial.test(&plain.accs, &serial.accs, alpha);
+            let p_halo = halo_vs_plain.test(&overlap.accs, &plain.accs, alpha);
+            let p_halo_serial = halo_vs_serial.test(&overlap.accs, &serial.accs, alpha);
+            let label = format!("minibatch({batch})");
+            record(entry(&table, label.clone(), 0, &plain, None, Some(p_plain)));
+            record(entry(&table, label, halo, &overlap, Some(p_halo), Some(p_halo_serial)));
         }
     }
 
-    let json = render_json(&entries, args.seeds, args.n);
+    println!("\nsignificant at alpha = {alpha:.5} (wins / losses of the first arm):");
+    for (name, tally) in [
+        ("halo n/32 vs halo 0", &halo_vs_plain),
+        ("halo 0 vs serial", &plain_vs_serial),
+        ("halo n/32 vs serial", &halo_vs_serial),
+    ] {
+        println!("  {name:<20} {} / {}", tally.wins, tally.losses);
+    }
+    let json = render_json(&entries, args.seeds, alpha);
     std::fs::write(&args.out, json).expect("write BENCH_reconcile.json");
     println!("\nwrote {}", args.out);
 }
 
-/// The `--quick` smoke grid: asserts the quality-recovery machinery is
-/// alive (no panic, finite metrics, rotation actually fires, and
-/// degenerate configurations stay degenerate) without measuring anything.
+fn entry(
+    table: &str,
+    plan: String,
+    halo: usize,
+    arm: &Arm,
+    p_vs_halo0: Option<f64>,
+    p_vs_serial: Option<f64>,
+) -> Entry {
+    Entry {
+        table: table.to_owned(),
+        plan,
+        halo,
+        acc_mean: arm.accs.iter().sum::<f64>() / arm.accs.len() as f64,
+        acc_min: arm.accs.iter().copied().fold(f64::INFINITY, f64::min),
+        acc_max: arm.accs.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+        ms_per_fit: arm.ms_per_fit,
+        p_vs_halo0,
+        p_vs_serial,
+    }
+}
+
+/// The `--quick` smoke grid: the merge and the halo run end to end with
+/// finite metrics, without measuring anything.
 fn run_quick() {
     let n = 240;
-    let suites = suites(n);
-    let plan = ExecutionPlan::mini_batch(60);
-    let configs = [
-        Config { base: Base::Average, rotation: 0, warm: WarmStart::Cold },
-        Config { base: Base::Momentum(0.9), rotation: 1, warm: WarmStart::Carry },
-    ];
-    for (suite, data, k) in &suites {
-        for config in &configs {
-            for seed in 1..=2u64 {
-                let (labels, rotations) = config.fit(&plan, seed, data, *k);
-                let acc = accuracy(data.labels(), labels.as_slice());
-                let ari = adjusted_rand_index(data.labels(), labels.as_slice());
-                assert!(
-                    acc.is_finite() && ari.is_finite(),
-                    "non-finite metric on {suite} under {}",
-                    config.policy_label()
-                );
-                if config.rotation > 0 {
-                    assert!(
-                        rotations > 0,
-                        "rotating configuration never rotated on {suite} (seed {seed})"
-                    );
-                } else {
-                    assert_eq!(rotations, 0, "non-rotating configuration rotated on {suite}");
-                }
-                println!(
-                    "quick {suite:<16} {:<34} warm={:<5} seed={seed} \
-                     acc={acc:.3} ari={ari:.3} rotations={rotations}",
-                    config.policy_label(),
-                    config.warm_label(),
-                );
-            }
-        }
+    let data = nested(n, 3);
+    for (plan, halo) in [
+        (ExecutionPlan::Serial, 0),
+        (ExecutionPlan::mini_batch(n / 4), 0),
+        (ExecutionPlan::mini_batch(n / 4), n / 32),
+    ] {
+        let arm = run_arm(&data, &plan, halo, 2);
+        println!("quick {plan:?} halo={halo} accs={:?}", arm.accs);
     }
     println!("reconcile_ablation --quick: OK");
 }
 
 /// Hand-rolled JSON (the workspace has no serde_json; labels are plain
 /// ASCII, numbers are finite).
-fn render_json(entries: &[Entry], seeds: u64, n: usize) -> String {
+fn render_json(entries: &[Entry], seeds: u64, alpha: f64) -> String {
+    let p = |v: Option<f64>| v.map_or("null".to_owned(), |p| format!("{p:.6}"));
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"reconcile_ablation\",\n");
     out.push_str(&format!("  \"fit_seeds\": {seeds},\n"));
-    out.push_str(&format!("  \"n\": {n},\n"));
+    out.push_str("  \"test\": \"two-tailed paired Wilcoxon signed-rank on ACC\",\n");
+    out.push_str(&format!("  \"alpha_bonferroni\": {alpha:.6},\n"));
     out.push_str("  \"entries\": [\n");
     for (i, e) in entries.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"suite\": \"{}\", \"plan\": \"{}\", \"policy\": \"{}\", \
-             \"rotation\": {}, \"warm_start\": \"{}\", \
+            "    {{\"table\": \"{}\", \"plan\": \"{}\", \"halo\": {}, \
              \"acc_mean\": {:.4}, \"acc_min\": {:.4}, \"acc_max\": {:.4}, \
-             \"acc_band\": {:.4}, \"ari_mean\": {:.4}, \"ari_min\": {:.4}}}{}\n",
-            e.suite,
+             \"acc_band\": {:.4}, \"ms_per_fit\": {:.3}, \
+             \"p_vs_halo0\": {}, \"p_vs_serial\": {}}}{}\n",
+            e.table,
             e.plan,
-            e.policy,
-            e.rotation,
-            e.warm,
+            e.halo,
             e.acc_mean,
             e.acc_min,
             e.acc_max,
             e.acc_max - e.acc_min,
-            e.ari_mean,
-            e.ari_min,
+            e.ms_per_fit,
+            p(e.p_vs_halo0),
+            p(e.p_vs_serial),
             if i + 1 < entries.len() { "," } else { "" }
         ));
     }
@@ -338,22 +243,19 @@ fn render_json(entries: &[Entry], seeds: u64, n: usize) -> String {
 struct Args {
     out: String,
     seeds: u64,
-    n: usize,
     quick: bool,
 }
 
 impl Args {
     fn parse() -> Args {
-        let mut args =
-            Args { out: "BENCH_reconcile.json".to_owned(), seeds: 10, n: 600, quick: false };
+        let mut args = Args { out: "BENCH_reconcile.json".to_owned(), seeds: 60, quick: false };
         let mut it = std::env::args().skip(1);
         while let Some(flag) = it.next() {
             match flag.as_str() {
                 "--out" => args.out = it.next().expect("--out PATH"),
                 "--seeds" => args.seeds = it.next().expect("--seeds N").parse().expect("numeric"),
-                "--n" => args.n = it.next().expect("--n ROWS").parse().expect("numeric"),
                 "--quick" => args.quick = true,
-                other => panic!("unknown flag {other}; use --out, --seeds, --n, --quick"),
+                other => panic!("unknown flag {other}; use --out, --seeds, --quick"),
             }
         }
         args

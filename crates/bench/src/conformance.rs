@@ -27,10 +27,7 @@ use categorical_data::stats::entropy_from_counts;
 use categorical_data::synth::GeneratorConfig;
 use categorical_data::{CategoricalTable, MISSING};
 use cluster_eval::accuracy;
-use mcdc_core::{
-    DeltaAverage, DeltaMomentum, ExecutionPlan, FaultPlan, Mcdc, McdcResult, Mgcpl, OverlapShards,
-    Rotate, StreamingMcdc, UnseenPolicy, WarmStart,
-};
+use mcdc_core::{ExecutionPlan, FaultPlan, Mcdc, McdcResult, Mgcpl, StreamingMcdc, UnseenPolicy};
 use mcdc_reference::{
     distinct_labels, partition_entropy, reference_mcdc, ReferenceConfig, ReferenceMcdc,
 };
@@ -87,21 +84,6 @@ pub enum PlanArm {
     Sharded3,
 }
 
-/// Reconciliation arm of a grid cell (ignored by serial plans).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PolicyArm {
-    /// Span-size-weighted δ averaging.
-    Average,
-    /// δ momentum with β = 0.5.
-    Momentum,
-    /// Overlapping shards with a 2-row halo.
-    Overlap,
-    /// Rotation every 2 passes over δ averaging.
-    RotateAverage,
-    /// Rotation every 2 passes over δ momentum — the composed policy.
-    RotateMomentum,
-}
-
 /// One cell of the conformance grid: a full pipeline configuration and the
 /// equivalence tier its results are held to.
 #[derive(Debug, Clone, Copy)]
@@ -112,36 +94,21 @@ pub struct GridCell {
     pub tier: Tier,
     /// Execution plan arm.
     pub plan: PlanArm,
-    /// Reconciliation arm.
-    pub policy: PolicyArm,
-    /// Warm-start mode across MGCPL stages.
-    pub warm: WarmStart,
+    /// Shard halo in rows (ignored by serial plans).
+    pub halo: usize,
 }
 
-/// The full `ExecutionPlan × Reconcile × Rotate × WarmStart` grid — every
-/// combination with distinct semantics, 11 cells.
+/// The `ExecutionPlan` × halo grid — every combination with distinct
+/// semantics, 5 cells.
 pub fn grid() -> Vec<GridCell> {
     use PlanArm::*;
-    use PolicyArm::*;
-    let cell = |name, tier, plan, policy, warm| GridCell { name, tier, plan, policy, warm };
+    let cell = |name, tier, plan, halo| GridCell { name, tier, plan, halo };
     vec![
-        cell("serial/cold", Tier::Exact, Serial, Average, WarmStart::Cold),
-        cell("serial/carry", Tier::Exact, Serial, Average, WarmStart::Carry),
-        cell("batch-full/average/cold", Tier::Exact, FullBatch, Average, WarmStart::Cold),
-        cell("batch/average/cold", Tier::Bounded, QuarterBatch, Average, WarmStart::Cold),
-        cell("batch/average/carry", Tier::Bounded, QuarterBatch, Average, WarmStart::Carry),
-        cell("batch/momentum/cold", Tier::Bounded, QuarterBatch, Momentum, WarmStart::Cold),
-        cell("batch/rotate/cold", Tier::Bounded, QuarterBatch, RotateAverage, WarmStart::Cold),
-        cell(
-            "batch/rotate-momentum/carry",
-            Tier::Bounded,
-            QuarterBatch,
-            RotateMomentum,
-            WarmStart::Carry,
-        ),
-        cell("sharded/average/cold", Tier::Bounded, Sharded3, Average, WarmStart::Cold),
-        cell("sharded/overlap/cold", Tier::Bounded, Sharded3, Overlap, WarmStart::Cold),
-        cell("sharded/rotate/carry", Tier::Bounded, Sharded3, RotateAverage, WarmStart::Carry),
+        cell("serial", Tier::Exact, Serial, 0),
+        cell("batch-full", Tier::Exact, FullBatch, 0),
+        cell("batch", Tier::Bounded, QuarterBatch, 0),
+        cell("sharded", Tier::Bounded, Sharded3, 0),
+        cell("sharded/halo", Tier::Bounded, Sharded3, 2),
     ]
 }
 
@@ -227,7 +194,7 @@ pub fn run_cell(
     cell: &GridCell,
 ) -> McdcResult {
     let n = table.n_rows();
-    let mut builder = Mcdc::builder().seed(seed).warm_start(cell.warm);
+    let mut builder = Mcdc::builder().seed(seed).halo(cell.halo);
     if let Some(k0) = initial_k {
         builder = builder.initial_k(k0);
     }
@@ -239,27 +206,17 @@ pub fn run_cell(
         }
         PlanArm::Sharded3 => builder.execution(ExecutionPlan::sharded(contiguous_shards(n, 3))),
     };
-    builder = match cell.policy {
-        PolicyArm::Average => builder.reconcile(DeltaAverage),
-        PolicyArm::Momentum => builder.reconcile(DeltaMomentum { beta: 0.5 }),
-        PolicyArm::Overlap => builder.reconcile(OverlapShards { halo: 2 }),
-        PolicyArm::RotateAverage => builder.reconcile(Rotate::every(2)),
-        PolicyArm::RotateMomentum => {
-            builder.reconcile(Rotate { period: 2, inner: DeltaMomentum { beta: 0.5 } })
-        }
-    };
     builder.build().fit(table, k).expect("conformance tables are non-degenerate")
 }
 
-/// Runs the oracle configuration a cell's exact tier compares against.
+/// Runs the oracle configuration every cell compares against.
 pub fn run_reference(
     table: &CategoricalTable,
     k: usize,
     initial_k: Option<usize>,
     seed: u64,
-    carry: bool,
 ) -> ReferenceMcdc {
-    let config = ReferenceConfig { seed, initial_k, carry_warm_start: carry, ..Default::default() };
+    let config = ReferenceConfig { seed, initial_k, ..Default::default() };
     reference_mcdc(table, k, &config).expect("oracle accepts every generated table")
 }
 
@@ -312,14 +269,12 @@ pub fn cell_divergence(
     initial_k: Option<usize>,
     seed: u64,
     cell: &GridCell,
-    oracle_cold: &ReferenceMcdc,
-    oracle_carry: &ReferenceMcdc,
+    oracle: &ReferenceMcdc,
 ) -> Option<String> {
     let opt = run_cell(table, k, initial_k, seed, cell);
     if let Some(detail) = internal_divergence(&opt.mgcpl().partitions, &opt.mgcpl().kappa) {
         return Some(detail);
     }
-    let oracle = if cell.warm == WarmStart::Carry { oracle_carry } else { oracle_cold };
     match cell.tier {
         Tier::Exact => {
             if opt.mgcpl().kappa != oracle.mgcpl.kappa {
@@ -345,7 +300,7 @@ pub fn cell_divergence(
             None
         }
         Tier::Bounded => {
-            let acc = accuracy(&oracle_cold.labels, opt.labels());
+            let acc = accuracy(&oracle.labels, opt.labels());
             let floor = bounded_floor(k);
             if acc < floor {
                 Some(format!("ACC vs oracle {acc:.3} below floor {floor:.3} (k = {k})"))
@@ -372,24 +327,14 @@ pub struct Divergence {
 /// internal-consistency checks, reported under the pseudo-cell `oracle`.
 pub fn replay_table(seed: u64) -> Vec<Divergence> {
     let (spec, table) = random_table(seed);
-    let oracle_cold = run_reference(&table, spec.k, spec.initial_k, seed, false);
-    let oracle_carry = run_reference(&table, spec.k, spec.initial_k, seed, true);
+    let oracle = run_reference(&table, spec.k, spec.initial_k, seed);
     let mut divergences = Vec::new();
-    for (oracle, name) in [(&oracle_cold, "oracle/cold"), (&oracle_carry, "oracle/carry")] {
-        if let Some(detail) = internal_divergence(&oracle.mgcpl.partitions, &oracle.mgcpl.kappa) {
-            divergences.push(Divergence { seed, cell: name, detail });
-        }
+    if let Some(detail) = internal_divergence(&oracle.mgcpl.partitions, &oracle.mgcpl.kappa) {
+        divergences.push(Divergence { seed, cell: "oracle", detail });
     }
     for cell in grid() {
-        if let Some(detail) = cell_divergence(
-            &table,
-            spec.k,
-            spec.initial_k,
-            seed,
-            &cell,
-            &oracle_cold,
-            &oracle_carry,
-        ) {
+        if let Some(detail) = cell_divergence(&table, spec.k, spec.initial_k, seed, &cell, &oracle)
+        {
             divergences.push(Divergence { seed, cell: cell.name, detail });
         }
     }
@@ -412,10 +357,8 @@ pub fn minimize_table(spec: &TableSpec, seed: u64, cell: &GridCell) -> Vec<Vec<u
         for row in rows {
             sub.push_row(row).expect("minimized rows share the schema");
         }
-        let oracle_cold = run_reference(&sub, spec.k, spec.initial_k, seed, false);
-        let oracle_carry = run_reference(&sub, spec.k, spec.initial_k, seed, true);
-        cell_divergence(&sub, spec.k, spec.initial_k, seed, cell, &oracle_cold, &oracle_carry)
-            .is_some()
+        let oracle = run_reference(&sub, spec.k, spec.initial_k, seed);
+        cell_divergence(&sub, spec.k, spec.initial_k, seed, cell, &oracle).is_some()
     };
 
     let rows: Vec<Vec<u32>> = (0..table.n_rows()).map(|i| table.row(i).to_vec()).collect();
@@ -570,8 +513,7 @@ pub fn measure_suite(suite: &GateSuite) -> GateCounters {
             GeneratorConfig::new("gate", GATE_N, vec![6; 8], 3).noise(0.12).generate(seed).dataset;
         let mut builder = Mcdc::builder().seed(seed).initial_k(24);
         if suite.batch > 0 {
-            builder =
-                builder.execution(ExecutionPlan::mini_batch(suite.batch)).reconcile(DeltaAverage);
+            builder = builder.execution(ExecutionPlan::mini_batch(suite.batch));
         }
         let result = builder.build().fit(data.table(), 3).expect("gate tables are well-formed");
         for stats in [&result.mgcpl().stats, result.came().stats()] {
@@ -764,18 +706,18 @@ mod tests {
     #[test]
     fn grid_covers_every_arm() {
         let cells = grid();
-        assert_eq!(cells.len(), 11);
+        assert_eq!(cells.len(), 5);
         assert!(cells.iter().any(|c| c.tier == Tier::Exact && c.plan == PlanArm::Serial));
         assert!(cells.iter().any(|c| c.tier == Tier::Exact && c.plan == PlanArm::FullBatch));
-        assert!(cells.iter().any(|c| c.plan == PlanArm::Sharded3));
-        assert!(cells.iter().any(|c| c.policy == PolicyArm::Overlap));
-        assert!(cells.iter().any(|c| c.policy == PolicyArm::RotateMomentum));
-        assert!(cells.iter().any(|c| c.warm == WarmStart::Carry && c.tier == Tier::Exact));
-        assert!(cells.iter().any(|c| c.warm == WarmStart::Carry && c.tier == Tier::Bounded));
+        assert!(cells.iter().any(|c| c.plan == PlanArm::QuarterBatch));
+        assert!(cells.iter().any(|c| c.plan == PlanArm::Sharded3 && c.halo == 0));
+        assert!(cells.iter().any(|c| c.plan == PlanArm::Sharded3 && c.halo > 0));
+        // The exact tier runs disjoint shards only: the oracle has no halo.
+        assert!(cells.iter().filter(|c| c.tier == Tier::Exact).all(|c| c.halo == 0));
         let mut names: Vec<&str> = cells.iter().map(|c| c.name).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 11, "cell names must be unique");
+        assert_eq!(names.len(), 5, "cell names must be unique");
     }
 
     #[test]

@@ -22,13 +22,13 @@
 //!   `mcdc-dist-sim`'s `GranularPartitioner` so replicas align with the
 //!   data's coarse-cluster structure.
 //!
-//! *How* the replicas reconcile is itself pluggable: the learner's
-//! [`Reconcile`](crate::Reconcile) policy chooses the δ blend and whether
-//! shards overlap by a halo of boundary rows (this module materializes the
-//! halo geometry into the [`ShardMap`]). Replicas reconcile once per pass,
-//! at the pass barrier. See `DESIGN.md` §4 for the replica-merge
-//! semantics, §5 for the policies, and why serial ≡ mini-batch only at
-//! `batch_size = n`.
+//! Replicas reconcile once per pass, at the pass barrier, by one fixed
+//! rule: an exact profile merge plus a span-size-weighted δ average. The
+//! learner's optional `halo` lets shards overlap by a band of boundary rows
+//! (this module materializes that geometry into the [`ShardMap`]). See
+//! `DESIGN.md` §4 for the replica-merge semantics and why serial ≡
+//! mini-batch only at `batch_size = n`, and §5 for the merge rule and the
+//! halo.
 
 use categorical_data::CategoricalTable;
 
@@ -189,94 +189,93 @@ impl ExecutionPlan {
         }
     }
 
-    /// The row → replica map for `table` under a reconciliation halo of
-    /// `halo` boundary rows, or `None` for the serial plan. Mini-batch
-    /// geometry comes from the table's own deterministic sharder
+    /// The row → replica map for `table` under a halo of `halo` boundary
+    /// rows, or `None` for the serial plan. Mini-batch geometry comes from
+    /// the table's own deterministic sharder
     /// ([`CategoricalTable::shard_rows`] — zero-copy `TableShard` ranges);
     /// a sharder rejection is surfaced as [`McdcError::InvalidShards`]
     /// rather than trusted to be unreachable, so the engine stays
     /// panic-free even if the two validators ever drift.
     ///
-    /// With `halo > 0` (an overlapping [`Reconcile`](crate::Reconcile)
-    /// policy) each replica additionally *presents* — without owning — the
-    /// last `halo` rows of the previous shard and the first `halo` rows of
-    /// the next, in shard-index order; for a mini-batch plan's contiguous
-    /// shards these are the geometric boundary rows. Borrow lists clamp to
-    /// the neighbor's size, so an oversized halo degrades to presenting the
-    /// whole neighbor rather than erroring.
+    /// With `halo > 0` each replica additionally *presents* — without
+    /// owning — the last `halo` rows of the previous shard and the first
+    /// `halo` rows of the next, in shard-index order; for a mini-batch
+    /// plan's contiguous shards these are the geometric boundary rows.
+    /// Borrow lists clamp to the neighbor's size, so an oversized halo
+    /// degrades to presenting the whole neighbor rather than erroring.
     pub(crate) fn shard_map(
         &self,
         table: &CategoricalTable,
         halo: usize,
     ) -> Result<Option<ShardMap>, McdcError> {
         let n = table.n_rows();
-        let shards: Vec<Vec<usize>> = match self {
+        let batches: Vec<Vec<usize>>;
+        let shards: &[Vec<usize>] = match self {
             ExecutionPlan::Serial => return Ok(None),
-            ExecutionPlan::MiniBatch { batch_size } => table
-                .shard_rows(*batch_size)
-                .map_err(|e| McdcError::InvalidShards { message: e.to_string() })?
-                .iter()
-                .map(|shard| shard.range().collect())
-                .collect(),
-            ExecutionPlan::Sharded { shards } => shards.clone(),
+            ExecutionPlan::MiniBatch { batch_size } => {
+                batches = table
+                    .shard_rows(*batch_size)
+                    .map_err(|e| McdcError::InvalidShards { message: e.to_string() })?
+                    .iter()
+                    .map(|shard| shard.range().collect())
+                    .collect();
+                &batches
+            }
+            ExecutionPlan::Sharded { shards } => shards,
         };
         let mut map = ShardMap {
-            n,
-            n_shards: shards.len(),
-            halo,
-            stride: rotation_stride(n, shards.len()),
-            offset: 0,
-            base: shards,
             shard_of: vec![0u32; n],
+            n_shards: shards.len(),
             extra_of: Vec::new(),
             vote_slot: Vec::new(),
             halo_rows: Vec::new(),
         };
-        map.rebuild();
+        for (s, shard) in shards.iter().enumerate() {
+            for &i in shard {
+                map.shard_of[i] = s as u32;
+            }
+        }
+        if halo > 0 && shards.len() > 1 {
+            map.extra_of = vec![Vec::new(); n];
+            for s in 0..shards.len() {
+                if s > 0 {
+                    let prev = &shards[s - 1];
+                    for &i in &prev[prev.len().saturating_sub(halo)..] {
+                        map.extra_of[i].push(s as u32);
+                    }
+                }
+                if s + 1 < shards.len() {
+                    let next = &shards[s + 1];
+                    for &i in &next[..halo.min(next.len())] {
+                        map.extra_of[i].push(s as u32);
+                    }
+                }
+            }
+            // Dense indices for the (few) multiply-presented rows, so the
+            // per-pass vote buffers size with the overlap, not with n.
+            map.vote_slot = vec![u32::MAX; n];
+            for i in 0..n {
+                if !map.extra_of[i].is_empty() {
+                    map.vote_slot[i] = map.halo_rows.len() as u32;
+                    map.halo_rows.push(i);
+                }
+            }
+        }
         Ok(Some(map))
     }
 }
 
-/// Row shift applied per rotation step: roughly the golden-ratio fraction
-/// of the mean shard width (5/8, in integer arithmetic), floored at 1. A
-/// shift of a *whole* shard width would merely relabel which replica holds
-/// which block — cohort compositions would repeat immediately — while a
-/// non-trivial fraction moves the cohort boundaries through the row space,
-/// and the irrational-ish ratio keeps successive offsets from cycling
-/// through a tiny set of groupings.
-fn rotation_stride(n: usize, n_shards: usize) -> usize {
-    ((n / n_shards.max(1)) * 5 / 8).max(1)
-}
-
-/// Materialized row → replica assignment for one fit.
-///
-/// The assignment is derived from a fixed *base* partition plus a rotation
-/// `offset`: row `j` is owned (and haloed) exactly as base row
-/// `(j + offset) mod n` was at offset 0 — a cyclic shift of the row space
-/// that preserves shard sizes and halo geometry. [`ShardMap::rotate`]
-/// advances the offset by a fixed stride and re-derives the working arrays
-/// in place (buffers are reused, not reallocated), which is how a rotating
-/// [`Reconcile`](crate::Reconcile) policy changes cohort composition
-/// between merge steps without touching the exactness of any single pass.
+/// Materialized row → replica assignment for one fit: the owning replica
+/// of every row plus, under a halo, the replicas that borrow it.
 #[derive(Debug, Clone)]
 pub(crate) struct ShardMap {
-    /// Table rows covered by the map.
-    n: usize,
-    /// The offset-0 partition the rotation permutes (shard-index order).
-    base: Vec<Vec<usize>>,
-    /// Reconciliation halo width the geometry was built for.
-    halo: usize,
-    /// Row shift applied per rotation step (see [`rotation_stride`]).
-    stride: usize,
-    /// Current cyclic shift of the row space.
-    offset: usize,
     /// Owning replica per table row.
     pub shard_of: Vec<u32>,
     /// Number of replicas.
     pub n_shards: usize,
     /// Non-owning presenters per row (halo borrowers, in shard order).
-    /// Empty — length 0, not `n` — when the reconciliation halo is 0, so
-    /// the common case allocates nothing.
+    /// Empty — length 0, not `n` — when the halo is 0, so the common case
+    /// allocates nothing.
     pub extra_of: Vec<Vec<u32>>,
     /// Dense vote-buffer index per row (`u32::MAX` for rows presented
     /// once); empty when the halo is 0.
@@ -290,76 +289,6 @@ impl ShardMap {
     /// Whether any row is presented to more than one replica.
     pub fn has_overlap(&self) -> bool {
         !self.extra_of.is_empty()
-    }
-
-    /// Re-derives the working arrays (`shard_of`, halo geometry) from the
-    /// base partition under the current rotation offset, reusing every
-    /// buffer. Row `j` takes the role base row `(j + offset) mod n` plays
-    /// at offset 0; at offset 0 this is the identity, so construction and
-    /// rotation share one code path.
-    fn rebuild(&mut self) {
-        let n = self.n;
-        let offset = self.offset % n.max(1);
-        // base row index → the table row currently playing that role.
-        let translate = |b: usize| (b + n - offset) % n;
-        for (s, shard) in self.base.iter().enumerate() {
-            for &b in shard {
-                self.shard_of[translate(b)] = s as u32;
-            }
-        }
-        if self.halo > 0 && self.base.len() > 1 {
-            if self.extra_of.len() != n {
-                self.extra_of.resize(n, Vec::new());
-            }
-            for extras in self.extra_of.iter_mut() {
-                extras.clear();
-            }
-            for s in 0..self.base.len() {
-                if s > 0 {
-                    let prev = &self.base[s - 1];
-                    for &b in &prev[prev.len().saturating_sub(self.halo)..] {
-                        self.extra_of[translate(b)].push(s as u32);
-                    }
-                }
-                if s + 1 < self.base.len() {
-                    let next = &self.base[s + 1];
-                    for &b in &next[..self.halo.min(next.len())] {
-                        self.extra_of[translate(b)].push(s as u32);
-                    }
-                }
-            }
-            // Dense indices for the (few) multiply-presented rows, so the
-            // per-pass vote buffers size with the overlap, not with n.
-            if self.vote_slot.len() != n {
-                self.vote_slot.resize(n, u32::MAX);
-            }
-            self.vote_slot.fill(u32::MAX);
-            self.halo_rows.clear();
-            for i in 0..n {
-                if !self.extra_of[i].is_empty() {
-                    self.vote_slot[i] = self.halo_rows.len() as u32;
-                    self.halo_rows.push(i);
-                }
-            }
-        }
-    }
-
-    /// Advances the rotation by one stride and re-derives the row → replica
-    /// assignment in place. Returns whether anything moved — single-shard
-    /// (and single-row) maps have only one possible cohort, so rotation is
-    /// a no-op there and is not counted as fired.
-    pub(crate) fn rotate(&mut self) -> bool {
-        if self.n_shards < 2 || self.n < 2 {
-            return false;
-        }
-        self.offset = (self.offset + self.stride) % self.n;
-        self.rebuild();
-        true
-    }
-
-    #[cfg(test)]
-    pub(crate) fn rotation_offset(&self) -> usize {
-        self.offset
     }
 
     /// Fills one presentation span per replica — the global shuffled
@@ -393,61 +322,6 @@ impl ShardMap {
             }
         }
     }
-}
-
-/// How MGCPL re-launches at each granularity-stage boundary (Alg. 1
-/// step 13): whether the next, coarser cascade level starts from cold
-/// competition statistics or warm-starts from the reconciled state of the
-/// level that just converged.
-///
-/// The cascade always carries the surviving clusters' *profiles and
-/// memberships* across stages — that is Alg. 1 itself. What the paper
-/// resets at every re-launch are the competition statistics: δ back to 1,
-/// win counts to 0, ω to uniform. [`WarmStart::Carry`] keeps the
-/// reconciled δ and ω instead (win counts still reset — the ρ conscience
-/// is stage-scoped by design), so the next level starts scoring with the
-/// feature relevances and award/penalty standings the previous level
-/// already agreed on. Under a replicated
-/// [`ExecutionPlan`](crate::ExecutionPlan) that agreed-on state is the
-/// *merged* consensus of all replicas (profile merge + the
-/// [`Reconcile`](crate::Reconcile) δ blend), which is what makes the carry
-/// a cross-shard warm start rather than a per-shard one: every shard's
-/// first pass of the new stage begins from the same globally reconciled δ
-/// and ω instead of re-deriving them cold from its local cohort.
-///
-/// [`WarmStart::Cold`] is the default and reproduces the historical
-/// behavior bit-exactly (pinned by
-/// `crates/core/tests/quality_recovery.rs`).
-///
-/// # Example
-///
-/// ```
-/// use mcdc_core::{ExecutionPlan, Mgcpl, WarmStart};
-/// use categorical_data::synth::GeneratorConfig;
-///
-/// let data = GeneratorConfig::new("warm", 240, vec![4; 8], 3)
-///     .noise(0.05)
-///     .generate(7)
-///     .dataset;
-/// let result = Mgcpl::builder()
-///     .seed(1)
-///     .execution(ExecutionPlan::mini_batch(60))
-///     .warm_start(WarmStart::Carry)
-///     .build()
-///     .fit(data.table())?;
-/// // The cascade invariants hold regardless of the re-launch mode.
-/// assert!(result.kappa.windows(2).all(|w| w[0] > w[1]) || result.kappa.len() == 1);
-/// # Ok::<(), mcdc_core::McdcError>(())
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum WarmStart {
-    /// Cold re-launch, exactly Alg. 1 step 13: δ resets to 1, win counts
-    /// clear, ω returns to uniform. The reference semantics.
-    #[default]
-    Cold,
-    /// Seed the next granularity level from the reconciled δ and ω of the
-    /// level that just converged (win counts still reset).
-    Carry,
 }
 
 #[cfg(test)]
@@ -625,72 +499,26 @@ mod tests {
     }
 
     #[test]
-    fn rotation_shifts_cohort_boundaries_not_just_labels() {
-        let mut map = ExecutionPlan::mini_batch(5).shard_map(&table(10), 0).unwrap().unwrap();
-        let before = map.shard_of.clone();
-        assert!(map.rotate());
-        // Stride for width 5 is ⌊5·5/8⌋ = 3: row j now plays base row
-        // (j + 3) mod 10's role, so rows 0..2 join the old tail's shard.
-        assert_eq!(map.rotation_offset(), 3);
-        assert_ne!(map.shard_of, before, "rotation must move ownership");
-        // Shard sizes are preserved — the permutation is a bijection.
-        let mut sizes = [0usize; 2];
-        for &s in &map.shard_of {
-            sizes[s as usize] += 1;
+    fn halo_geometry_is_consistent() {
+        let map = ExecutionPlan::mini_batch(4).shard_map(&table(10), 2).unwrap().unwrap();
+        // Halo rows are exactly the rows with extra presenters, vote slots
+        // invert halo_rows, and no row is presented twice to one replica.
+        for (slot, i) in map.halo_rows.iter().enumerate() {
+            assert_eq!(map.vote_slot[*i] as usize, slot);
+            assert!(!map.extra_of[*i].is_empty());
         }
-        assert_eq!(sizes, [5, 5]);
-        // The grouping genuinely changed: rows 1 and 2 were cohort-mates
-        // at offset 0 (both in [0..5)) and are split at offset 3, where
-        // shard 0 owns [7..10)∪[0..2) and shard 1 owns [2..7).
-        assert_ne!(map.shard_of[1], map.shard_of[2]);
-    }
-
-    #[test]
-    fn rotation_rebuilds_halo_geometry_consistently() {
-        let mut map = ExecutionPlan::mini_batch(4).shard_map(&table(10), 2).unwrap().unwrap();
-        for _ in 0..5 {
-            assert!(map.rotate());
-            // Every rotation: halo rows are exactly the rows with extra
-            // presenters, vote slots invert halo_rows, and no row is
-            // presented twice to the same replica.
-            for (slot, i) in map.halo_rows.iter().enumerate() {
-                assert_eq!(map.vote_slot[*i] as usize, slot);
-                assert!(!map.extra_of[*i].is_empty());
+        for i in 0..10usize {
+            if map.extra_of[i].is_empty() {
+                assert_eq!(map.vote_slot[i], u32::MAX);
             }
-            for i in 0..10usize {
-                if map.extra_of[i].is_empty() {
-                    assert_eq!(map.vote_slot[i], u32::MAX);
-                }
-                let mut presenters: Vec<u32> = map.extra_of[i].clone();
-                presenters.push(map.shard_of[i]);
-                presenters.sort_unstable();
-                presenters.dedup();
-                assert_eq!(presenters.len(), 1 + map.extra_of[i].len(), "row {i} re-presented");
-            }
-            // The borrowed-row count is rotation-invariant (same geometry,
-            // shifted): shards [0..4),[4..8),[8..10) with halo 2 always
-            // yield 8 multiply-presented rows ({2..9} at offset 0).
-            assert_eq!(map.halo_rows.len(), 8);
+            let mut presenters: Vec<u32> = map.extra_of[i].clone();
+            presenters.push(map.shard_of[i]);
+            presenters.sort_unstable();
+            presenters.dedup();
+            assert_eq!(presenters.len(), 1 + map.extra_of[i].len(), "row {i} re-presented");
         }
-    }
-
-    #[test]
-    fn single_shard_maps_refuse_to_rotate() {
-        let mut map = ExecutionPlan::mini_batch(10).shard_map(&table(10), 0).unwrap().unwrap();
-        assert!(!map.rotate());
-        assert_eq!(map.rotation_offset(), 0);
-    }
-
-    #[test]
-    fn rotation_stride_is_a_nontrivial_fraction_of_the_shard_width() {
-        assert_eq!(rotation_stride(600, 4), 93); // 150 · 5/8
-        assert_eq!(rotation_stride(10, 2), 3);
-        assert_eq!(rotation_stride(4, 4), 1); // floored at 1
-        assert_eq!(rotation_stride(3, 7), 1);
-    }
-
-    #[test]
-    fn warm_start_default_is_cold() {
-        assert_eq!(WarmStart::default(), WarmStart::Cold);
+        // Shards [0..4), [4..8), [8..10) with halo 2 present rows {2..9}
+        // more than once.
+        assert_eq!(map.halo_rows, (2..10).collect::<Vec<_>>());
     }
 }

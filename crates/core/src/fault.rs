@@ -21,9 +21,8 @@
 //! [`FaultPlan::is_none`] so the clean path stays bit-exact with the
 //! pre-fault engine.
 //!
-//! Merge steps are counted from 0 exactly like the rotation clock in
-//! `mgcpl.rs`: step `s` is the `s`-th replicated pass of the fit,
-//! counted across stages.
+//! Merge steps are counted from 0: step `s` is the `s`-th replicated pass
+//! of the fit, counted across stages.
 
 use crate::McdcError;
 

@@ -414,6 +414,16 @@ impl FrozenModel {
         if !post_scale.is_finite() {
             return Err(corrupt(format!("non-finite post_scale {post_scale}")));
         }
+        // The offsets array is sized by the header's feature count: check
+        // it against the bytes that actually follow before allocating.
+        let offsets_bytes = (d as u64 + 1) * 4;
+        if offsets_bytes > (r.bytes.len() - r.pos) as u64 {
+            return Err(corrupt(format!(
+                "feature count {d} needs {offsets_bytes} offset bytes but only {} follow \
+                 the header",
+                r.bytes.len() - r.pos
+            )));
+        }
         let mut offsets = Vec::with_capacity(d + 1);
         for _ in 0..=d {
             offsets.push(r.u32()?);

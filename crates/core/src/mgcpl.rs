@@ -9,8 +9,6 @@
 //! clusters — producing one partition per *granularity* until two
 //! consecutive stages agree (`k_new == k_old`).
 
-use std::sync::Arc;
-
 use categorical_data::stats::FrequencyTable;
 use categorical_data::CategoricalTable;
 use rand::seq::SliceRandom;
@@ -27,8 +25,8 @@ use crate::workspace::{
     copy_into, note_growth, resize_tracked, MgcplScratch, ReplicaSlot, ReplicatedScratch, Workspace,
 };
 use crate::{
-    score_all_transposed, ClusterProfile, DeltaAverage, ExecutionPlan, HotPathStats, LearningTrace,
-    McdcError, Reconcile, StageRecord, WarmStart,
+    score_all_transposed, ClusterProfile, ExecutionPlan, HotPathStats, LearningTrace, McdcError,
+    StageRecord,
 };
 
 /// Configurable MGCPL learner. Construct via [`Mgcpl::builder`].
@@ -49,7 +47,7 @@ use crate::{
 /// assert!(result.kappa.windows(2).all(|w| w[0] > w[1]) || result.kappa.len() == 1);
 /// # Ok::<(), mcdc_core::McdcError>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mgcpl {
     learning_rate: f64,
     initial_k: Option<usize>,
@@ -59,33 +57,13 @@ pub struct Mgcpl {
     random_init: bool,
     seed: u64,
     execution: ExecutionPlan,
-    reconcile: Arc<dyn Reconcile>,
-    warm_start: WarmStart,
+    halo: usize,
     fault: FaultPlan,
-}
-
-// Policies compare by descriptor (name + parameters): two learners with the
-// same configuration and equally-described policies behave identically, and
-// `Arc<dyn Reconcile>` has no derivable equality of its own.
-impl PartialEq for Mgcpl {
-    fn eq(&self, other: &Self) -> bool {
-        self.learning_rate == other.learning_rate
-            && self.initial_k == other.initial_k
-            && self.max_inner_iterations == other.max_inner_iterations
-            && self.max_stages == other.max_stages
-            && self.weighted_similarity == other.weighted_similarity
-            && self.random_init == other.random_init
-            && self.seed == other.seed
-            && self.execution == other.execution
-            && self.reconcile.describe() == other.reconcile.describe()
-            && self.warm_start == other.warm_start
-            && self.fault == other.fault
-    }
 }
 
 /// Builder for [`Mgcpl`]; defaults follow the paper (`η = 0.03`,
 /// `k₀ = √n`, feature weighting on).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MgcplBuilder {
     learning_rate: f64,
     initial_k: Option<usize>,
@@ -95,25 +73,8 @@ pub struct MgcplBuilder {
     random_init: bool,
     seed: u64,
     execution: ExecutionPlan,
-    reconcile: Arc<dyn Reconcile>,
-    warm_start: WarmStart,
+    halo: usize,
     fault: FaultPlan,
-}
-
-impl PartialEq for MgcplBuilder {
-    fn eq(&self, other: &Self) -> bool {
-        self.learning_rate == other.learning_rate
-            && self.initial_k == other.initial_k
-            && self.max_inner_iterations == other.max_inner_iterations
-            && self.max_stages == other.max_stages
-            && self.weighted_similarity == other.weighted_similarity
-            && self.random_init == other.random_init
-            && self.seed == other.seed
-            && self.execution == other.execution
-            && self.reconcile.describe() == other.reconcile.describe()
-            && self.warm_start == other.warm_start
-            && self.fault == other.fault
-    }
 }
 
 impl Default for MgcplBuilder {
@@ -127,8 +88,7 @@ impl Default for MgcplBuilder {
             random_init: true,
             seed: 0,
             execution: ExecutionPlan::Serial,
-            reconcile: Arc::new(DeltaAverage),
-            warm_start: WarmStart::Cold,
+            halo: 0,
             fault: FaultPlan::none(),
         }
     }
@@ -202,31 +162,39 @@ impl MgcplBuilder {
         self
     }
 
-    /// Selects the reconciliation policy replicated plans use when their
-    /// shard replicas merge (default [`DeltaAverage`], the PR-2 rule). Has
-    /// no effect under [`ExecutionPlan::Serial`], which never reconciles.
-    /// See [`Reconcile`] for the shipped policies and the hook contract.
-    pub fn reconcile(self, policy: impl Reconcile + 'static) -> Self {
-        self.reconcile_arc(Arc::new(policy))
-    }
-
-    /// [`reconcile`](Self::reconcile) for an already-shared policy (what
-    /// [`McdcBuilder`](crate::McdcBuilder) forwards).
-    pub(crate) fn reconcile_arc(mut self, policy: Arc<dyn Reconcile>) -> Self {
-        self.reconcile = policy;
-        self
-    }
-
-    /// Selects how each granularity stage re-launches (default
-    /// [`WarmStart::Cold`], the paper's Alg. 1 step 13 reset, pinned
-    /// bit-exact against the historical behavior).
-    /// [`WarmStart::Carry`] seeds each coarser cascade level from the
-    /// reconciled δ and ω of the level that just converged — under a
-    /// replicated plan that is the cross-shard consensus state, so finer
-    /// levels stop re-deriving it cold per shard. See [`WarmStart`] for
-    /// the exact semantics and a worked example.
-    pub fn warm_start(mut self, warm: WarmStart) -> Self {
-        self.warm_start = warm;
+    /// Lets the shards of a replicated plan overlap by `rows` boundary
+    /// rows (default 0, disjoint shards). Each replica additionally
+    /// presents the last `rows` rows of the previous shard and the first
+    /// `rows` rows of the next, in shard-index order; a row presented to
+    /// several replicas settles by a similarity-weighted vote of their
+    /// verdicts, and ownership for the exact profile merge never moves.
+    /// The halo pays on many small shards whose boundaries cut through
+    /// natural clusters (DESIGN.md §5 has the 60-seed measurement). Each
+    /// borrowed row costs one extra presentation per pass; the width
+    /// clamps to the neighbor's size. No effect under
+    /// [`ExecutionPlan::Serial`], which has no shards.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use categorical_data::synth::GeneratorConfig;
+    /// use mcdc_core::{ExecutionPlan, Mgcpl};
+    ///
+    /// let data = GeneratorConfig::new("halo", 240, vec![4; 8], 3)
+    ///     .noise(0.05)
+    ///     .generate(7)
+    ///     .dataset;
+    /// let result = Mgcpl::builder()
+    ///     .seed(1)
+    ///     .execution(ExecutionPlan::mini_batch(30))
+    ///     .halo(240 / 32)
+    ///     .build()
+    ///     .fit(data.table())?;
+    /// assert!(result.kappa.windows(2).all(|w| w[0] > w[1]) || result.kappa.len() == 1);
+    /// # Ok::<(), mcdc_core::McdcError>(())
+    /// ```
+    pub fn halo(mut self, rows: usize) -> Self {
+        self.halo = rows;
         self
     }
 
@@ -247,9 +215,8 @@ impl MgcplBuilder {
     /// # Panics
     ///
     /// Panics on any configuration [`try_build`](Self::try_build) rejects:
-    /// a non-finite or out-of-range `learning_rate`, a zero cap, a
-    /// reconciliation policy describing a momentum coefficient outside
-    /// `[0, 1)`, or an invalid [`FaultPlan`].
+    /// a non-finite or out-of-range `learning_rate`, a zero cap, or an
+    /// invalid [`FaultPlan`].
     pub fn build(self) -> Mgcpl {
         self.try_build().unwrap_or_else(|e| panic!("{e}"))
     }
@@ -263,9 +230,8 @@ impl MgcplBuilder {
     ///
     /// Returns [`McdcError::InvalidConfig`] naming the offending parameter
     /// if `learning_rate` is not finite or outside `(0, 1)`, a cap is
-    /// zero, the reconciliation policy describes a momentum coefficient
-    /// that is not finite or outside `[0, 1)`, or the [`FaultPlan`] fails
-    /// its own validation (a rate outside `[0, 1]`, a zero retry budget).
+    /// zero, or the [`FaultPlan`] fails its own validation (a rate outside
+    /// `[0, 1]`, a zero retry budget).
     pub fn try_build(self) -> Result<Mgcpl, McdcError> {
         if !self.learning_rate.is_finite() || self.learning_rate <= 0.0 || self.learning_rate >= 1.0
         {
@@ -286,13 +252,6 @@ impl MgcplBuilder {
                 message: "must be positive".to_string(),
             });
         }
-        let beta = self.reconcile.describe().beta;
-        if !beta.is_finite() || !(0.0..1.0).contains(&beta) {
-            return Err(McdcError::InvalidConfig {
-                parameter: "reconcile.beta",
-                message: format!("momentum coefficient must be finite and in [0, 1), got {beta}"),
-            });
-        }
         self.fault.validate()?;
         Ok(Mgcpl {
             learning_rate: self.learning_rate,
@@ -303,8 +262,7 @@ impl MgcplBuilder {
             random_init: self.random_init,
             seed: self.seed,
             execution: self.execution,
-            reconcile: self.reconcile,
-            warm_start: self.warm_start,
+            halo: self.halo,
             fault: self.fault,
         })
     }
@@ -524,25 +482,6 @@ impl Cohort {
         self.omega.resize(self.len() * d, 1.0 / d as f64);
     }
 
-    /// Stage-boundary re-launch under the learner's [`WarmStart`] mode:
-    /// [`WarmStart::Cold`] is exactly [`reset_statistics`]
-    /// (Self::reset_statistics); [`WarmStart::Carry`] keeps the reconciled
-    /// δ and ω of the stage that just converged — the state every replica's
-    /// first pass of the next stage then snapshots — and resets only the
-    /// win counts (the ρ conscience stays stage-scoped; pruning keeps both
-    /// vectors compacted in lockstep, so no re-sizing is needed and the
-    /// carry allocates nothing).
-    fn relaunch(&mut self, d: usize, warm: WarmStart) {
-        match warm {
-            WarmStart::Cold => self.reset_statistics(d),
-            WarmStart::Carry => {
-                debug_assert_eq!(self.omega.len(), self.len() * d);
-                self.wins_prev.fill(0);
-                self.wins_now.fill(0);
-            }
-        }
-    }
-
     /// Removes empty clusters, compacting every parallel array and the
     /// `assignment` indices.
     fn prune_empty(&mut self, assignment: &mut [Option<usize>]) {
@@ -589,9 +528,9 @@ impl Mgcpl {
         &self.execution
     }
 
-    /// The configured reconciliation policy.
-    pub fn reconcile_policy(&self) -> &dyn Reconcile {
-        self.reconcile.as_ref()
+    /// The configured halo width in rows (0: disjoint shards).
+    pub fn halo(&self) -> usize {
+        self.halo
     }
 
     /// A copy of this learner with its execution plan adapted to an input
@@ -656,11 +595,9 @@ impl Mgcpl {
             return Err(McdcError::EmptyInput);
         }
         plan.validate(n)?;
-        let mut shard_map = plan.shard_map(table, self.reconcile.halo())?;
-        // Merge steps completed so far, across stages: a rotating policy
-        // permutes the row -> replica map every `rotation_period()` of
-        // these, and the counter deliberately spans stage boundaries so
-        // short stages cannot pin the rotation at one offset forever.
+        let shard_map = plan.shard_map(table, self.halo)?;
+        // Merge steps completed so far, across stages: the fault plan's
+        // step coordinate (DESIGN.md §8).
         let mut merge_steps: u64 = 0;
         let d = table.n_features();
         let k0 = match self.initial_k {
@@ -731,7 +668,7 @@ impl Mgcpl {
                 &mut clusters,
                 &mut assignment,
                 &mut rng,
-                shard_map.as_mut(),
+                shard_map.as_ref(),
                 &mut merge_steps,
                 ws,
                 &mut stats,
@@ -751,10 +688,8 @@ impl Mgcpl {
             }
             k_old = k_after;
 
-            // Re-launch for the next (coarser) granularity level: cold per
-            // Alg. 1, or seeded from this level's reconciled delta/omega
-            // under `WarmStart::Carry`.
-            clusters.relaunch(d, self.warm_start);
+            // Re-launch for the next (coarser) granularity level.
+            clusters.reset_statistics(d);
         }
 
         stats.allocations = ws.allocs - alloc_start;
@@ -786,7 +721,7 @@ impl Mgcpl {
         clusters: &mut Cohort,
         assignment: &mut [Option<usize>],
         rng: &mut ChaCha8Rng,
-        mut shard_map: Option<&mut ShardMap>,
+        shard_map: Option<&ShardMap>,
         merge_steps: &mut u64,
         ws: &mut Workspace,
         stats: &mut HotPathStats,
@@ -817,7 +752,7 @@ impl Mgcpl {
             let post_scale =
                 self.snapshot_pass(clusters, one_minus_rho, prefactors, accumulators, d, allocs);
 
-            let mut changed = match shard_map.as_deref_mut() {
+            let mut changed = match shard_map {
                 None => {
                     let changed = self.apply_span(
                         table,
@@ -852,16 +787,7 @@ impl Mgcpl {
                         allocs,
                         stats,
                     );
-                    // Replica rotation (DESIGN.md §6): between passes --
-                    // never within one, so each pass's profile merge stays
-                    // exact -- a rotating policy shifts the row -> replica
-                    // map so no row stays with the same cohort for the
-                    // whole fit.
                     *merge_steps += 1;
-                    let period = self.reconcile.rotation_period() as u64;
-                    if period > 0 && merge_steps.is_multiple_of(period) && map.rotate() {
-                        stats.rotations += 1;
-                    }
                     changed
                 }
             };
@@ -948,7 +874,7 @@ impl Mgcpl {
     /// (in presentation order — `decisions[t]` is the verdict for
     /// `order[t]`). When `confidences` is given, the winner's plain Eq. (14)
     /// similarity (no `(1 − ρ)·u` prefactor) is recorded alongside each
-    /// decision — the vote weight overlapping reconciliation policies use.
+    /// decision — the weight of the halo vote ([`halo_vote`]).
     /// Returns whether any membership changed.
     ///
     /// Assignments are *read* from the frozen `prior` snapshot rather than
@@ -1049,35 +975,31 @@ impl Mgcpl {
     /// Replica-merge apply phase — one *merge step* per pass: one
     /// [`apply_span`](Self::apply_span) per shard against a frozen clone of
     /// the pass-start cohort, rayon-parallel across shards, reconciled into
-    /// `clusters` under the configured [`Reconcile`] policy (DESIGN.md §5).
-    /// `order` is the pass's global shuffle:
+    /// `clusters` by the one merge rule (DESIGN.md §5). `order` is the
+    /// pass's global shuffle:
     ///
-    /// * **spans** — each replica presents its owned rows plus,
-    ///   when the policy declares a halo, the boundary rows borrowed from
-    ///   adjacent shards ([`ExecutionPlan::shard_map`] materializes the
-    ///   geometry);
+    /// * **spans** — each replica presents its owned rows plus, under a
+    ///   halo, the boundary rows borrowed from adjacent shards
+    ///   ([`ExecutionPlan::shard_map`] materializes the geometry);
     /// * **memberships** — rows presented once take their replica's verdict
-    ///   directly; rows presented on several replicas settle by the
-    ///   policy's [`resolve`](Reconcile::resolve) vote over the replicas'
-    ///   `(winner, similarity)` verdicts;
+    ///   directly; rows presented on several replicas settle by
+    ///   [`halo_vote`] over the replicas' `(winner, similarity)` verdicts;
     /// * **profiles** — per-cluster profiles are rebuilt over each shard's
     ///   *owned* rows from the settled memberships, then merged via
     ///   [`ClusterProfile::merge`]. Every row is owned by exactly one
     ///   shard whatever the halo, so the merged integer counts stay exact;
-    /// * **δ** — span-size-weighted average of the replica accumulators,
-    ///   handed to the policy's [`blend_delta`](Reconcile::blend_delta)
-    ///   together with the pass-start δ (one replica ⇒ weight `1.0`, and the
-    ///   default blend keeps the average ⇒ bit-exact with serial);
+    /// * **δ** — span-size-weighted average of the replica accumulators
+    ///   (one replica ⇒ weight `1.0` ⇒ bit-exact with serial);
     /// * **wins** — integer counts of the final memberships (halo rows
     ///   count once, not once per presenting replica);
     /// * **ω** — not reconciled here: the epilogue re-derives it from the
-    ///   merged profiles after every blend, which is the deterministic
+    ///   merged profiles after every merge, which is the deterministic
     ///   consensus.
     ///
     /// The presentation order inside each span is the global per-pass
     /// shuffle filtered to that span, so a one-shard plan degenerates to
     /// the serial order and results are deterministic for a fixed seed,
-    /// shard count, and policy.
+    /// shard count, and halo.
     ///
     /// Under an armed [`FaultPlan`] (DESIGN.md §8) the merge degrades
     /// instead of failing: each replica probes the schedule per execution
@@ -1241,7 +1163,7 @@ impl Mgcpl {
             .collect();
 
         // Final membership per row: the owning replica's verdict when the
-        // row was presented once, the policy's vote otherwise. Vote buffers
+        // row was presented once, the halo vote otherwise. Vote buffers
         // are indexed by the shard map's dense halo slots, so their size
         // tracks the overlap (≤ 2·halo·(shards−1) rows), not n.
         resize_tracked(&mut rep.final_of, n_rows, usize::MAX, allocs);
@@ -1268,18 +1190,7 @@ impl Mgcpl {
                 if row_votes.is_empty() {
                     continue;
                 }
-                let c = self.reconcile.resolve(row_votes);
-                // `resolve` is a public extension hook: catch a policy that
-                // invents a cluster here, where the policy can be named,
-                // instead of as an opaque index panic deeper in the engine.
-                assert!(
-                    row_votes.iter().any(|&(voted, _)| voted == c),
-                    "reconcile policy {} resolved row {i} to cluster {c}, \
-                     which none of its replicas voted for ({:?})",
-                    self.reconcile.describe(),
-                    row_votes,
-                );
-                rep.final_of[i] = c;
+                rep.final_of[i] = halo_vote(row_votes);
             }
         } else {
             for slot in &slots {
@@ -1344,11 +1255,9 @@ impl Mgcpl {
 
         // Exact profile merge from the settled memberships, grouped by
         // owning shard (bulk `extend_rows` builds into the slots'
-        // persistent profile buffers, parallel across shards). Grouping
-        // follows the *current* ownership, so a rotation between passes
-        // regroups. Profile state is a pure function of the member
-        // multiset, so the walk order is immaterial and the merge stays
-        // bit-exact.
+        // persistent profile buffers, parallel across shards). Profile
+        // state is a pure function of the member multiset, so the walk
+        // order is immaterial and the merge stays bit-exact.
         let layout = &clusters.layout;
         let settled: &[Option<usize>] = assignment;
         let mut slots: Vec<ReplicaSlot> = slots
@@ -1414,13 +1323,12 @@ impl Mgcpl {
         }
 
         // δ consensus: span-size-weighted average over the replicas whose
-        // δ actually arrived intact, then the policy's blend against the
-        // pass-start value. A δ participates only if its replica survived,
-        // the vector wasn't dropped in transit, and every entry is finite
-        // and inside the `[0, 1]` ω-clamp the learning rule guarantees —
-        // the poisoned-δ detector of DESIGN.md §8. With every replica
-        // clean (always the case under `FaultPlan::none()`) the filter
-        // passes everything and the arithmetic is the historical one.
+        // δ actually arrived intact. A δ participates only if its replica
+        // survived, the vector wasn't dropped in transit, and every entry
+        // is finite and inside the `[0, 1]` ω-clamp the learning rule
+        // guarantees — the poisoned-δ detector of DESIGN.md §8. With every
+        // replica clean (always the case under `FaultPlan::none()`) the
+        // filter passes everything.
         let mut rejected = 0u64;
         for slot in &mut slots {
             let intact = slot.delta.len() == k
@@ -1433,23 +1341,17 @@ impl Mgcpl {
         stats.rejected_deltas += rejected;
         let total_presented: f64 =
             slots.iter().filter(|s| s.delta_ok).map(|s| s.rows.len() as f64).sum();
-        copy_into(&mut rep.pass_start_delta, &clusters.delta, allocs);
-        resize_tracked(&mut rep.blended, k, 0.0, allocs);
-        rep.blended.fill(0.0);
+        // When every replica's δ was lost this pass, the pass-start δ
+        // carries forward rather than averaging toward zero.
         if total_presented > 0.0 {
+            clusters.delta.fill(0.0);
             for slot in slots.iter().filter(|s| s.delta_ok) {
                 let weight = slot.rows.len() as f64 / total_presented;
-                for (blended, &delta) in rep.blended.iter_mut().zip(&slot.delta) {
-                    *blended += weight * delta;
+                for (merged, &delta) in clusters.delta.iter_mut().zip(&slot.delta) {
+                    *merged += weight * delta;
                 }
             }
-            self.reconcile.blend_delta(&rep.pass_start_delta, &mut rep.blended);
-        } else {
-            // Every replica's δ was lost this pass: keep the pass-start δ
-            // rather than blending toward zero.
-            rep.blended.copy_from_slice(&rep.pass_start_delta);
         }
-        clusters.delta.copy_from_slice(&rep.blended);
 
         // Fold the worker-local counters back into the fit's totals.
         for slot in &mut slots {
@@ -1505,10 +1407,52 @@ fn dense_labels(assignment: &[Option<usize>]) -> Vec<usize> {
         .collect()
 }
 
+/// Settles a row presented to several replicas: `votes` holds one
+/// `(cluster, similarity)` verdict per delivering replica, in replica
+/// order, where the similarity is the row's Eq. (14) similarity to the
+/// winner as that replica saw it. Per-cluster similarity sums decide, with
+/// the smallest cluster index winning ties; a single vote wins outright.
+fn halo_vote(votes: &[(usize, f64)]) -> usize {
+    debug_assert!(!votes.is_empty(), "empty vote sets fall back to the orphan path");
+    if votes.len() == 1 {
+        return votes[0].0;
+    }
+    let mut best_cluster = usize::MAX;
+    let mut best_weight = f64::NEG_INFINITY;
+    for (idx, &(cluster, _)) in votes.iter().enumerate() {
+        if votes[..idx].iter().any(|&(c, _)| c == cluster) {
+            continue; // this cluster's tally was already summed
+        }
+        let weight: f64 = votes.iter().filter(|&&(c, _)| c == cluster).map(|&(_, s)| s).sum();
+        if weight > best_weight || (weight == best_weight && cluster < best_cluster) {
+            best_weight = weight;
+            best_cluster = cluster;
+        }
+    }
+    best_cluster
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use categorical_data::synth::GeneratorConfig;
+
+    #[test]
+    fn halo_vote_is_a_similarity_weighted_vote() {
+        // Cluster 2 wins on summed similarity despite fewer votes.
+        assert_eq!(halo_vote(&[(1, 0.3), (2, 0.9), (1, 0.2)]), 2);
+        // Equal weights tie-break on the smaller cluster index.
+        assert_eq!(halo_vote(&[(5, 0.4), (3, 0.4)]), 3);
+        // A single vote always wins.
+        assert_eq!(halo_vote(&[(7, 0.0)]), 7);
+    }
+
+    #[test]
+    fn halo_defaults_to_zero() {
+        assert_eq!(Mgcpl::builder().build().halo(), 0);
+        assert_eq!(Mgcpl::builder().halo(8).build().halo(), 8);
+        assert_eq!(Mgcpl::builder().halo(0).build(), Mgcpl::builder().build());
+    }
 
     fn separated(n: usize, k: usize, seed: u64) -> CategoricalTable {
         GeneratorConfig::new("t", n, vec![4; 8], k)

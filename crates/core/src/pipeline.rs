@@ -1,13 +1,11 @@
 //! The end-to-end MCDC pipeline: MGCPL multi-granular learning followed by
 //! CAME aggregation on the Γ encoding.
 
-use std::sync::Arc;
-
 use categorical_data::CategoricalTable;
 
 use crate::{
     encode_mgcpl, Came, CameInit, CameResult, ExecutionPlan, FaultPlan, McdcError, Mgcpl,
-    MgcplResult, Reconcile, WarmStart, Workspace,
+    MgcplResult, Workspace,
 };
 
 /// The full MCDC clusterer. Construct via [`Mcdc::builder`].
@@ -35,7 +33,7 @@ pub struct Mcdc {
 
 /// Builder for [`Mcdc`] with the paper's defaults (`η = 0.03`, `k₀ = √n`,
 /// weighted MGCPL similarity, weighted CAME, granularity-guided init).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct McdcBuilder {
     learning_rate: Option<f64>,
     initial_k: Option<usize>,
@@ -43,28 +41,9 @@ pub struct McdcBuilder {
     came_weighted: Option<bool>,
     came_init: Option<CameInit>,
     execution: Option<ExecutionPlan>,
-    reconcile: Option<Arc<dyn Reconcile>>,
-    warm_start: Option<WarmStart>,
+    halo: Option<usize>,
     fault_plan: Option<FaultPlan>,
     seed: u64,
-}
-
-// Reconciliation policies compare by descriptor (see `Mgcpl`'s PartialEq);
-// everything else is structural.
-impl PartialEq for McdcBuilder {
-    fn eq(&self, other: &Self) -> bool {
-        self.learning_rate == other.learning_rate
-            && self.initial_k == other.initial_k
-            && self.weighted_similarity == other.weighted_similarity
-            && self.came_weighted == other.came_weighted
-            && self.came_init == other.came_init
-            && self.execution == other.execution
-            && self.reconcile.as_ref().map(|p| p.describe())
-                == other.reconcile.as_ref().map(|p| p.describe())
-            && self.warm_start == other.warm_start
-            && self.fault_plan == other.fault_plan
-            && self.seed == other.seed
-    }
 }
 
 impl McdcBuilder {
@@ -109,56 +88,28 @@ impl McdcBuilder {
         self
     }
 
-    /// Selects the reconciliation policy the MGCPL stage uses when a
-    /// replicated [`execution`](Self::execution) plan merges its shard
-    /// replicas (default [`DeltaAverage`](crate::DeltaAverage)). CAME is
-    /// unaffected — its parallel paths are exact, so there is nothing for a
-    /// policy to trade. No effect under [`ExecutionPlan::Serial`].
+    /// Lets the MGCPL stage's replica shards overlap by `rows` boundary
+    /// rows (default 0, disjoint shards); see
+    /// [`MgcplBuilder::halo`](crate::MgcplBuilder::halo) for the
+    /// semantics. CAME is unaffected — its parallel paths are exact, so
+    /// there is nothing to overlap. No effect under
+    /// [`ExecutionPlan::Serial`].
     ///
     /// # Example
     ///
     /// ```
-    /// use mcdc_core::{DeltaMomentum, ExecutionPlan, Mcdc};
+    /// use mcdc_core::{ExecutionPlan, Mcdc};
     ///
+    /// // Many small shards: borrow n/32 boundary rows from each neighbor.
+    /// let n = 2400;
     /// let mcdc = Mcdc::builder()
-    ///     .execution(ExecutionPlan::mini_batch(256))
-    ///     .reconcile(DeltaMomentum { beta: 0.9 })
+    ///     .execution(ExecutionPlan::mini_batch(n / 8))
+    ///     .halo(n / 32)
     ///     .build();
-    /// # let _ = mcdc;
+    /// assert_eq!(mcdc.halo(), 75);
     /// ```
-    pub fn reconcile(mut self, policy: impl Reconcile + 'static) -> Self {
-        self.reconcile = Some(Arc::new(policy));
-        self
-    }
-
-    /// Selects how the MGCPL stage re-launches at granularity boundaries
-    /// (default [`WarmStart::Cold`], the paper's Alg. 1 reset —
-    /// bit-exact with the historical pipeline).
-    /// [`WarmStart::Carry`] seeds each coarser level from the reconciled
-    /// δ/ω consensus of the finer level that just converged, which under a
-    /// replicated [`execution`](Self::execution) plan attacks shard-local
-    /// minima: every replica's first pass of the new level starts from the
-    /// cross-shard agreed state instead of re-deriving it cold from its
-    /// own cohort (DESIGN.md §6–7 have the semantics and the measured
-    /// quality ablation). CAME is unaffected — it has no granularity
-    /// cascade to re-launch.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use mcdc_core::{DeltaMomentum, ExecutionPlan, Mcdc, Rotate, WarmStart};
-    ///
-    /// // The full quality-recovery stack for replicated plans: momentum
-    /// // damping, cross-pass rotation, and the cross-stage carry.
-    /// let mcdc = Mcdc::builder()
-    ///     .execution(ExecutionPlan::mini_batch(256))
-    ///     .reconcile(Rotate { period: 1, inner: DeltaMomentum { beta: 0.5 } })
-    ///     .warm_start(WarmStart::Carry)
-    ///     .build();
-    /// assert_eq!(mcdc.reconcile_policy().rotation_period(), 1);
-    /// ```
-    pub fn warm_start(mut self, warm: WarmStart) -> Self {
-        self.warm_start = Some(warm);
+    pub fn halo(mut self, rows: usize) -> Self {
+        self.halo = Some(rows);
         self
     }
 
@@ -190,7 +141,7 @@ impl McdcBuilder {
     }
 
     /// Builds the pipeline, reporting bad configuration — a non-finite
-    /// learning rate or momentum coefficient, a zero cap, an invalid
+    /// learning rate, a zero cap, an invalid
     /// [`FaultPlan`] — as [`McdcError::InvalidConfig`] instead of
     /// panicking.
     ///
@@ -222,11 +173,8 @@ impl McdcBuilder {
             came = came.execution(plan.clone());
             mgcpl = mgcpl.execution(plan);
         }
-        if let Some(policy) = self.reconcile {
-            mgcpl = mgcpl.reconcile_arc(policy);
-        }
-        if let Some(warm) = self.warm_start {
-            mgcpl = mgcpl.warm_start(warm);
+        if let Some(rows) = self.halo {
+            mgcpl = mgcpl.halo(rows);
         }
         if let Some(plan) = self.fault_plan {
             mgcpl = mgcpl.fault_plan(plan);
@@ -289,15 +237,15 @@ impl Mcdc {
     /// # Example
     ///
     /// Every knob is optional; the three below are the ones production
-    /// deployments touch most — the parallelism plan, its reconciliation
-    /// policy, and the seed:
+    /// deployments touch most — the parallelism plan, its shard halo, and
+    /// the seed:
     ///
     /// ```
-    /// use mcdc_core::{DeltaMomentum, ExecutionPlan, Mcdc};
+    /// use mcdc_core::{ExecutionPlan, Mcdc};
     ///
     /// let mcdc = Mcdc::builder()
     ///     .execution(ExecutionPlan::mini_batch(512))
-    ///     .reconcile(DeltaMomentum { beta: 0.5 })
+    ///     .halo(64)
     ///     .seed(42)
     ///     .build();
     /// assert!(mcdc.execution_plan().is_parallel());
@@ -312,9 +260,9 @@ impl Mcdc {
         self.mgcpl.execution_plan()
     }
 
-    /// The reconciliation policy replicated MGCPL passes merge under.
-    pub fn reconcile_policy(&self) -> &dyn Reconcile {
-        self.mgcpl.reconcile_policy()
+    /// The halo width, in rows, of the MGCPL stage's replica shards.
+    pub fn halo(&self) -> usize {
+        self.mgcpl.halo()
     }
 
     /// Runs MGCPL then CAME, partitioning `table` into `k` clusters.

@@ -31,10 +31,6 @@ pub struct HotPathStats {
     /// Learning passes (MGCPL) or alternating-minimization iterations
     /// (CAME) executed.
     pub passes: u64,
-    /// Row → replica rotations performed by a rotating
-    /// [`Reconcile`](crate::Reconcile) policy (`Rotate { period }`); 0
-    /// under serial plans, single-shard maps, and non-rotating policies.
-    pub rotations: u64,
     /// Injected replica execution failures (crashes plus
     /// deadline-exceeded stragglers), counted per failed attempt — a
     /// shard that crashed twice before its retry succeeded contributes 2.
@@ -68,7 +64,6 @@ impl Default for HotPathStats {
             merges: 0,
             allocations: 0,
             passes: 0,
-            rotations: 0,
             replica_failures: 0,
             retries: 0,
             quarantined_shards: 0,

@@ -107,10 +107,6 @@ pub(crate) struct ReplicatedScratch {
     /// Merge target for the per-shard profiles; swapped with the cohort's
     /// profiles each pass so both sides recycle.
     pub(crate) merged: Vec<ClusterProfile>,
-    /// δ blend accumulator.
-    pub(crate) blended: Vec<f64>,
-    /// Pass-start δ handed to the reconcile policy's blend.
-    pub(crate) pass_start_delta: Vec<f64>,
     /// Scoring accumulators for the orphan fallback: rows of quarantined
     /// shards re-scored against the frozen pass-start cohort (DESIGN.md
     /// §8).

@@ -2,8 +2,8 @@
 //!
 //! * `FaultPlan::none()` is **bit-exact** with a builder that never touches
 //!   the knob — partitions, κ, trace, *and* every hot-path counter — over
-//!   the full `ExecutionPlan` × `Reconcile` × rotation × warm-start grid
-//!   (property-tested over random tables and pinned on the nested suite);
+//!   the full `ExecutionPlan` × halo grid (property-tested over random
+//!   tables and pinned on the nested suite);
 //! * seeded chaos schedules (crashes, stragglers, poisoned and dropped
 //!   δ vectors, all at once) never panic, never leak a NaN into results,
 //!   and stay deterministic for a fixed seed;
@@ -20,10 +20,7 @@
 use categorical_data::synth::GeneratorConfig;
 use categorical_data::{CategoricalTable, Dataset};
 use cluster_eval::accuracy;
-use mcdc_core::{
-    DeltaAverage, DeltaMomentum, ExecutionPlan, FaultPlan, Mcdc, McdcError, Mgcpl, MgcplBuilder,
-    OverlapShards, Reconcile, Rotate, WarmStart,
-};
+use mcdc_core::{ExecutionPlan, FaultPlan, Mcdc, McdcError, Mgcpl, MgcplBuilder};
 use proptest::prelude::*;
 
 fn nested(n: usize, seed: u64) -> Dataset {
@@ -57,37 +54,8 @@ fn plans(n: usize) -> Vec<ExecutionPlan> {
     ]
 }
 
-/// Every shipped policy shape, as fresh boxed instances.
-fn policies() -> Vec<Box<dyn Fn() -> Box<dyn Reconcile>>> {
-    vec![
-        Box::new(|| Box::new(DeltaAverage)),
-        Box::new(|| Box::new(DeltaMomentum { beta: 0.7 })),
-        Box::new(|| Box::new(OverlapShards { halo: 8 })),
-        Box::new(|| Box::new(Rotate { period: 2, inner: DeltaMomentum { beta: 0.7 } })),
-    ]
-}
-
-/// Routes a boxed policy into the by-value `reconcile` builder hook.
-#[derive(Debug)]
-struct Boxed(Box<dyn Reconcile>);
-
-impl Reconcile for Boxed {
-    fn describe(&self) -> mcdc_core::ReconcileDescriptor {
-        self.0.describe()
-    }
-    fn rotation_period(&self) -> usize {
-        self.0.rotation_period()
-    }
-    fn halo(&self) -> usize {
-        self.0.halo()
-    }
-    fn blend_delta(&self, pass_start: &[f64], blended: &mut [f64]) {
-        self.0.blend_delta(pass_start, blended)
-    }
-    fn resolve(&self, votes: &[(usize, f64)]) -> usize {
-        self.0.resolve(votes)
-    }
-}
+/// The halo widths every plan is pinned under: disjoint and overlapping.
+const HALOS: [usize; 2] = [0, 8];
 
 fn fit(
     table: &CategoricalTable,
@@ -157,34 +125,22 @@ proptest! {
 
 #[test]
 fn fault_plan_none_pins_bit_exact_over_the_full_grid() {
-    // The exhaustive grid the ISSUE names: every `ExecutionPlan` shape ×
-    // every `Reconcile` shape × rotation × warm start, each compared
-    // against the identical builder with `FaultPlan::none()` armed.
+    // Every `ExecutionPlan` shape × halo, each compared against the
+    // identical builder with `FaultPlan::none()` armed.
     let data = nested(240, 7);
     for plan in plans(240) {
-        for policy in policies() {
-            for warm in [WarmStart::Cold, WarmStart::Carry] {
-                let reference = fit(
-                    data.table(),
-                    |b| b.execution(plan.clone()).reconcile(Boxed(policy())).warm_start(warm),
-                    9,
-                );
-                let armed_off = fit(
-                    data.table(),
-                    |b| {
-                        b.execution(plan.clone())
-                            .reconcile(Boxed(policy()))
-                            .warm_start(warm)
-                            .fault_plan(FaultPlan::none())
-                    },
-                    9,
-                );
-                assert_eq!(reference.stats, armed_off.stats, "counters moved under {plan:?}");
-                assert_eq!(reference, armed_off, "FaultPlan::none() diverged under {plan:?}");
-                assert_eq!(armed_off.stats.replica_failures, 0);
-                assert_eq!(armed_off.stats.rejected_deltas, 0);
-                assert_eq!(armed_off.stats.min_survivor_permille, 1000);
-            }
+        for halo in HALOS {
+            let reference = fit(data.table(), |b| b.execution(plan.clone()).halo(halo), 9);
+            let armed_off = fit(
+                data.table(),
+                |b| b.execution(plan.clone()).halo(halo).fault_plan(FaultPlan::none()),
+                9,
+            );
+            assert_eq!(reference.stats, armed_off.stats, "counters moved under {plan:?}");
+            assert_eq!(reference, armed_off, "FaultPlan::none() diverged under {plan:?}");
+            assert_eq!(armed_off.stats.replica_failures, 0);
+            assert_eq!(armed_off.stats.rejected_deltas, 0);
+            assert_eq!(armed_off.stats.min_survivor_permille, 1000);
         }
     }
 }
@@ -313,12 +269,6 @@ fn builder_boundary_rejects_non_finite_knobs() {
     };
     for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, 1.0, -0.2] {
         expect(Mgcpl::builder().learning_rate(bad).try_build(), "learning_rate");
-    }
-    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1.0, -0.2] {
-        expect(
-            Mgcpl::builder().reconcile(DeltaMomentum { beta: bad }).try_build(),
-            "reconcile.beta",
-        );
     }
     for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1.5, -0.1] {
         expect(

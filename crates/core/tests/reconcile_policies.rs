@@ -1,23 +1,15 @@
-//! Semantics pins for the reconciliation policy layer (DESIGN.md §5):
+//! Semantics pins for the shard halo (DESIGN.md §5), the one setting of
+//! the replica merge:
 //!
-//! * `DeltaMomentum { beta: 0 }` and `OverlapShards { halo: 0 }` override
-//!   nothing that fires at those parameter values, so both must reproduce
-//!   `DeltaAverage` **bit-exactly** — partitions, κ, and trace — on any
-//!   plan (property-tested over random tables, batch sizes, and seeds);
-//! * every policy is deterministic for a fixed seed, shard count, and
-//!   parameter value;
-//! * on the nested high-overlap suite the δ-momentum variant is no worse
-//!   than δ-average across 10 fit seeds: mean ACC at least as high, ACC
-//!   band (max − min) at most as wide — the property PR 3 exists to buy
-//!   (the measured ablation lives in `BENCH_reconcile.json`).
+//! * a halo fit is deterministic for a fixed seed, shard count, and width;
+//! * a halo far wider than any shard clamps to whole neighbors;
+//! * explicit `Sharded` partitions borrow along their stored row order
+//!   exactly like contiguous mini-batches, one extra presentation per
+//!   borrowed row.
 
 use categorical_data::synth::GeneratorConfig;
 use categorical_data::{CategoricalTable, Dataset};
-use cluster_eval::accuracy;
-use mcdc_core::{
-    DeltaAverage, DeltaMomentum, ExecutionPlan, Mcdc, Mgcpl, OverlapShards, Reconcile,
-};
-use proptest::prelude::*;
+use mcdc_core::{ExecutionPlan, Mgcpl};
 
 fn nested(n: usize, seed: u64) -> Dataset {
     GeneratorConfig::new("nested", n, vec![4; 8], 3)
@@ -29,117 +21,55 @@ fn nested(n: usize, seed: u64) -> Dataset {
 }
 
 fn fit_with(
-    policy: impl Reconcile + 'static,
+    halo: usize,
     plan: ExecutionPlan,
     table: &CategoricalTable,
     seed: u64,
 ) -> mcdc_core::MgcplResult {
-    Mgcpl::builder().seed(seed).execution(plan).reconcile(policy).build().fit(table).unwrap()
-}
-
-fn arbitrary_table() -> impl Strategy<Value = CategoricalTable> {
-    (20usize..120, 2usize..6).prop_flat_map(|(n, d)| {
-        proptest::collection::vec(proptest::collection::vec(0u32..4, d), n).prop_map(move |rows| {
-            let mut table = CategoricalTable::new(categorical_data::Schema::uniform(d, 4));
-            for row in &rows {
-                table.push_row(row).unwrap();
-            }
-            table
-        })
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn momentum_beta_zero_is_bit_exact_with_delta_average(
-        table in arbitrary_table(),
-        batch_divisor in 1usize..5,
-        seed in 0u64..50,
-    ) {
-        let batch = (table.n_rows() / batch_divisor).max(1);
-        let plan = ExecutionPlan::mini_batch(batch);
-        let reference = fit_with(DeltaAverage, plan.clone(), &table, seed);
-        let momentum = fit_with(DeltaMomentum { beta: 0.0 }, plan, &table, seed);
-        prop_assert_eq!(reference, momentum);
-    }
-
-    #[test]
-    fn overlap_halo_zero_is_bit_exact_with_delta_average(
-        table in arbitrary_table(),
-        batch_divisor in 1usize..5,
-        seed in 0u64..50,
-    ) {
-        let batch = (table.n_rows() / batch_divisor).max(1);
-        let plan = ExecutionPlan::mini_batch(batch);
-        let reference = fit_with(DeltaAverage, plan.clone(), &table, seed);
-        let overlap = fit_with(OverlapShards { halo: 0 }, plan, &table, seed);
-        prop_assert_eq!(reference, overlap);
-    }
+    Mgcpl::builder().seed(seed).execution(plan).halo(halo).build().fit(table).unwrap()
 }
 
 #[test]
-fn degenerate_policies_pin_bit_exact_on_sharded_plans_too() {
-    // The property above covers contiguous mini-batches; explicit (here:
-    // round-robin, worst-locality) partitions go through the same span
-    // builder and must pin identically.
+fn sharded_plans_present_each_borrowed_row_once_more() {
+    // Round-robin (worst-locality) shards of 60 rows with a 6-row halo:
+    // the end shards borrow 6 rows, the two interior shards 12, so one
+    // pass presents 240 + 36 rows. A single one-pass stage scores every
+    // presentation against all k₀ = √240 ≈ 15 seeds, so the work counter
+    // exposes the presentation count exactly.
     let data = nested(240, 7);
     let shards: Vec<Vec<usize>> = (0..4).map(|s| (s..240).step_by(4).collect()).collect();
     let plan = ExecutionPlan::sharded(shards);
-    let reference = fit_with(DeltaAverage, plan.clone(), data.table(), 9);
-    assert_eq!(reference, fit_with(DeltaMomentum { beta: 0.0 }, plan.clone(), data.table(), 9));
-    assert_eq!(reference, fit_with(OverlapShards { halo: 0 }, plan, data.table(), 9));
+    let one_pass = |halo: usize| {
+        Mgcpl::builder()
+            .seed(9)
+            .execution(plan.clone())
+            .halo(halo)
+            .max_inner_iterations(1)
+            .max_stages(1)
+            .build()
+            .fit(data.table())
+            .unwrap()
+    };
+    assert_eq!(one_pass(0).stats.score_evals, 240 * 15);
+    assert_eq!(one_pass(6).stats.score_evals, (240 + 36) * 15);
+    // And a full overlapping fit on the explicit partition is well-formed.
+    let result = fit_with(6, plan, data.table(), 9);
+    assert!(result.kappa.windows(2).all(|w| w[0] > w[1]) || result.kappa.len() == 1);
+    for (partition, &k) in result.partitions.iter().zip(&result.kappa) {
+        assert_eq!(partition.len(), 240);
+        assert!(partition.iter().all(|&l| l < k));
+    }
 }
 
 #[test]
-fn policies_are_deterministic_for_fixed_configuration() {
+fn halo_fits_are_deterministic_for_fixed_configuration() {
     let data = nested(300, 4);
     let plan = ExecutionPlan::mini_batch(75);
-    let momentum = |seed| fit_with(DeltaMomentum { beta: 0.7 }, plan.clone(), data.table(), seed);
-    assert_eq!(momentum(5), momentum(5));
-    let overlap = |seed| fit_with(OverlapShards { halo: 12 }, plan.clone(), data.table(), seed);
-    assert_eq!(overlap(5), overlap(5));
-}
-
-#[test]
-fn momentum_is_no_worse_than_delta_average_on_nested_overlap() {
-    // The headline property of the reconciliation layer, pinned on the
-    // exact configuration `BENCH_reconcile.json` records (n = 600 nested
-    // suite, 4 contiguous shards): across 10 fit seeds the δ-momentum
-    // variant's mean ACC is at least δ-average's and its quality band
-    // (max − min ACC) is no wider. Deterministic for the shim RNG stream —
-    // measured at band 0.150 vs 0.343 and mean 0.715 vs 0.703 (β = 0.9).
-    let data = nested(600, 3);
-    let plan = ExecutionPlan::mini_batch(150);
-    let run = |apply: &dyn Fn(mcdc_core::McdcBuilder) -> mcdc_core::McdcBuilder| -> Vec<f64> {
-        (1u64..=10)
-            .map(|seed| {
-                let builder = Mcdc::builder().seed(seed).execution(plan.clone());
-                let labels = apply(builder).build().fit(data.table(), 3).unwrap().labels().to_vec();
-                accuracy(data.labels(), &labels)
-            })
-            .collect()
-    };
-    let average = run(&|b| b.reconcile(DeltaAverage));
-    let momentum = run(&|b| b.reconcile(DeltaMomentum { beta: 0.9 }));
-    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-    let band = |v: &[f64]| {
-        v.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-            - v.iter().copied().fold(f64::INFINITY, f64::min)
-    };
-    assert!(
-        mean(&momentum) >= mean(&average) - 1e-9,
-        "momentum mean ACC regressed: {} < {}",
-        mean(&momentum),
-        mean(&average)
-    );
-    assert!(
-        band(&momentum) <= band(&average) + 1e-9,
-        "momentum band widened: {} > {}",
-        band(&momentum),
-        band(&average)
-    );
+    let overlap = |seed| fit_with(12, plan.clone(), data.table(), seed);
+    let first = overlap(5);
+    let again = overlap(5);
+    assert_eq!(first.stats, again.stats);
+    assert_eq!(first, again);
 }
 
 #[test]
@@ -148,7 +78,7 @@ fn overlap_halo_clamps_to_tiny_shards() {
     // neighbors; the fit must stay valid and deterministic.
     let data = nested(120, 2);
     let plan = ExecutionPlan::mini_batch(30);
-    let fit = || fit_with(OverlapShards { halo: 1_000 }, plan.clone(), data.table(), 3);
+    let fit = || fit_with(1_000, plan.clone(), data.table(), 3);
     let result = fit();
     assert!(!result.partitions.is_empty());
     assert!(result.kappa.iter().all(|&k| k >= 1));

@@ -52,16 +52,15 @@ pub fn shards_from_placement(placement: &Placement) -> Vec<Vec<usize>> {
 
 /// The [`ExecutionPlan::Sharded`] plan executing a placement: MGCPL's
 /// replica-merge pass runs one replica per worker, each owning exactly the
-/// rows the locality-aware partitioner placed there. Pair with an
-/// overlapping reconciliation policy
-/// (`mcdc_core::OverlapShards { halo: suggested_halo(&placement) }`) when
-/// the placement's shard boundaries cut through coarse clusters — see
+/// rows the locality-aware partitioner placed there. Pair with a shard
+/// halo (`.halo(suggested_halo(&placement))` on the MGCPL or MCDC builder)
+/// when the placement's shard boundaries cut through coarse clusters — see
 /// [`suggested_halo`].
 pub fn execution_plan_from_placement(placement: &Placement) -> ExecutionPlan {
     ExecutionPlan::sharded(shards_from_placement(placement))
 }
 
-/// A reconciliation halo width matched to a placement's shard geometry: an
+/// A shard halo width matched to a placement's shard geometry: an
 /// eighth of the *smallest* non-empty worker's load, at least 1 row.
 ///
 /// Rationale: the halo exists to give each replica context just past its
@@ -70,7 +69,7 @@ pub fn execution_plan_from_placement(placement: &Placement) -> ExecutionPlan {
 /// costs one extra scoring presentation per pass). One eighth keeps the
 /// overlap well under the replica's own span for any shard the partitioner
 /// emits, and the floor of 1 keeps tiny placements overlapping at all.
-/// Feed the result to `mcdc_core::OverlapShards` alongside
+/// Feed the result to the builder's `halo` alongside
 /// [`execution_plan_from_placement`]'s plan.
 ///
 /// # Panics
@@ -216,10 +215,9 @@ mod tests {
 
     #[test]
     fn placement_fit_with_overlap_reconciliation_is_deterministic() {
-        // The adapter's plan plus an OverlapShards policy sized by
-        // suggested_halo: the overlapping replica-merge fit must stay
-        // deterministic and deliver the sought k on the nested suite.
-        use mcdc_core::OverlapShards;
+        // The adapter's plan plus a halo sized by suggested_halo: the
+        // overlapping replica-merge fit must stay deterministic and
+        // deliver the sought k on the nested suite.
         let (data, granular) = nested();
         let placement = GranularPartitioner::new(4).place(&granular);
         let plan = execution_plan_from_placement(&placement);
@@ -229,7 +227,7 @@ mod tests {
             Mcdc::builder()
                 .seed(2)
                 .execution(plan.clone())
-                .reconcile(OverlapShards { halo })
+                .halo(halo)
                 .build()
                 .fit(data.table(), 4)
                 .unwrap()

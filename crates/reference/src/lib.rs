@@ -51,9 +51,6 @@ pub struct ReferenceConfig {
     pub weighted_similarity: bool,
     /// θ feature weighting in CAME (Eqs. 21–22). Paper default on.
     pub came_weighted: bool,
-    /// Carry δ/ω across granularity levels instead of the Alg. 1 step-13
-    /// cold reset (mirrors the optimized tree's `WarmStart::Carry`).
-    pub carry_warm_start: bool,
     /// Seed for the two randomized choices (MGCPL seeding, per-pass
     /// presentation order; CAME's random-init fallback).
     pub seed: u64,
@@ -66,7 +63,6 @@ impl Default for ReferenceConfig {
             initial_k: None,
             weighted_similarity: true,
             came_weighted: true,
-            carry_warm_start: false,
             seed: 0,
         }
     }

@@ -123,15 +123,12 @@ pub fn reference_mgcpl(
         k_old = k_after;
 
         // Re-launch for the next, coarser granularity (Alg. 1 step 13):
-        // cold resets the competition statistics; carry keeps δ/ω and
-        // clears only the win counts (the ρ conscience is stage-scoped).
+        // reset the competition statistics.
         level.wins_prev.iter_mut().for_each(|w| *w = 0);
         level.wins_now.iter_mut().for_each(|w| *w = 0);
-        if !config.carry_warm_start {
-            level.delta.fill(1.0);
-            for omega in level.omega.iter_mut() {
-                omega.fill(1.0 / d as f64);
-            }
+        level.delta.fill(1.0);
+        for omega in level.omega.iter_mut() {
+            omega.fill(1.0 / d as f64);
         }
     }
 

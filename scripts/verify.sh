@@ -12,9 +12,9 @@
 # shapes and fails on panics/NaN medians, on frozen/live argmax parity
 # breaking on the pinned seed, or on the frozen kernels losing to the
 # live `score_all` path they compact. The reconcile smoke
-# (`reconcile_ablation --quick`) runs a tiny quality-recovery grid and
-# fails on panics, non-finite metrics, or a rotating policy that never
-# rotates. The chaos smoke (`fault_chaos --quick`) runs the fault arms
+# (`reconcile_ablation --quick`) fits serial and a 4-shard mini-batch
+# plan with and without a shard halo on a small nested table and fails
+# on panics or non-finite metrics. The chaos smoke (`fault_chaos --quick`) runs the fault arms
 # (retry, quarantine, probabilistic chaos) on a small grid and fails on
 # panics, non-finite metrics, a chaos arm that never injects a failure,
 # a retry arm that diverges from the clean labels, or a quarantined fit
