@@ -12,7 +12,7 @@ use mcdc_core::{Mgcpl, MgcplBuilder};
 
 fn main() {
     let args = Args::parse();
-    let sets = datasets::table_ii(args.seed, None);
+    let sets = datasets::table_ii(args.seed, None).expect("stand-ins read no files");
 
     println!("Design ablations over the eight Table II stand-ins (mean of per-set values)");
     println!("{:<34} {:>10} {:>12} {:>8}", "variant", "AMI(Y_s)", "|k_s - k*|", "sigma");

@@ -11,7 +11,8 @@ use rayon::prelude::*;
 
 fn main() {
     let args = Args::parse();
-    let sets = datasets::table_ii(args.seed, args.data_dir.as_deref());
+    let sets = datasets::table_ii(args.seed, args.data_dir.as_deref())
+        .unwrap_or_else(|err| panic!("{err}"));
 
     println!("Fig. 4: ARI of MCDC and its ablated versions ({} runs each)", args.runs);
     for (i, ds) in sets.iter().enumerate() {

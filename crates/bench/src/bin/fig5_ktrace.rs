@@ -10,7 +10,8 @@ use mcdc_core::Mgcpl;
 
 fn main() {
     let args = Args::parse();
-    let sets = datasets::table_ii(args.seed, args.data_dir.as_deref());
+    let sets = datasets::table_ii(args.seed, args.data_dir.as_deref())
+        .unwrap_or_else(|err| panic!("{err}"));
 
     println!("Fig. 5: numbers of clusters learned by MGCPL (x = convergence stage; * marks k*)");
     for (i, ds) in sets.iter().enumerate() {

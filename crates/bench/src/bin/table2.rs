@@ -10,7 +10,11 @@ fn main() {
         "Table II: Statistics of the data sets (d = features, n = objects, k* = true clusters)"
     );
     println!("{:<4} {:<22} {:<8} {:>5} {:>8} {:>4}", "No.", "Data Set", "Abbrev.", "d", "n", "k*");
-    for (i, ds) in datasets::table_ii(args.seed, args.data_dir.as_deref()).iter().enumerate() {
+    for (i, ds) in datasets::table_ii(args.seed, args.data_dir.as_deref())
+        .unwrap_or_else(|err| panic!("{err}"))
+        .iter()
+        .enumerate()
+    {
         println!(
             "{:<4} {:<22} {:<8} {:>5} {:>8} {:>4}",
             i + 1,

@@ -13,7 +13,8 @@ use mcdc_bench::{datasets, format, Method};
 
 fn main() {
     let args = Args::parse();
-    let sets = datasets::table_ii(args.seed, args.data_dir.as_deref());
+    let sets = datasets::table_ii(args.seed, args.data_dir.as_deref())
+        .unwrap_or_else(|err| panic!("{err}"));
     let sets: Vec<_> =
         if args.quick { sets.into_iter().filter(|d| d.n_rows() <= 1000).collect() } else { sets };
     let names: Vec<&str> = Method::TABLE3.iter().map(Method::name).collect();
@@ -38,6 +39,7 @@ fn main() {
             let cells: Vec<(f64, f64)> =
                 row.iter().map(|s| (s.mean.get(index), s.std.get(index))).collect();
             let abbrev = datasets::abbrevs()[datasets::table_ii(args.seed, None)
+                .expect("stand-ins read no files")
                 .iter()
                 .position(|d| d.name() == ds.name())
                 .unwrap_or(0)];

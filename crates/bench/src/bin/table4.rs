@@ -14,7 +14,8 @@ const COUNTERPARTS: [Method; 6] =
 
 fn main() {
     let args = Args::parse();
-    let sets = datasets::table_ii(args.seed, args.data_dir.as_deref());
+    let sets = datasets::table_ii(args.seed, args.data_dir.as_deref())
+        .unwrap_or_else(|err| panic!("{err}"));
 
     // Per-dataset mean scores for MCDC+F. and each counterpart.
     eprintln!("scoring MCDC+F. ...");

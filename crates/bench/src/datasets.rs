@@ -3,19 +3,44 @@
 //! When a data directory containing the real UCI files is supplied (as
 //! `<dir>/<abbrev-without-dot>.csv`, e.g. `data/mus.csv`, label in the last
 //! column), those are loaded; otherwise the calibrated synthetic stand-ins
-//! of [`categorical_data::synth::uci`] are generated (DESIGN.md §3).
+//! of [`categorical_data::synth::uci`] are generated (DESIGN.md §3). A real
+//! file that is present but cannot be read is an error, never a silent
+//! fall-back to its stand-in.
 
-use std::path::Path;
+use std::fmt;
+use std::path::{Path, PathBuf};
 
 use categorical_data::io::{read_csv, CsvOptions};
 use categorical_data::synth::uci;
-use categorical_data::Dataset;
+use categorical_data::{DataError, Dataset};
+
+/// A Table II data file that exists but could not be read.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DataFileError {
+    /// The offending file.
+    pub path: PathBuf,
+    /// Why reading it failed.
+    pub error: DataError,
+}
+
+impl fmt::Display for DataFileError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}: {}", self.path.display(), self.error)
+    }
+}
+
+impl std::error::Error for DataFileError {}
 
 /// Loads or generates all eight Table II data sets, in table order.
 ///
 /// `seed` parameterizes the synthetic stand-ins; real files (when found in
 /// `data_dir`) are returned as-is.
-pub fn table_ii(seed: u64, data_dir: Option<&Path>) -> Vec<Dataset> {
+///
+/// # Errors
+///
+/// Returns [`DataFileError`] naming the first real file that is present but
+/// cannot be read or parsed.
+pub fn table_ii(seed: u64, data_dir: Option<&Path>) -> Result<Vec<Dataset>, DataFileError> {
     uci::ALL
         .iter()
         .map(|profile| {
@@ -24,13 +49,12 @@ pub fn table_ii(seed: u64, data_dir: Option<&Path>) -> Vec<Dataset> {
                 for ext in ["csv", "data"] {
                     let path = dir.join(format!("{stem}.{ext}"));
                     if path.exists() {
-                        if let Ok(ds) = read_csv(&path, &CsvOptions::default()) {
-                            return ds;
-                        }
+                        return read_csv(&path, &CsvOptions::default())
+                            .map_err(|error| DataFileError { path, error });
                     }
                 }
             }
-            profile.generate_dataset(seed)
+            Ok(profile.generate_dataset(seed))
         })
         .collect()
 }
@@ -46,7 +70,7 @@ mod tests {
 
     #[test]
     fn stand_ins_cover_all_eight() {
-        let sets = table_ii(3, None);
+        let sets = table_ii(3, None).unwrap();
         assert_eq!(sets.len(), 8);
         assert_eq!(sets[3].name(), "Mushroom");
         assert_eq!(sets[3].n_rows(), 8124);
@@ -54,7 +78,7 @@ mod tests {
 
     #[test]
     fn missing_data_dir_falls_back_to_synthetic() {
-        let sets = table_ii(3, Some(Path::new("/nonexistent")));
+        let sets = table_ii(3, Some(Path::new("/nonexistent"))).unwrap();
         assert_eq!(sets.len(), 8);
     }
 
@@ -63,8 +87,20 @@ mod tests {
         let dir = std::env::temp_dir().join("mcdc-bench-data-test");
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("car.csv"), "a,x,c0\nb,y,c1\na,y,c0\nb,x,c1\n").unwrap();
-        let sets = table_ii(3, Some(&dir));
+        let sets = table_ii(3, Some(&dir)).unwrap();
         assert_eq!(sets[0].n_rows(), 4, "car should load from the real file");
         assert_eq!(sets[1].n_rows(), 435, "con still synthetic");
+    }
+
+    #[test]
+    fn malformed_real_files_are_reported_by_path() {
+        let dir = std::env::temp_dir().join("mcdc-bench-malformed-data-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("con.data");
+        std::fs::write(&path, "a,x,c0\nb,c1\n").unwrap();
+        let err = table_ii(3, Some(&dir)).unwrap_err();
+        assert_eq!(err.path, path);
+        assert!(matches!(err.error, DataError::Parse { line: 2, .. }), "{err}");
+        assert!(err.to_string().starts_with(&path.display().to_string()), "{err}");
     }
 }

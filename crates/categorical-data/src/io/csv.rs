@@ -1,5 +1,5 @@
 use std::fs;
-use std::io::Write as _;
+use std::io::{BufWriter, Write};
 use std::path::Path;
 
 use crate::{CategoricalTable, DataError, Dataset, FeatureDomain, Schema, MISSING};
@@ -48,10 +48,29 @@ impl Default for CsvOptions {
 
 /// Reads a delimiter-separated categorical data file from `path`.
 ///
+/// The text is read in one pass. Each field is trimmed, coded through its
+/// feature's [`FeatureDomain`] and written straight into the table. No field
+/// is copied into an allocation of its own: only a label met for the first
+/// time is stored, and a label already seen is looked up without allocating.
+/// A line holding `"` is unquoted into one buffer reused from line to line
+/// (`"` toggles quoting anywhere in a field, `""` inside quotes is a literal
+/// quote).
+///
+/// Blank lines are skipped but still counted in line numbers. The header,
+/// when [`CsvOptions::has_header`] is set, is the first non-blank line, and
+/// the first data record fixes the width every record must have. A row
+/// dropped for a missing value does not intern its class label, so label
+/// codes do not depend on which column holds the label.
+///
 /// # Errors
 ///
-/// Returns [`DataError::Io`] if the file cannot be read and
-/// [`DataError::Parse`] / [`DataError::RowArity`] on malformed content.
+/// Returns [`DataError::Io`] if the file cannot be read,
+/// [`DataError::EmptyTable`] if it has no data record, and
+/// [`DataError::Parse`] for the first defective line in line order: an
+/// unterminated quote, a label column out of range for the first data
+/// record, or a record whose width differs from the first data record's.
+/// A table the rows cannot form (for instance a label as the only column)
+/// gives [`DataError::RowArity`] once every line has been read.
 ///
 /// # Example
 ///
@@ -80,163 +99,312 @@ pub fn read_csv_str(text: &str, options: &CsvOptions) -> Result<Dataset, DataErr
 }
 
 fn read_csv_named(name: &str, text: &str, options: &CsvOptions) -> Result<Dataset, DataError> {
-    let mut records = Vec::new();
-    for (line_no, line) in text.lines().enumerate() {
+    let mut coder = Coder::new(options, text);
+    let mut unquoted = Unquoted::default();
+    for (line_no, line) in (1..).zip(text.lines()) {
         if line.trim().is_empty() {
             continue;
         }
-        records.push((line_no + 1, split_record(line, options.delimiter, line_no + 1)?));
-    }
-    if records.is_empty() {
-        return Err(DataError::EmptyTable);
-    }
-
-    let header: Option<Vec<String>> =
-        if options.has_header { Some(records.remove(0).1) } else { None };
-    if records.is_empty() {
-        return Err(DataError::EmptyTable);
-    }
-
-    let width = records[0].1.len();
-    let label_idx = match options.label {
-        LabelColumn::None => None,
-        LabelColumn::First => Some(0),
-        LabelColumn::Last => Some(width - 1),
-        LabelColumn::Index(i) => Some(i),
-    };
-    if let Some(i) = label_idx {
-        if i >= width {
-            return Err(DataError::Parse {
-                line: records[0].0,
-                message: format!("label column {i} out of range for {width}-field records"),
-            });
+        // `Coder::record` is generic, so the common unquoted line gets a
+        // loop of its own over fields split in place.
+        if line.contains('"') {
+            coder.record(unquoted.split(line, options.delimiter, line_no)?, line_no)?;
+        } else {
+            coder.record(line.split(options.delimiter), line_no)?;
         }
     }
-
-    let d = if label_idx.is_some() { width - 1 } else { width };
-    let mut domains: Vec<FeatureDomain> = (0..d)
-        .map(|r| {
-            let fallback = format!("f{r}");
-            let feature_name = header
-                .as_ref()
-                .map(|h| {
-                    // Header indices must skip the label column like data rows do.
-                    let mut cols: Vec<&String> = h.iter().collect();
-                    if let Some(i) = label_idx {
-                        if i < cols.len() {
-                            cols.remove(i);
-                        }
-                    }
-                    cols.get(r).map_or(fallback.clone(), |s| (*s).clone())
-                })
-                .unwrap_or(fallback);
-            FeatureDomain::new(feature_name)
-        })
-        .collect();
-
-    let mut label_domain = FeatureDomain::new("class");
-    let mut codes: Vec<u32> = Vec::with_capacity(records.len() * d);
-    let mut labels: Vec<usize> = Vec::with_capacity(records.len());
-    let mut n_rows = 0usize;
-
-    'rows: for (line_no, fields) in &records {
-        if fields.len() != width {
-            return Err(DataError::Parse {
-                line: *line_no,
-                message: format!("expected {width} fields, found {}", fields.len()),
-            });
-        }
-        let mut row = Vec::with_capacity(d);
-        let mut r = 0usize;
-        let mut label_value = 0usize;
-        for (col, field) in fields.iter().enumerate() {
-            let field = field.trim();
-            if Some(col) == label_idx {
-                label_value = label_domain.intern(field) as usize;
-                continue;
-            }
-            if options.missing_tokens.iter().any(|t| t == field) {
-                if options.drop_missing {
-                    continue 'rows;
-                }
-                row.push(MISSING);
-            } else {
-                row.push(domains[r].intern(field));
-            }
-            r += 1;
-        }
-        codes.extend_from_slice(&row);
-        labels.push(label_value);
-        n_rows += 1;
-    }
-    let _ = n_rows;
-
-    let schema = Schema::new(domains);
-    let table = CategoricalTable::from_flat(schema, codes)?;
-    Dataset::new(name, table, labels)
+    coder.finish(name)
 }
 
-/// Splits one CSV record, honouring double-quoted fields with `""` escapes.
-fn split_record(line: &str, delimiter: char, line_no: usize) -> Result<Vec<String>, DataError> {
-    let mut fields = Vec::new();
-    let mut field = String::new();
-    let mut chars = line.chars().peekable();
-    let mut in_quotes = false;
-    while let Some(c) = chars.next() {
-        if in_quotes {
-            if c == '"' {
-                if chars.peek() == Some(&'"') {
-                    chars.next();
-                    field.push('"');
-                } else {
-                    in_quotes = false;
-                }
-            } else {
-                field.push(c);
-            }
-        } else if c == '"' {
-            in_quotes = true;
-        } else if c == delimiter {
-            fields.push(std::mem::take(&mut field));
-        } else {
-            field.push(c);
+/// The reader's state from one record to the next.
+struct Coder<'o> {
+    options: &'o CsvOptions,
+    text: &'o str,
+    expect_header: bool,
+    header: Vec<String>,
+    /// Fixed by the first data record: its width and the label column.
+    layout: Option<(usize, Option<usize>)>,
+    columns: Vec<Column>,
+    label_column: Column,
+    codes: Vec<u32>,
+    labels: Vec<usize>,
+}
+
+impl<'o> Coder<'o> {
+    fn new(options: &'o CsvOptions, text: &'o str) -> Self {
+        Coder {
+            options,
+            text,
+            expect_header: options.has_header,
+            header: Vec::new(),
+            layout: None,
+            columns: Vec::new(),
+            label_column: Column::new(FeatureDomain::new("class")),
+            codes: Vec::new(),
+            labels: Vec::new(),
         }
     }
-    if in_quotes {
+
+    /// Takes one non-blank line's fields: the header, or a record coded
+    /// straight into the table.
+    fn record<'a>(
+        &mut self,
+        fields: impl Iterator<Item = &'a str> + Clone,
+        line_no: usize,
+    ) -> Result<(), DataError> {
+        if self.expect_header {
+            self.expect_header = false;
+            self.header = fields.map(str::to_owned).collect();
+            return Ok(());
+        }
+        let (width, label_idx) = match self.layout {
+            Some(layout) => layout,
+            None => {
+                let width = fields.clone().count();
+                let label_idx = label_index(self.options.label, width, line_no)?;
+                self.columns = feature_columns(&self.header, width, label_idx);
+                let rows = max_records(self.text, width);
+                self.codes.reserve(rows * self.columns.len());
+                self.labels.reserve(rows);
+                *self.layout.insert((width, label_idx))
+            }
+        };
+
+        let row_start = self.codes.len();
+        let mut found = 0;
+        let mut kept = true;
+        let mut label_field = "";
+        for field in fields {
+            let col = found;
+            found += 1;
+            // Past the width only the count matters: the row is an error.
+            if col >= width || !kept {
+                continue;
+            }
+            let field = trim(field);
+            if Some(col) == label_idx {
+                label_field = field;
+            } else if self.options.missing_tokens.iter().any(|t| t == field) {
+                // A dropped row keeps the values interned before its missing
+                // field, as the reader always has.
+                kept = !self.options.drop_missing;
+                self.codes.push(MISSING);
+            } else {
+                let r = if label_idx.is_some_and(|l| l < col) { col - 1 } else { col };
+                self.codes.push(self.columns[r].code(field));
+            }
+        }
+        if found != width {
+            return Err(DataError::Parse {
+                line: line_no,
+                message: format!("expected {width} fields, found {found}"),
+            });
+        }
+        if kept {
+            let label = label_idx.map_or(0, |_| self.label_column.code(label_field) as usize);
+            self.labels.push(label);
+        } else {
+            self.codes.truncate(row_start);
+        }
+        Ok(())
+    }
+
+    fn finish(self, name: &str) -> Result<Dataset, DataError> {
+        if self.layout.is_none() {
+            return Err(DataError::EmptyTable);
+        }
+        let schema = Schema::new(self.columns.into_iter().map(|column| column.domain).collect());
+        let table = CategoricalTable::from_flat(schema, self.codes)?;
+        Dataset::new(name, table, self.labels)
+    }
+}
+
+/// Resolves `label` against a `width`-field record on line `line`.
+fn label_index(label: LabelColumn, width: usize, line: usize) -> Result<Option<usize>, DataError> {
+    let index = match label {
+        LabelColumn::None => return Ok(None),
+        LabelColumn::First => 0,
+        LabelColumn::Last => width - 1,
+        LabelColumn::Index(i) => i,
+    };
+    if index >= width {
         return Err(DataError::Parse {
-            line: line_no,
-            message: "unterminated quoted field".into(),
+            line,
+            message: format!("label column {index} out of range for {width}-field records"),
         });
     }
-    fields.push(field);
-    Ok(fields)
+    Ok(Some(index))
+}
+
+/// One empty column per feature, named from `header` with the label column
+/// skipped, or `f{r}` where the header has no name for it.
+fn feature_columns(header: &[String], width: usize, label_idx: Option<usize>) -> Vec<Column> {
+    let mut names: Vec<&String> = header.iter().collect();
+    if let Some(i) = label_idx.filter(|&i| i < names.len()) {
+        names.remove(i);
+    }
+    let d = if label_idx.is_some() { width - 1 } else { width };
+    (0..d)
+        .map(|r| {
+            let name = names.get(r).map_or_else(|| format!("f{r}"), |name| (*name).clone());
+            Column::new(FeatureDomain::new(name))
+        })
+        .collect()
+}
+
+/// Upper bound on the `width`-field records in `text`, for reserving the
+/// table once: its line count, but never more than `text` has bytes for,
+/// since every record but the last takes at least `width` bytes with its
+/// newline (so blank lines cannot inflate the reservation). The newlines
+/// are tallied in byte-wide counters, 255 bytes at a time, so the count
+/// vectorizes.
+fn max_records(text: &str, width: usize) -> usize {
+    let chunk_count =
+        |chunk: &[u8]| chunk.iter().fold(0u8, |n, &b| n + u8::from(b == b'\n')) as usize;
+    let lines = text.as_bytes().chunks(255).map(chunk_count).sum::<usize>() + 1;
+    lines.min(text.len() / width + 1)
+}
+
+/// `field.trim()`, without the Unicode whitespace test when both ends are
+/// visible ASCII (which no trim removes).
+fn trim(field: &str) -> &str {
+    let bytes = field.as_bytes();
+    if bytes.first().is_some_and(u8::is_ascii_graphic)
+        && bytes.last().is_some_and(u8::is_ascii_graphic)
+    {
+        field
+    } else {
+        field.trim()
+    }
+}
+
+/// Slots in a [`Column`]'s memo of recent codes.
+const RECENT: usize = 64;
+
+/// One column's domain, with a direct-mapped memo of the code last seen
+/// for each (length, last byte) slot. A hit costs one comparison with the
+/// domain's label, where [`FeatureDomain::intern`] would hash the field. Two
+/// labels sharing a slot only cost misses, which fall back to `intern` and
+/// its keyed `HashMap`, so no input makes a lookup much dearer than that.
+struct Column {
+    domain: FeatureDomain,
+    recent: [u32; RECENT],
+}
+
+impl Column {
+    fn new(domain: FeatureDomain) -> Self {
+        // `u32::MAX` is no code, so every slot starts as a miss.
+        Column { domain, recent: [u32::MAX; RECENT] }
+    }
+
+    fn code(&mut self, field: &str) -> u32 {
+        let last = field.as_bytes().last().copied().unwrap_or(0);
+        let slot = (usize::from(last) + 17 * field.len()) % RECENT;
+        let code = self.recent[slot];
+        if self.domain.label(code) == Some(field) {
+            return code;
+        }
+        let code = self.domain.intern(field);
+        self.recent[slot] = code;
+        code
+    }
+}
+
+/// A buffer that quoted lines are unquoted into, reused from line to line,
+/// with each field's end offset in `ends`.
+#[derive(Default)]
+struct Unquoted {
+    text: String,
+    ends: Vec<usize>,
+}
+
+impl Unquoted {
+    /// Splits `line`: `"` toggles quoting anywhere, `""` inside quotes is a
+    /// literal quote, and the delimiter inside quotes is text.
+    fn split<'a>(
+        &'a mut self,
+        line: &str,
+        delimiter: char,
+        line_no: usize,
+    ) -> Result<impl Iterator<Item = &'a str> + Clone, DataError> {
+        self.text.clear();
+        self.ends.clear();
+        let mut in_quotes = false;
+        let mut chars = line.chars().peekable();
+        while let Some(c) = chars.next() {
+            match c {
+                '"' if in_quotes && chars.peek() == Some(&'"') => {
+                    chars.next();
+                    self.text.push('"');
+                }
+                '"' => in_quotes = !in_quotes,
+                c if c == delimiter && !in_quotes => self.ends.push(self.text.len()),
+                c => self.text.push(c),
+            }
+        }
+        if in_quotes {
+            return Err(DataError::Parse {
+                line: line_no,
+                message: "unterminated quoted field".into(),
+            });
+        }
+        self.ends.push(self.text.len());
+        let text = self.text.as_str();
+        Ok(self.ends.iter().scan(0, move |start, &end| {
+            let field = &text[*start..end];
+            *start = end;
+            Some(field)
+        }))
+    }
 }
 
 /// Writes `dataset` as CSV with the class label in the last column.
+///
+/// A value holding `,` or `"` is written quoted, with `"` doubled, so the
+/// file reads back through [`read_csv`] with the default options.
 ///
 /// # Errors
 ///
 /// Returns [`DataError::Io`] if the file cannot be written.
 pub fn write_csv(dataset: &Dataset, path: impl AsRef<Path>) -> Result<(), DataError> {
-    let mut out = fs::File::create(path)?;
+    let mut out = BufWriter::new(fs::File::create(path)?);
     let table = dataset.table();
-    for (i, row) in table.rows().enumerate() {
-        let mut fields: Vec<String> = Vec::with_capacity(row.len() + 1);
+    for (row, label) in table.rows().zip(dataset.labels()) {
         for (r, &code) in row.iter().enumerate() {
-            if code == MISSING {
-                fields.push("?".to_owned());
+            let field = if code == MISSING {
+                "?"
             } else {
-                fields.push(table.schema().domain(r).label(code).unwrap_or("?").to_owned());
-            }
+                table.schema().domain(r).label(code).unwrap_or("?")
+            };
+            write_field(&mut out, field)?;
+            out.write_all(b",")?;
         }
-        fields.push(format!("c{}", dataset.labels()[i]));
-        writeln!(out, "{}", fields.join(","))?;
+        writeln!(out, "c{label}")?;
     }
+    out.flush()?;
     Ok(())
+}
+
+/// Writes one field, quoted when it holds the delimiter or a quote.
+fn write_field(out: &mut impl Write, field: &str) -> std::io::Result<()> {
+    if !field.contains([',', '"']) {
+        return out.write_all(field.as_bytes());
+    }
+    out.write_all(b"\"")?;
+    for (i, part) in field.split('"').enumerate() {
+        if i > 0 {
+            out.write_all(b"\"\"")?;
+        }
+        out.write_all(part.as_bytes())?;
+    }
+    out.write_all(b"\"")
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::test_runner::TestRng;
+
+    use super::super::csv_reference;
     use super::*;
 
     #[test]
@@ -316,14 +484,185 @@ mod tests {
 
     #[test]
     fn round_trip_through_file() {
-        let ds = read_csv_str("a,x,yes\nb,y,no\n", &CsvOptions::default()).unwrap();
+        let ds = read_csv_str(
+            "\"a,b\",x,yes\nc,\"say \"\"hi\"\"\",no\na,x,no\n",
+            &CsvOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(ds.table().schema().domain(1).label(1), Some("say \"hi\""));
         let dir = std::env::temp_dir().join("categorical-data-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("round_trip.csv");
         write_csv(&ds, &path).unwrap();
         let back = read_csv(&path, &CsvOptions::default()).unwrap();
-        assert_eq!(back.n_rows(), 2);
-        assert_eq!(back.n_features(), 2);
+        assert_eq!(back.table(), ds.table());
+        assert_eq!(back.labels(), ds.labels());
         assert_eq!(back.k_true(), 2);
+    }
+
+    #[test]
+    fn label_codes_do_not_depend_on_the_label_column() {
+        let first = CsvOptions { label: LabelColumn::First, ..CsvOptions::default() };
+        let first = read_csv_str("yes,a,x\nmaybe,?,y\nno,b,z\n", &first).unwrap();
+        let last = read_csv_str("a,x,yes\n?,y,maybe\nb,z,no\n", &CsvOptions::default()).unwrap();
+        assert_eq!(first.labels(), &[0, 1]);
+        assert_eq!(first.labels(), last.labels());
+        assert_eq!(first.k_true(), last.k_true());
+    }
+
+    #[test]
+    fn the_first_defect_by_line_is_reported() {
+        let err = read_csv_str("a,x,yes\nb,no\n\"c,y,no\n", &CsvOptions::default()).unwrap_err();
+        assert_eq!(err, DataError::Parse { line: 2, message: "expected 3 fields, found 2".into() });
+        let options = CsvOptions { label: LabelColumn::Index(5), ..CsvOptions::default() };
+        let err = read_csv_str("\n a,x,yes\n\"b,y,no\n", &options).unwrap_err();
+        assert!(matches!(err, DataError::Parse { line: 2, .. }), "{err:?}");
+    }
+
+    #[test]
+    fn memo_slot_collisions_fall_back_to_the_domain() {
+        // "a" and "!" share a slot: same length, last bytes 64 apart.
+        let mut column = Column::new(FeatureDomain::new("f"));
+        let labels = ["a", "!", "a", "b", "!", "!", "a", "b"];
+        let codes: Vec<u32> = labels.iter().map(|l| column.code(l)).collect();
+        assert_eq!(codes, [0, 1, 0, 2, 1, 1, 0, 2]);
+        assert_eq!(column.domain, FeatureDomain::with_labels("f", ["a", "!", "b"]));
+    }
+
+    /// Generated CSV text with at most one defect, and options to read it
+    /// with: quoting (also mid-field), `""` escapes, LF or CRLF, blank lines,
+    /// padding, missing tokens, a header, every label column, and ASCII and
+    /// multi-byte delimiters.
+    fn generated_case(rng: &mut TestRng) -> (String, CsvOptions) {
+        const VALUES: [&str; 12] = [
+            "a",
+            "b",
+            "v1",
+            "\u{e9}t\u{e9}",
+            "  a ",
+            "?",
+            "",
+            " ? ",
+            "x y",
+            "a,b",
+            "say \"hi\"",
+            "NA",
+        ];
+        let pick = |rng: &mut TestRng, n: usize| rng.below(n as u64) as usize;
+        let delimiter = [',', ';', '\t', '\u{a6}'][pick(rng, 4)];
+        let width = 1 + pick(rng, 4);
+        let n_rows = pick(rng, 8);
+        // 0: none, 1: ragged row, 2: unterminated quote, 3: label out of range.
+        let defect = if pick(rng, 3) == 0 { 1 + pick(rng, 3) } else { 0 };
+        let label = match (defect, pick(rng, 4)) {
+            (3, _) => LabelColumn::Index(width + pick(rng, 2)),
+            (_, 0) => LabelColumn::None,
+            (_, 1) => LabelColumn::First,
+            (_, 2) => LabelColumn::Last,
+            _ => LabelColumn::Index(pick(rng, width)),
+        };
+        let mut missing_tokens = vec!["?".to_owned(), "".to_owned()];
+        if pick(rng, 2) == 0 {
+            missing_tokens.push("NA".to_owned());
+        }
+        let options = CsvOptions {
+            delimiter,
+            has_header: pick(rng, 2) == 0,
+            label,
+            missing_tokens,
+            drop_missing: pick(rng, 2) == 0,
+        };
+
+        let encode = |rng: &mut TestRng, value: &str| {
+            let mut padding = || {
+                let padding = ["", " ", "\t ", "\u{3000}"][pick(rng, 4)];
+                if delimiter == '\t' {
+                    padding.trim_start()
+                } else {
+                    padding
+                }
+            };
+            let (lead, trail) = (padding(), padding());
+            let body = if value.contains([delimiter, '"']) || pick(rng, 6) == 0 {
+                format!("\"{}\"", value.replace('"', "\"\""))
+            } else if value.len() > 1 && pick(rng, 8) == 0 {
+                let (head, tail) = value.split_at(value.chars().next().unwrap().len_utf8());
+                format!("{head}\"{tail}\"")
+            } else {
+                value.to_owned()
+            };
+            format!("{lead}{body}{trail}")
+        };
+        let mut lines: Vec<String> = Vec::new();
+        if options.has_header {
+            let names: Vec<String> = (0..width).map(|c| encode(rng, &format!("h{c}"))).collect();
+            lines.push(names.join(&delimiter.to_string()));
+        }
+        for _ in 0..n_rows {
+            let fields: Vec<String> = (0..width)
+                .map(|_| {
+                    let value = VALUES[pick(rng, VALUES.len())];
+                    encode(rng, value)
+                })
+                .collect();
+            lines.push(fields.join(&delimiter.to_string()));
+        }
+        let first_row = usize::from(options.has_header);
+        match defect {
+            // Not the first data record, which sets the width.
+            1 if n_rows >= 2 => {
+                let line = &mut lines[first_row + 1 + pick(rng, n_rows - 1)];
+                if width > 1 && pick(rng, 2) == 0 {
+                    let cut = line.rfind(delimiter).unwrap();
+                    line.truncate(cut);
+                } else {
+                    line.push(delimiter);
+                    line.push('z');
+                }
+            }
+            2 if !lines.is_empty() => {
+                let i = pick(rng, lines.len());
+                lines[i].push_str("\"open");
+            }
+            _ => {}
+        }
+        let newline = if pick(rng, 2) == 0 { "\n" } else { "\r\n" };
+        let mut text = String::new();
+        for line in &lines {
+            for _ in 0..pick(rng, 4).saturating_sub(2) {
+                text.push_str(["", "  ", "\t"][pick(rng, 3)]);
+                text.push_str(newline);
+            }
+            text.push_str(line);
+            text.push_str(newline);
+        }
+        if pick(rng, 4) == 0 {
+            text.truncate(text.len().saturating_sub(newline.len()));
+        }
+        (text, options)
+    }
+
+    #[test]
+    fn streaming_reader_matches_the_reference_reader() {
+        let mut rng = TestRng::new(0x5EED_C5F0);
+        let mut outcomes = std::collections::BTreeMap::new();
+        for case in 0..4000 {
+            let (text, options) = generated_case(&mut rng);
+            let got = read_csv_str(&text, &options);
+            let want = csv_reference::read_csv_str(&text, &options);
+            assert_eq!(got, want, "case {case}: {options:?}\n{text:?}");
+            let outcome = match &got {
+                Ok(_) => "ok",
+                Err(DataError::Parse { message, .. }) if message.starts_with("expected") => "arity",
+                Err(DataError::Parse { message, .. }) if message.starts_with("label") => "label",
+                Err(DataError::Parse { .. }) => "quote",
+                Err(DataError::EmptyTable) => "empty",
+                Err(_) => "other",
+            };
+            *outcomes.entry(outcome).or_insert(0) += 1;
+        }
+        for outcome in ["ok", "arity", "label", "quote", "empty", "other"] {
+            assert!(outcomes.get(outcome).is_some_and(|&n| n >= 20), "{outcomes:?}");
+        }
     }
 }

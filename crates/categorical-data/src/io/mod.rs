@@ -6,5 +6,7 @@
 //! of the synthetic stand-ins.
 
 mod csv;
+#[cfg(test)]
+mod csv_reference;
 
 pub use csv::{read_csv, read_csv_str, write_csv, CsvOptions, LabelColumn};

@@ -112,7 +112,9 @@ pub struct StageRecord {
     pub k_before: usize,
     /// Number of live clusters surviving at stage convergence.
     pub k_after: usize,
-    /// Inner learning passes the stage needed to reach the `Q` fixpoint.
+    /// Inner learning passes the stage ran: the passes it needed to reach
+    /// the `Q` fixpoint, or `max_inner_iterations` when that cap stopped the
+    /// stage first (the record does not tell the two apart).
     pub inner_iterations: usize,
 }
 

@@ -3,7 +3,7 @@
 use mcdc::core::{encode_partitions, ClusterProfile, Mgcpl};
 use mcdc::data::io::{read_csv_str, write_csv, CsvOptions};
 use mcdc::data::synth::GeneratorConfig;
-use mcdc::data::{CategoricalTable, Schema};
+use mcdc::data::{CategoricalTable, FeatureDomain, Schema};
 use mcdc::eval::{
     accuracy, adjusted_mutual_information, adjusted_rand_index, fowlkes_mallows,
     normalized_mutual_information, solve_assignment,
@@ -124,7 +124,11 @@ proptest! {
     fn csv_roundtrip_preserves_shape(rows in proptest::collection::vec(
         proptest::collection::vec(0u32..3, 4), 2..15,
     )) {
-        let schema = Schema::uniform(4, 3);
+        // Values that need quoting must read back as written.
+        let values = ["plain", "a,b", "say \"hi\""];
+        let schema = Schema::new(
+            (0..4).map(|r| FeatureDomain::with_labels(format!("f{r}"), values)).collect(),
+        );
         let table = CategoricalTable::from_rows(schema, rows.iter().map(Vec::as_slice)).unwrap();
         let n = table.n_rows();
         let labels: Vec<usize> = (0..n).map(|i| i % 2).collect();
@@ -137,6 +141,16 @@ proptest! {
         let back = read_csv_str(&text, &CsvOptions::default()).unwrap();
         prop_assert_eq!(back.n_rows(), n);
         prop_assert_eq!(back.n_features(), 4);
+        prop_assert_eq!(back.labels(), ds.labels());
+        let label = |ds: &mcdc::Dataset, i: usize, r: usize| {
+            let schema = ds.table().schema();
+            schema.domain(r).label(ds.table().value(i, r)).unwrap().to_owned()
+        };
+        for i in 0..n {
+            for r in 0..4 {
+                prop_assert_eq!(label(&back, i, r), label(&ds, i, r));
+            }
+        }
     }
 }
 
