@@ -25,17 +25,13 @@ fn bench_components(c: &mut Criterion) {
     });
     group.finish();
 
-    // Similarity micro-kernel: one weighted object–cluster evaluation.
+    // Similarity micro-kernel: one object–cluster evaluation.
     let mut profile = ClusterProfile::new(data.table().schema());
     for i in 0..500 {
         profile.add(data.table().row(i));
     }
-    let weights = vec![1.0 / data.n_features() as f64; data.n_features()];
     let query = data.table().row(1_000).to_vec();
     let mut micro = c.benchmark_group("similarity_kernel");
-    micro.bench_function("weighted_similarity_d10", |b| {
-        b.iter(|| profile.weighted_similarity(&query, &weights));
-    });
     micro.bench_function("plain_similarity_d10", |b| {
         b.iter(|| profile.similarity(&query));
     });

@@ -33,7 +33,7 @@ fn main() {
 
     for (name, make) in &variants {
         let (mut ami_sum, mut gap_sum, mut sigma_sum) = (0.0f64, 0.0f64, 0.0f64);
-        for ds in &sets {
+        for (_, ds) in &sets {
             let (ami, gap, sigma) = evaluate(make().seed(args.seed).build(), ds);
             ami_sum += ami;
             gap_sum += gap;

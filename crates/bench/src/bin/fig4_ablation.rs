@@ -15,9 +15,9 @@ fn main() {
         .unwrap_or_else(|err| panic!("{err}"));
 
     println!("Fig. 4: ARI of MCDC and its ablated versions ({} runs each)", args.runs);
-    for (i, ds) in sets.iter().enumerate() {
+    for (i, (abbrev, ds)) in sets.iter().enumerate() {
         eprintln!("running {} ...", ds.name());
-        println!("\n({}) ARI on {}", (b'a' + i as u8) as char, datasets::abbrevs()[i]);
+        println!("\n({}) ARI on {}", (b'a' + i as u8) as char, abbrev);
         let aris: Vec<(AblationVariant, f64)> = AblationVariant::ALL
             .iter()
             .map(|&variant| {

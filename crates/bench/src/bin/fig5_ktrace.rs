@@ -14,7 +14,7 @@ fn main() {
         .unwrap_or_else(|err| panic!("{err}"));
 
     println!("Fig. 5: numbers of clusters learned by MGCPL (x = convergence stage; * marks k*)");
-    for (i, ds) in sets.iter().enumerate() {
+    for (i, (abbrev, ds)) in sets.iter().enumerate() {
         let result = Mgcpl::builder()
             .seed(args.seed)
             .build()
@@ -26,7 +26,7 @@ fn main() {
         println!(
             "\n({}) ks learned for {:<5} k*={} : {}",
             (b'a' + i as u8) as char,
-            datasets::abbrevs()[i],
+            abbrev,
             ds.k_true(),
             series.join(" -> ")
         );

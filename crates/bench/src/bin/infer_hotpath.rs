@@ -1,7 +1,7 @@
 //! Machine-readable perf snapshot for the frozen-model serving hot path
 //! (DESIGN.md §9): times `FrozenModel::score_one` (row loop),
-//! `FrozenModel::score_batch`, and the live [`score_all`] + argmax it
-//! compacts, on a row-count sweep of the classic shape (d = 10, k = 3 at
+//! `FrozenModel::score_batch`, and the live per-profile
+//! `ClusterProfile::similarity` argmax it compacts, on a row-count sweep of the classic shape (d = 10, k = 3 at
 //! n ∈ {3k, 10k, 30k}) plus swept `d·k` shapes whose scoring tables grow
 //! from a few KB to well past L2 — the regime question the frozen layout
 //! exists to answer. Writes `BENCH_infer.json` with ns/row per kernel and
@@ -20,13 +20,13 @@
 //! shapes, fewer reps, writes to `target/infer_quick.json` unless `--out`
 //! is given, and exits non-zero when any median is non-finite/zero
 //! (panic/NaN guard), when frozen/live argmax parity breaks on the pinned
-//! seed, or when the frozen per-row time loses to the live `score_all`
-//! path it compacts.
+//! seed, or when the frozen per-row time loses to the live per-profile
+//! `similarity` argmax it compacts.
 
 use std::time::Instant;
 
 use categorical_data::synth::GeneratorConfig;
-use mcdc_core::{score_all, ClusterProfile, FrozenModel};
+use mcdc_core::{ClusterProfile, FrozenModel};
 
 /// One benchmarked (shape, n) cell.
 struct Shape {
@@ -124,26 +124,14 @@ fn main() {
         let frozen = FrozenModel::from_profiles(&profiles);
         let table_kb = frozen.table_bytes() as f64 / 1024.0;
 
-        // Live scratch, preallocated outside the timed region: the live
-        // column measures the kernel, not its caller's allocator.
-        let prefactors = vec![1.0f64; shape.k];
-        let mut scores = vec![0.0f64; shape.k];
+        // Output buffers, preallocated outside the timed region.
         let mut live_labels: Vec<u32> = Vec::with_capacity(rows.len());
         let mut batch_out: Vec<u32> = Vec::with_capacity(rows.len());
 
         // Parity first (untimed): frozen and live must agree on every row.
         frozen.score_batch(rows.iter().copied(), &mut batch_out);
         live_labels.clear();
-        for row in &rows {
-            score_all(row, &profiles, None, &prefactors, None, &mut scores);
-            let mut best = 0usize;
-            for l in 1..shape.k {
-                if scores[l] > scores[best] {
-                    best = l;
-                }
-            }
-            live_labels.push(best as u32);
-        }
+        live_labels.extend(rows.iter().map(|row| live_argmax(&profiles, row)));
         let parity = batch_out == live_labels;
 
         let mut one_samples = Vec::with_capacity(reps);
@@ -164,14 +152,7 @@ fn main() {
             live_samples.push(time_ns_per_row(rows.len(), || {
                 let mut acc = 0u64;
                 for row in &rows {
-                    score_all(row, &profiles, None, &prefactors, None, &mut scores);
-                    let mut best = 0usize;
-                    for l in 1..shape.k {
-                        if scores[l] > scores[best] {
-                            best = l;
-                        }
-                    }
-                    acc += best as u64;
+                    acc += live_argmax(&profiles, row) as u64;
                 }
                 std::hint::black_box(acc);
             }));
@@ -214,6 +195,22 @@ fn main() {
     }
 }
 
+/// The live reference: the first cluster with the highest
+/// `ClusterProfile::similarity` (strict `>`, first index wins ties) — the
+/// assignment the frozen table compacts.
+fn live_argmax(profiles: &[ClusterProfile], row: &[u32]) -> u32 {
+    let mut best = 0usize;
+    let mut best_score = f64::NEG_INFINITY;
+    for (l, profile) in profiles.iter().enumerate() {
+        let score = profile.similarity(row);
+        if score > best_score {
+            best_score = score;
+            best = l;
+        }
+    }
+    best as u32
+}
+
 /// The `--quick` gate: fail loudly (exit 1) on NaN/zero medians, broken
 /// frozen/live parity, or the frozen path losing to the live path it
 /// compacts on any shape.
@@ -230,17 +227,17 @@ fn smoke_check(entries: &[Entry]) {
             }
         }
         if !e.parity {
-            failures.push(format!("{}: frozen argmax diverges from live score_all", e.name));
+            failures.push(format!("{}: frozen argmax diverges from live similarity", e.name));
         }
         if e.frozen_one_ns > e.live_ns {
             failures.push(format!(
-                "{}: frozen score_one {:.1} ns/row loses to live score_all {:.1} ns/row",
+                "{}: frozen score_one {:.1} ns/row loses to live similarity {:.1} ns/row",
                 e.name, e.frozen_one_ns, e.live_ns
             ));
         }
         if e.frozen_batch_ns > e.live_ns {
             failures.push(format!(
-                "{}: frozen score_batch {:.1} ns/row loses to live score_all {:.1} ns/row",
+                "{}: frozen score_batch {:.1} ns/row loses to live similarity {:.1} ns/row",
                 e.name, e.frozen_batch_ns, e.live_ns
             ));
         }

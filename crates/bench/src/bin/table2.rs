@@ -10,7 +10,7 @@ fn main() {
         "Table II: Statistics of the data sets (d = features, n = objects, k* = true clusters)"
     );
     println!("{:<4} {:<22} {:<8} {:>5} {:>8} {:>4}", "No.", "Data Set", "Abbrev.", "d", "n", "k*");
-    for (i, ds) in datasets::table_ii(args.seed, args.data_dir.as_deref())
+    for (i, (abbrev, ds)) in datasets::table_ii(args.seed, args.data_dir.as_deref())
         .unwrap_or_else(|err| panic!("{err}"))
         .iter()
         .enumerate()
@@ -19,7 +19,7 @@ fn main() {
             "{:<4} {:<22} {:<8} {:>5} {:>8} {:>4}",
             i + 1,
             ds.name(),
-            datasets::abbrevs()[i],
+            abbrev,
             ds.n_features(),
             ds.n_rows(),
             ds.k_true()

@@ -15,14 +15,17 @@ fn main() {
     let args = Args::parse();
     let sets = datasets::table_ii(args.seed, args.data_dir.as_deref())
         .unwrap_or_else(|err| panic!("{err}"));
-    let sets: Vec<_> =
-        if args.quick { sets.into_iter().filter(|d| d.n_rows() <= 1000).collect() } else { sets };
+    let sets: Vec<_> = if args.quick {
+        sets.into_iter().filter(|(_, d)| d.n_rows() <= 1000).collect()
+    } else {
+        sets
+    };
     let names: Vec<&str> = Method::TABLE3.iter().map(Method::name).collect();
 
     // summaries[dataset][method]
     let summaries: Vec<Vec<mcdc_bench::MethodSummary>> = sets
         .iter()
-        .map(|ds| {
+        .map(|(_, ds)| {
             eprintln!("running {} (n={}, d={}) ...", ds.name(), ds.n_rows(), ds.n_features());
             Method::TABLE3.iter().map(|&m| run_method(m, ds, args.runs, args.seed)).collect()
         })
@@ -35,21 +38,16 @@ fn main() {
     for index in INDICES {
         println!("\n[{index}]");
         println!("{}", format::header("Data", &names));
-        for (ds, row) in sets.iter().zip(&summaries) {
+        for ((abbrev, _), row) in sets.iter().zip(&summaries) {
             let cells: Vec<(f64, f64)> =
                 row.iter().map(|s| (s.mean.get(index), s.std.get(index))).collect();
-            let abbrev = datasets::abbrevs()[datasets::table_ii(args.seed, None)
-                .expect("stand-ins read no files")
-                .iter()
-                .position(|d| d.name() == ds.name())
-                .unwrap_or(0)];
             println!("{}", format::table3_row(abbrev, &cells));
         }
     }
 
     // Failure annotations (the paper's "judged as failed" prose).
     println!();
-    for (ds, row) in sets.iter().zip(&summaries) {
+    for ((_, ds), row) in sets.iter().zip(&summaries) {
         for (method, summary) in Method::TABLE3.iter().zip(row) {
             if summary.failures > 0 {
                 println!(

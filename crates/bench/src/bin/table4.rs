@@ -19,8 +19,10 @@ fn main() {
 
     // Per-dataset mean scores for MCDC+F. and each counterpart.
     eprintln!("scoring MCDC+F. ...");
-    let ours: Vec<_> =
-        sets.iter().map(|ds| run_method(Method::McdcFkmawcw, ds, args.runs, args.seed)).collect();
+    let ours: Vec<_> = sets
+        .iter()
+        .map(|(_, ds)| run_method(Method::McdcFkmawcw, ds, args.runs, args.seed))
+        .collect();
     println!(
         "Table IV: two-tailed Wilcoxon signed-rank test, alpha = 0.1 ({} runs per cell)",
         args.runs
@@ -29,7 +31,7 @@ fn main() {
     for method in COUNTERPARTS {
         eprintln!("scoring {} ...", method.name());
         let theirs: Vec<_> =
-            sets.iter().map(|ds| run_method(method, ds, args.runs, args.seed)).collect();
+            sets.iter().map(|(_, ds)| run_method(method, ds, args.runs, args.seed)).collect();
         let mut cells = Vec::new();
         for index in INDICES {
             let x: Vec<f64> = ours.iter().map(|s| s.mean.get(index)).collect();

@@ -31,16 +31,21 @@ impl fmt::Display for DataFileError {
 
 impl std::error::Error for DataFileError {}
 
-/// Loads or generates all eight Table II data sets, in table order.
+/// Loads or generates all eight Table II data sets, in table order, each
+/// with its Table II abbreviation (`Car.`, `Con.`, …).
 ///
 /// `seed` parameterizes the synthetic stand-ins; real files (when found in
-/// `data_dir`) are returned as-is.
+/// `data_dir`) are returned as-is, named after the file, so the
+/// abbreviation is the one stable key for a row of a printed table.
 ///
 /// # Errors
 ///
 /// Returns [`DataFileError`] naming the first real file that is present but
 /// cannot be read or parsed.
-pub fn table_ii(seed: u64, data_dir: Option<&Path>) -> Result<Vec<Dataset>, DataFileError> {
+pub fn table_ii(
+    seed: u64,
+    data_dir: Option<&Path>,
+) -> Result<Vec<(&'static str, Dataset)>, DataFileError> {
     uci::ALL
         .iter()
         .map(|profile| {
@@ -50,18 +55,14 @@ pub fn table_ii(seed: u64, data_dir: Option<&Path>) -> Result<Vec<Dataset>, Data
                     let path = dir.join(format!("{stem}.{ext}"));
                     if path.exists() {
                         return read_csv(&path, &CsvOptions::default())
+                            .map(|ds| (profile.abbrev, ds))
                             .map_err(|error| DataFileError { path, error });
                     }
                 }
             }
-            Ok(profile.generate_dataset(seed))
+            Ok((profile.abbrev, profile.generate_dataset(seed)))
         })
         .collect()
-}
-
-/// Abbreviated names in Table II order (`Car.`, `Con.`, …).
-pub fn abbrevs() -> Vec<&'static str> {
-    uci::ALL.iter().map(|p| p.abbrev).collect()
 }
 
 #[cfg(test)]
@@ -72,8 +73,8 @@ mod tests {
     fn stand_ins_cover_all_eight() {
         let sets = table_ii(3, None).unwrap();
         assert_eq!(sets.len(), 8);
-        assert_eq!(sets[3].name(), "Mushroom");
-        assert_eq!(sets[3].n_rows(), 8124);
+        assert_eq!(sets[3].1.name(), "Mushroom");
+        assert_eq!(sets[3].1.n_rows(), 8124);
     }
 
     #[test]
@@ -88,8 +89,20 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("car.csv"), "a,x,c0\nb,y,c1\na,y,c0\nb,x,c1\n").unwrap();
         let sets = table_ii(3, Some(&dir)).unwrap();
-        assert_eq!(sets[0].n_rows(), 4, "car should load from the real file");
-        assert_eq!(sets[1].n_rows(), 435, "con still synthetic");
+        assert_eq!(sets[0].1.n_rows(), 4, "car should load from the real file");
+        assert_eq!(sets[1].1.n_rows(), 435, "con still synthetic");
+    }
+
+    #[test]
+    fn abbreviations_travel_with_their_data_sets() {
+        let dir = std::env::temp_dir().join("mcdc-bench-abbrev-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("bal.csv"), "a,x,c0\nb,y,c1\n").unwrap();
+        let sets = table_ii(3, Some(&dir)).unwrap();
+        let abbrevs: Vec<&str> = sets.iter().map(|(abbrev, _)| *abbrev).collect();
+        assert_eq!(abbrevs, uci::ALL.map(|p| p.abbrev));
+        // The real file is named after its stem, yet keeps its own row label.
+        assert!(sets.iter().any(|(abbrev, ds)| (*abbrev, ds.name()) == ("Bal.", "bal")));
     }
 
     #[test]

@@ -82,6 +82,14 @@ impl FeatureDomain {
         code
     }
 
+    /// Removes the most recently interned label (a no-op on an empty
+    /// domain); every other code keeps its label.
+    pub(crate) fn forget_newest(&mut self) {
+        if let Some(label) = self.labels.pop() {
+            self.index.remove(&label);
+        }
+    }
+
     /// Returns the code for `label` without interning, or `None` if absent.
     pub fn code(&self, label: &str) -> Option<u32> {
         self.index.get(label).copied()

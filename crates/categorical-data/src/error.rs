@@ -27,6 +27,13 @@ pub enum DataError {
         /// The label that could not be resolved.
         label: String,
     },
+    /// A domain label cannot be written to CSV and read back as itself.
+    UnwritableLabel {
+        /// Feature index of the offending label.
+        feature: usize,
+        /// The label.
+        label: String,
+    },
     /// The input text could not be parsed.
     Parse {
         /// 1-based line number of the offending record.
@@ -60,6 +67,11 @@ impl fmt::Display for DataError {
             DataError::UnknownLabel { feature, label } => {
                 write!(f, "label {label:?} is not in the domain of feature {feature}")
             }
+            DataError::UnwritableLabel { feature, label } => write!(
+                f,
+                "label {label:?} of feature {feature} would not read back from CSV \
+                 (a missing token, padded with whitespace, or holding a line break)"
+            ),
             DataError::Parse { line, message } => {
                 write!(f, "parse error at line {line}: {message}")
             }

@@ -59,8 +59,9 @@ impl Default for CsvOptions {
 /// Blank lines are skipped but still counted in line numbers. The header,
 /// when [`CsvOptions::has_header`] is set, is the first non-blank line, and
 /// the first data record fixes the width every record must have. A row
-/// dropped for a missing value does not intern its class label, so label
-/// codes do not depend on which column holds the label.
+/// dropped for a missing value leaves no trace in any domain: the values it
+/// was first to show are forgotten again, and its class label is never
+/// interned, so label codes do not depend on which column holds the label.
 ///
 /// # Errors
 ///
@@ -185,13 +186,11 @@ impl<'o> Coder<'o> {
             if Some(col) == label_idx {
                 label_field = field;
             } else if self.options.missing_tokens.iter().any(|t| t == field) {
-                // A dropped row keeps the values interned before its missing
-                // field, as the reader always has.
                 kept = !self.options.drop_missing;
                 self.codes.push(MISSING);
             } else {
                 let r = if label_idx.is_some_and(|l| l < col) { col - 1 } else { col };
-                self.codes.push(self.columns[r].code(field));
+                self.codes.push(self.columns[r].code(field, line_no));
             }
         }
         if found != width {
@@ -201,10 +200,19 @@ impl<'o> Coder<'o> {
             });
         }
         if kept {
-            let label = label_idx.map_or(0, |_| self.label_column.code(label_field) as usize);
+            let label =
+                label_idx.map_or(0, |_| self.label_column.code(label_field, line_no) as usize);
             self.labels.push(label);
         } else {
             self.codes.truncate(row_start);
+            // One value per column per record, so a label this record was
+            // first to show is its column's newest.
+            for column in &mut self.columns {
+                if column.newest_from == line_no {
+                    column.domain.forget_newest();
+                    column.newest_from = 0;
+                }
+            }
         }
         Ok(())
     }
@@ -289,22 +297,30 @@ const RECENT: usize = 64;
 struct Column {
     domain: FeatureDomain,
     recent: [u32; RECENT],
+    /// The line whose record interned the domain's newest label (0: none),
+    /// so a record dropped later on that line can forget it again.
+    newest_from: usize,
 }
 
 impl Column {
     fn new(domain: FeatureDomain) -> Self {
         // `u32::MAX` is no code, so every slot starts as a miss.
-        Column { domain, recent: [u32::MAX; RECENT] }
+        Column { domain, recent: [u32::MAX; RECENT], newest_from: 0 }
     }
 
-    fn code(&mut self, field: &str) -> u32 {
+    /// The code of `field`, met in the record on line `line_no`.
+    fn code(&mut self, field: &str, line_no: usize) -> u32 {
         let last = field.as_bytes().last().copied().unwrap_or(0);
         let slot = (usize::from(last) + 17 * field.len()) % RECENT;
         let code = self.recent[slot];
         if self.domain.label(code) == Some(field) {
             return code;
         }
+        let fresh = self.domain.cardinality();
         let code = self.domain.intern(field);
+        if code == fresh {
+            self.newest_from = line_no;
+        }
         self.recent[slot] = code;
         code
     }
@@ -365,10 +381,24 @@ impl Unquoted {
 ///
 /// # Errors
 ///
-/// Returns [`DataError::Io`] if the file cannot be written.
+/// Returns [`DataError::UnwritableLabel`], before creating the file, for the
+/// first domain label that would not read back as itself: one equal to a
+/// default missing token (`?` or empty), with leading or trailing
+/// whitespace, or holding a line break. Returns [`DataError::Io`] if the
+/// file cannot be written.
 pub fn write_csv(dataset: &Dataset, path: impl AsRef<Path>) -> Result<(), DataError> {
-    let mut out = BufWriter::new(fs::File::create(path)?);
     let table = dataset.table();
+    let missing = CsvOptions::default().missing_tokens;
+    for (feature, domain) in table.schema().iter().enumerate() {
+        if let Some((_, label)) = domain.iter().find(|&(_, label)| {
+            missing.iter().any(|t| t == label)
+                || label.trim() != label
+                || label.contains(['\n', '\r'])
+        }) {
+            return Err(DataError::UnwritableLabel { feature, label: label.to_owned() });
+        }
+    }
+    let mut out = BufWriter::new(fs::File::create(path)?);
     for (row, label) in table.rows().zip(dataset.labels()) {
         for (r, &code) in row.iter().enumerate() {
             let field = if code == MISSING {
@@ -520,11 +550,52 @@ mod tests {
     }
 
     #[test]
+    fn a_dropped_row_forgets_the_values_it_was_first_to_show() {
+        let ds = read_csv_str("a,x,yes\nb,?,no\nc,z,no", &CsvOptions::default()).unwrap();
+        assert_eq!(ds.n_rows(), 2);
+        assert_eq!(domain_labels(&ds, 0), ["a", "c"]);
+        assert_eq!(domain_labels(&ds, 1), ["x", "z"]);
+        assert_eq!((ds.table().value(0, 0), ds.table().value(1, 0)), (0, 1));
+        // A value seen before the dropped row stays, and one the dropped row
+        // shows again after a forget is coded afresh.
+        let ds = read_csv_str("a,x,y\nb,?,n\nb,a,y\na,?,n", &CsvOptions::default()).unwrap();
+        assert_eq!(domain_labels(&ds, 0), ["a", "b"]);
+        assert_eq!(domain_labels(&ds, 1), ["x", "a"]);
+    }
+
+    fn domain_labels(ds: &Dataset, r: usize) -> Vec<String> {
+        ds.table().schema().domain(r).iter().map(|(_, l)| l.to_owned()).collect()
+    }
+
+    #[test]
+    fn write_csv_rejects_labels_that_cannot_read_back() {
+        let write = |labels: &[&str]| {
+            let schema = Schema::new(vec![FeatureDomain::with_labels("f", labels.iter().copied())]);
+            let table = CategoricalTable::from_flat(schema, (0..labels.len() as u32).collect());
+            let ds = Dataset::new("unwritable", table.unwrap(), vec![0; labels.len()]).unwrap();
+            let path = std::env::temp_dir().join("categorical-data-unwritable.csv");
+            let _ = std::fs::remove_file(&path);
+            let result = write_csv(&ds, &path);
+            assert!(!path.exists(), "nothing is written for a rejected dataset");
+            result.map_err(|e| match e {
+                DataError::UnwritableLabel { feature: 0, label } => label,
+                other => panic!("{other:?}"),
+            })
+        };
+        // `?` would read back as a missing value (dropping its row) and
+        // ` pad` trimmed to `pad`.
+        assert_eq!(write(&["?", " pad", "ok"]), Err("?".to_owned()));
+        for label in [" pad", "pad ", "", "a\nb"] {
+            assert_eq!(write(&["ok", label]), Err(label.to_owned()));
+        }
+    }
+
+    #[test]
     fn memo_slot_collisions_fall_back_to_the_domain() {
         // "a" and "!" share a slot: same length, last bytes 64 apart.
         let mut column = Column::new(FeatureDomain::new("f"));
         let labels = ["a", "!", "a", "b", "!", "!", "a", "b"];
-        let codes: Vec<u32> = labels.iter().map(|l| column.code(l)).collect();
+        let codes: Vec<u32> = labels.iter().map(|l| column.code(l, 1)).collect();
         assert_eq!(codes, [0, 1, 0, 2, 1, 1, 0, 2]);
         assert_eq!(column.domain, FeatureDomain::with_labels("f", ["a", "!", "b"]));
     }

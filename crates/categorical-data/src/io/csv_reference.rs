@@ -2,9 +2,9 @@
 //! replaced, kept as the reference the differential tests compare against.
 //!
 //! It splits every line into owned fields first, then codes the records.
-//! It differs from the reader it replaced in one way: a row's class label is
-//! interned only once the row is kept, so label codes do not depend on where
-//! the label column sits.
+//! It differs from the reader it replaced in one way: a row dropped for a
+//! missing value interns nothing, neither its feature values nor its class
+//! label, so no domain holds a label only dropped rows show.
 
 use crate::{CategoricalTable, DataError, Dataset, FeatureDomain, Schema, MISSING};
 
@@ -68,12 +68,19 @@ pub(super) fn read_csv_str(text: &str, options: &CsvOptions) -> Result<Dataset, 
     let mut codes: Vec<u32> = Vec::with_capacity(records.len() * d);
     let mut labels: Vec<usize> = Vec::with_capacity(records.len());
 
-    'rows: for (line_no, fields) in &records {
+    for (line_no, fields) in &records {
         if fields.len() != width {
             return Err(DataError::Parse {
                 line: *line_no,
                 message: format!("expected {width} fields, found {}", fields.len()),
             });
+        }
+        let dropped = options.drop_missing
+            && fields.iter().enumerate().any(|(col, field)| {
+                Some(col) != label_idx && options.missing_tokens.iter().any(|t| t == field.trim())
+            });
+        if dropped {
+            continue;
         }
         let mut row = Vec::with_capacity(d);
         let mut r = 0usize;
@@ -85,9 +92,6 @@ pub(super) fn read_csv_str(text: &str, options: &CsvOptions) -> Result<Dataset, 
                 continue;
             }
             if options.missing_tokens.iter().any(|t| t == field) {
-                if options.drop_missing {
-                    continue 'rows;
-                }
                 row.push(MISSING);
             } else {
                 row.push(domains[r].intern(field));

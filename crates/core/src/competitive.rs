@@ -9,7 +9,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::{score_all, ClusterProfile, McdcError};
+use crate::{ClusterProfile, McdcError};
 
 /// Classic competitive learner. Construct via [`CompetitiveLearning::new`].
 #[derive(Debug, Clone, PartialEq)]
@@ -89,8 +89,6 @@ impl CompetitiveLearning {
         }
 
         let mut iterations = 0;
-        let mut prefactors: Vec<f64> = Vec::new();
-        let mut scores: Vec<f64> = Vec::new();
         for _ in 0..self.max_iterations {
             iterations += 1;
             let mut changed = false;
@@ -103,8 +101,6 @@ impl CompetitiveLearning {
             let mut total_wins: u64 = wins_prev.iter().sum();
             wins_now.fill(0);
             let k = profiles.len();
-            prefactors.resize(k, 0.0);
-            scores.resize(k, 0.0);
 
             // `total_wins` is not a plain loop counter: it starts from the
             // previous passes' cumulative wins, so the iterator rewrite the
@@ -114,18 +110,14 @@ impl CompetitiveLearning {
                 let row = table.row(i);
                 // Winner by Eq. (6): argmax (1 − ρ_l) · u_l · s(x_i, C_l).
                 // ρ changes every object (total_wins is online), so the
-                // prefactor vector is refreshed per object — cheap (no
+                // prefactor is formed per object and cluster — cheap (no
                 // sigmoid here) next to the feature sweep it scales.
                 let inv_total = if total_wins == 0 { 0.0 } else { 1.0 / total_wins as f64 };
-                for l in 0..k {
-                    let rho = (wins_prev[l] + wins_now[l]) as f64 * inv_total;
-                    prefactors[l] = (1.0 - rho) * weight[l];
-                }
-                // No rival penalty here, so the raw similarities are not needed.
-                score_all(row, &profiles, None, &prefactors, None, &mut scores);
                 let mut best = 0usize;
                 let mut best_score = f64::NEG_INFINITY;
-                for (l, &score) in scores.iter().enumerate() {
+                for (l, profile) in profiles.iter().enumerate() {
+                    let rho = (wins_prev[l] + wins_now[l]) as f64 * inv_total;
+                    let score = ((1.0 - rho) * weight[l]) * profile.similarity(row);
                     if score > best_score {
                         best_score = score;
                         best = l;

@@ -6,23 +6,20 @@
 //! traffic is dominated by "label this row", which only ever reads the
 //! Eq. (2) relative frequencies `count · 1/present`. [`FrozenModel`] forms
 //! each of those products once, at freeze time, and strips everything
-//! else: the compaction keeps one f64 per (value, cluster) pair in a
-//! *value-major, lane-padded* layout (all `k` cluster entries of a value
-//! contiguous, padded to a multiple of [`LANES`] so the sweep runs in
-//! fixed-width register blocks with no tail handling), plus the schema's
-//! CSR offsets and the per-cluster prefactors baked in next to it. Scoring
-//! one row is then `d` contiguous column loads and a running argmax — no
-//! counts, no reciprocals, no per-cluster pointer chase.
+//! else: the compaction keeps one f64 per (value, cluster) pair in the
+//! *value-major, lane-padded* scoring table MGCPL fits with, plus the
+//! schema's CSR offsets and the per-cluster prefactors. Scoring one row is
+//! then `d` contiguous column loads and a running argmax — no counts, no
+//! reciprocals, no per-cluster pointer chase.
 //!
-//! The scores are **bit-identical** to the live kernels': the table entries
-//! are the exact products [`ClusterProfile::value_similarity`] forms (same
-//! two operands, one rounding, never contracted into an FMA), the sweep
-//! accumulates them in the same ascending-feature order, and the final
-//! `prefactor · (acc · post_scale)` association matches
-//! [`score_all`](crate::score_all) / `score_all_transposed`, so the argmax
-//! (first index wins on ties, like the live transposed kernel) agrees with
-//! the live path on every row — MISSING values included, which contribute
-//! nothing on both sides.
+//! The scores are **bit-identical** to the live
+//! [`ClusterProfile::similarity`] sweep: the table entries are the exact
+//! products [`ClusterProfile::value_similarity`] forms (same two operands,
+//! one rounding, never contracted into an FMA), the sweep accumulates them
+//! in the same ascending-feature order, and the final
+//! `prefactor · (acc · post_scale)` association matches, so the argmax
+//! (first index wins on ties) agrees with the live path on every row —
+//! MISSING values included, which contribute nothing on both sides.
 //!
 //! Frozen models persist: [`FrozenModel::to_bytes`] writes a versioned
 //! little-endian binary image (f64s as raw bit patterns, so a roundtrip is
@@ -32,15 +29,11 @@
 
 use std::path::Path;
 
-use categorical_data::{CategoricalTable, MISSING};
+use categorical_data::CategoricalTable;
 
+use crate::profile::check_row;
+use crate::score::{padded, ScoreTable};
 use crate::{ClusterProfile, McdcError};
-
-/// Width of one accumulator block in the scoring sweep: the per-value
-/// cluster columns are padded to a multiple of this, so every block reads
-/// a fixed-size (one cache line of f64s) chunk the compiler can keep in
-/// registers and unroll without a remainder loop.
-const LANES: usize = 8;
 
 /// Magic bytes opening a serialized frozen model.
 const MAGIC: [u8; 4] = *b"MFRZ";
@@ -73,17 +66,12 @@ const FORMAT_VERSION: u32 = 1;
 /// ```
 #[derive(Debug, Clone)]
 pub struct FrozenModel {
-    /// Number of clusters.
-    k: usize,
-    /// `k` rounded up to a multiple of [`LANES`]; the column stride.
-    k_pad: usize,
     /// The schema's CSR offsets (`d + 1` prefix sums over cardinalities).
     offsets: Vec<u32>,
     /// Relative frequencies `count · 1/present`, value-major and lane-padded:
-    /// `table[(offsets[r] + code) · k_pad + l]` is cluster `l`'s Eq. (2)
-    /// similarity term for value `code` of feature `r`; padded lanes
-    /// (`l ≥ k`) are zero.
-    table: Vec<f64>,
+    /// entry `(offsets[r] + code) · k_pad + l` is cluster `l`'s Eq. (2)
+    /// similarity term for value `code` of feature `r`.
+    scores: ScoreTable,
     /// Per-cluster competition prefactors (all 1 for a plain frozen fit).
     prefactors: Vec<f64>,
     /// Scale applied to the per-row sum before the prefactor (`1/d` for the
@@ -101,9 +89,9 @@ impl PartialEq for FrozenModel {
         fn bits_eq(a: &[f64], b: &[f64]) -> bool {
             a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
         }
-        self.k == other.k
+        self.k() == other.k()
             && self.offsets == other.offsets
-            && bits_eq(&self.table, &other.table)
+            && bits_eq(self.scores.entries(), other.scores.entries())
             && bits_eq(&self.prefactors, &other.prefactors)
             && self.post_scale.to_bits() == other.post_scale.to_bits()
     }
@@ -118,8 +106,8 @@ impl FrozenModel {
 
     /// Compacts fitted cluster profiles into a frozen scoring table with
     /// unit prefactors: the served similarity is the plain Eq. (1) mean,
-    /// exactly what [`score_all`](crate::score_all) computes for the same
-    /// profiles with unit prefactors.
+    /// exactly what [`ClusterProfile::similarity`] computes for the same
+    /// profiles.
     ///
     /// # Panics
     ///
@@ -132,24 +120,13 @@ impl FrozenModel {
             profiles.iter().all(|p| p.layout() == layout),
             "profiles must share a schema layout"
         );
-        let k = profiles.len();
-        let k_pad = k.div_ceil(LANES) * LANES;
-        let total = layout.total_values();
-        let mut table = vec![0.0f64; total * k_pad];
+        let mut scores = ScoreTable::default();
+        scores.rebuild(profiles, None);
         let d = layout.n_features();
-        for (l, profile) in profiles.iter().enumerate() {
-            for r in 0..d {
-                for (v, s) in layout.range(r).zip(profile.relative_frequencies(r)) {
-                    table[v * k_pad + l] = s;
-                }
-            }
-        }
         FrozenModel {
-            k,
-            k_pad,
             offsets: layout.offsets().to_vec(),
-            table,
-            prefactors: vec![1.0; k],
+            scores,
+            prefactors: vec![1.0; profiles.len()],
             post_scale: if d == 0 { 0.0 } else { 1.0 / d as f64 },
         }
     }
@@ -198,7 +175,7 @@ impl FrozenModel {
 
     /// Number of clusters the frozen model assigns into.
     pub fn k(&self) -> usize {
-        self.k
+        self.scores.k()
     }
 
     /// Number of features a scored row must have.
@@ -207,7 +184,7 @@ impl FrozenModel {
     }
 
     /// Fitted domain cardinality of feature `r` (valid codes are
-    /// `0..cardinality`, plus [`MISSING`]).
+    /// `0..cardinality`, plus [`MISSING`](categorical_data::MISSING)).
     ///
     /// # Panics
     ///
@@ -224,7 +201,7 @@ impl FrozenModel {
     /// Bytes held by the scoring table (the padded value-major matrix) —
     /// the number that decides which cache level the serve path runs from.
     pub fn table_bytes(&self) -> usize {
-        self.table.len() * std::mem::size_of::<f64>()
+        std::mem::size_of_val(self.scores.entries())
     }
 
     /// The per-cluster competition prefactors baked into the model.
@@ -236,9 +213,9 @@ impl FrozenModel {
     /// first index wins on ties — the live kernels' convention).
     ///
     /// The sweep walks the row's `d` non-missing values, each a contiguous
-    /// lane-padded column of the value-major table, accumulating
-    /// `LANES`-wide (8-lane) register blocks; MISSING values contribute nothing,
-    /// exactly like the live scoring kernels.
+    /// lane-padded column of the value-major table, accumulating 8-lane
+    /// register blocks; MISSING values contribute nothing, exactly like
+    /// [`ClusterProfile::similarity`].
     ///
     /// This is the **trusted-input fast path**: the row must satisfy
     /// [`validate_row`](Self::validate_row) (correct arity, every code
@@ -256,37 +233,8 @@ impl FrozenModel {
     /// a code is out of domain.
     #[inline]
     pub fn score_one(&self, row: &[u32]) -> u32 {
-        let d = self.n_features();
-        debug_assert_eq!(row.len(), d, "row arity mismatches the frozen model");
-        let kp = self.k_pad;
-        let mut best = 0usize;
-        let mut best_score = f64::NEG_INFINITY;
-        let mut block = 0usize;
-        while block < self.k {
-            let mut acc = [0.0f64; LANES];
-            for (&code, pair) in row.iter().zip(self.offsets.windows(2)) {
-                if code != MISSING {
-                    debug_assert!(code < pair[1] - pair[0], "code out of domain");
-                    let base = (pair[0] as usize + code as usize) * kp + block;
-                    let column: &[f64; LANES] = self.table[base..base + LANES]
-                        .try_into()
-                        .expect("padded column block is LANES wide");
-                    for (a, &term) in acc.iter_mut().zip(column) {
-                        *a += term;
-                    }
-                }
-            }
-            let lanes = LANES.min(self.k - block);
-            for (lane, &sum) in acc.iter().enumerate().take(lanes) {
-                let score = self.prefactors[block + lane] * (sum * self.post_scale);
-                if score > best_score {
-                    best_score = score;
-                    best = block + lane;
-                }
-            }
-            block += LANES;
-        }
-        best as u32
+        debug_assert_eq!(row.len(), self.n_features(), "row arity mismatches the frozen model");
+        self.scores.argmax(row, &self.offsets, &self.prefactors, self.post_scale) as u32
     }
 
     /// [`score_one`](Self::score_one) over a batch of rows into a
@@ -302,25 +250,15 @@ impl FrozenModel {
     }
 
     /// Checks that `row` is admissible for scoring: the model's arity, and
-    /// every code either [`MISSING`] or within its feature's fitted domain
-    /// (the schema CSR baked into the model at freeze time).
+    /// every code either [`MISSING`](categorical_data::MISSING) or within
+    /// its feature's fitted domain (the schema CSR baked in at freeze time).
     ///
     /// # Errors
     ///
     /// Returns [`McdcError::ArityMismatch`] on arity mismatch and
     /// [`McdcError::OutOfDomain`] for the first inadmissible code.
     pub fn validate_row(&self, row: &[u32]) -> Result<(), McdcError> {
-        let d = self.n_features();
-        if row.len() != d {
-            return Err(McdcError::ArityMismatch { expected: d, found: row.len() });
-        }
-        for (r, (&code, pair)) in row.iter().zip(self.offsets.windows(2)).enumerate() {
-            let cardinality = pair[1] - pair[0];
-            if code != MISSING && code >= cardinality {
-                return Err(McdcError::OutOfDomain { feature: r, code, cardinality });
-            }
-        }
-        Ok(())
+        check_row(row, &self.offsets)
     }
 
     /// [`score_one`](Self::score_one) behind the trust boundary: validates
@@ -362,12 +300,13 @@ impl FrozenModel {
     /// then offsets/prefactors/table with f64s as raw bit patterns, so
     /// deserializing reproduces the model bit for bit).
     pub fn to_bytes(&self) -> Vec<u8> {
+        let table = self.scores.entries();
         let mut out = Vec::with_capacity(
-            4 + 4 + 8 + 8 + self.offsets.len() * 4 + (self.prefactors.len() + self.table.len()) * 8,
+            4 + 4 + 8 + 8 + self.offsets.len() * 4 + (self.prefactors.len() + table.len()) * 8,
         );
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.k as u32).to_le_bytes());
+        out.extend_from_slice(&(self.k() as u32).to_le_bytes());
         out.extend_from_slice(&(self.n_features() as u32).to_le_bytes());
         out.extend_from_slice(&self.post_scale.to_bits().to_le_bytes());
         for &off in &self.offsets {
@@ -376,7 +315,7 @@ impl FrozenModel {
         for &p in &self.prefactors {
             out.extend_from_slice(&p.to_bits().to_le_bytes());
         }
-        for &t in &self.table {
+        for &t in table {
             out.extend_from_slice(&t.to_bits().to_le_bytes());
         }
         out
@@ -434,7 +373,7 @@ impl FrozenModel {
         // Reconcile the shape header against the actual payload length
         // *before* allocating: an out-of-bounds CSR offset would otherwise
         // request a table allocation sized by attacker-controlled bytes.
-        let k_pad = k.div_ceil(LANES) * LANES;
+        let k_pad = padded(k);
         let total = offsets[d] as usize;
         let body = (k + total * k_pad)
             .checked_mul(8)
@@ -465,7 +404,12 @@ impl FrozenModel {
             table.push(entry);
         }
         debug_assert_eq!(r.pos, r.bytes.len(), "length reconciliation consumed the image exactly");
-        Ok(FrozenModel { k, k_pad, offsets, table, prefactors, post_scale })
+        Ok(FrozenModel {
+            offsets,
+            scores: ScoreTable::from_parts(k, table),
+            prefactors,
+            post_scale,
+        })
     }
 
     /// Writes [`to_bytes`](Self::to_bytes) to `path`.
@@ -525,7 +469,7 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use categorical_data::Schema;
+    use categorical_data::{Schema, MISSING};
 
     fn profiles_for(
         rows: &[&[u32]],

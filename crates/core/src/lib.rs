@@ -73,6 +73,7 @@ mod frozen;
 mod mgcpl;
 mod pipeline;
 mod profile;
+mod score;
 mod streaming;
 mod trace;
 pub mod weights;
@@ -89,7 +90,7 @@ pub use fault::{DeltaFault, FaultPlan, IngestFault, ReplicaFault};
 pub use frozen::FrozenModel;
 pub use mgcpl::{Mgcpl, MgcplBuilder, MgcplResult};
 pub use pipeline::{Mcdc, McdcBuilder, McdcResult};
-pub use profile::{score_all, score_all_transposed, ClusterProfile};
+pub use profile::ClusterProfile;
 pub use streaming::{
     Admission, HealthState, IngestStats, MgcplResultSummary, ServingHealth, StreamingMcdc,
     UnseenPolicy,

@@ -16,18 +16,16 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 
-use categorical_data::{CsrLayout, MISSING};
+use categorical_data::CsrLayout;
 
 use crate::execution::ShardMap;
 use crate::fault::{DeltaFault, FaultPlan, ReplicaFault};
+use crate::score::ScoreTable;
 use crate::weights::feature_weights_into;
 use crate::workspace::{
     copy_into, note_growth, resize_tracked, MgcplScratch, ReplicaSlot, ReplicatedScratch, Workspace,
 };
-use crate::{
-    score_all_transposed, ClusterProfile, ExecutionPlan, HotPathStats, LearningTrace, McdcError,
-    StageRecord,
-};
+use crate::{ClusterProfile, ExecutionPlan, HotPathStats, LearningTrace, McdcError, StageRecord};
 
 /// Configurable MGCPL learner. Construct via [`Mgcpl::builder`].
 ///
@@ -313,8 +311,8 @@ impl MgcplResult {
     /// [`FrozenModel`](crate::FrozenModel) over `table` — the table this
     /// result was fitted on, which the result itself does not retain. The
     /// frozen `score_one` reproduces, bit for bit on the final argmax, the
-    /// live [`score_all`](crate::score_all) assignment against the
-    /// coarsest partition's cluster profiles.
+    /// live [`ClusterProfile::similarity`] assignment against the coarsest
+    /// partition's cluster profiles.
     ///
     /// # Errors
     ///
@@ -358,9 +356,8 @@ fn sigmoid_weight(delta: f64) -> f64 {
 }
 
 /// The live clusters' competition state, structure-of-arrays so the scoring
-/// hot loop sweeps dense slices (one value-major scoring matrix for
-/// [`score_all_transposed`], one flat `k×d` weight matrix) instead of
-/// hopping across per-cluster structs.
+/// hot loop sweeps dense slices (one value-major [`ScoreTable`], one flat
+/// `k×d` weight matrix) instead of hopping across per-cluster structs.
 #[derive(Debug, Clone)]
 pub(crate) struct Cohort {
     /// Frequency profiles, one per live cluster.
@@ -374,14 +371,11 @@ pub(crate) struct Cohort {
     /// Feature weights `ω_rl` (Eq. 18), row-major `k×d`; uniform until the
     /// first pass ends.
     omega: Vec<f64>,
-    /// The per-value scoring matrix, *value-major*: `value_major[v·k + l]`
-    /// holds cluster `l`'s similarity term for flat value `v` — `ω_rl · c/p`
-    /// in weighted mode, the plain `c/p` otherwise. Laying values outermost
-    /// makes [`score_all_transposed`]'s per-object sweep touch `d`
-    /// contiguous `k`-length columns (vectorizable adds, no gather).
-    /// Rebuilt at every pass start and patched per membership change (see
-    /// `DESIGN.md` §"Hot path").
-    value_major: Vec<f64>,
+    /// The value-major scoring table: cluster `l`'s similarity term for
+    /// each flat value — `ω_rl · c/p` in weighted mode, the plain `c/p`
+    /// otherwise. Rebuilt at every pass start and patched per membership
+    /// change (see `DESIGN.md` §"Hot path").
+    scores: ScoreTable,
     /// Shared CSR layout of the value space.
     layout: CsrLayout,
 }
@@ -391,40 +385,18 @@ impl Cohort {
         self.profiles.len()
     }
 
-    /// Rebuilds the whole value-major scoring matrix from the current
-    /// profiles (× `omega` when `weighted`) — `O(k · total_values)`, once
-    /// per pass.
-    fn rebuild_value_major(&mut self, weighted: bool) {
+    /// Moves `row` out of cluster `from` (if any) into `to`, patching both
+    /// clusters' scoring-table entries (× their ω row when `weighted`).
+    fn move_row(&mut self, row: &[u32], from: Option<usize>, to: usize, weighted: bool) {
         let d = self.layout.n_features();
-        let k = self.len();
-        let total = self.layout.total_values();
-        self.value_major.clear();
-        self.value_major.resize(total * k, 0.0);
-        for (l, profile) in self.profiles.iter().enumerate() {
-            for r in 0..d {
-                let w = if weighted { self.omega[l * d + r] } else { 1.0 };
-                for (i, s) in self.layout.range(r).zip(profile.relative_frequencies(r)) {
-                    self.value_major[i * k + l] = w * s;
-                }
-            }
+        let Cohort { profiles, omega, scores, .. } = self;
+        let omega_row = |l: usize| weighted.then(|| &omega[l * d..(l + 1) * d]);
+        if let Some(p) = from {
+            profiles[p].remove(row);
+            scores.sync(p, &profiles[p], row, omega_row(p));
         }
-    }
-
-    /// Re-syncs cluster `l`'s column of the value-major matrix for the
-    /// features `row` touches, after that profile's counts changed
-    /// (`O(d · m)`).
-    fn sync_value_major(&mut self, l: usize, row: &[u32], weighted: bool) {
-        let d = self.layout.n_features();
-        let k = self.len();
-        let profile = &self.profiles[l];
-        for (r, &code) in row.iter().enumerate() {
-            if code != MISSING {
-                let w = if weighted { self.omega[l * d + r] } else { 1.0 };
-                for (i, s) in self.layout.range(r).zip(profile.relative_frequencies(r)) {
-                    self.value_major[i * k + l] = w * s;
-                }
-            }
-        }
+        profiles[to].add(row);
+        scores.sync(to, &profiles[to], row, omega_row(to));
     }
 
     /// `*self = src.clone()` reusing every buffer whose capacity suffices;
@@ -468,11 +440,11 @@ impl Cohort {
         copy_into(&mut self.wins_prev, &src.wins_prev, allocs);
         copy_into(&mut self.wins_now, &src.wins_now, allocs);
         copy_into(&mut self.omega, &src.omega, allocs);
-        copy_into(&mut self.value_major, &src.value_major, allocs);
+        self.scores.copy_from(&src.scores, allocs);
     }
 
     /// Re-launch reset (Alg. 1 step 13): keep memberships/profiles, clear
-    /// the statistics that drive convergence. The ω-weighted matrix need
+    /// the statistics that drive convergence. The ω-weighted table need
     /// not be touched here — `run_stage` rebuilds it at every pass start.
     fn reset_statistics(&mut self, d: usize) {
         self.delta.fill(1.0);
@@ -643,7 +615,7 @@ impl Mgcpl {
             wins_prev: vec![0; k0],
             wins_now: vec![0; k0],
             omega: vec![1.0 / d as f64; k0 * d],
-            value_major: Vec::new(),
+            scores: ScoreTable::default(),
             layout,
         };
         // assignment[i] = index into the cohort (stable across pruning via
@@ -704,8 +676,7 @@ impl Mgcpl {
     ///
     /// 1. **snapshot** ([`snapshot_pass`](Self::snapshot_pass)) — freeze the
     ///    pass's read-mostly state: ρ from the previous passes' win counts,
-    ///    the `(1 − ρ_l)·u_l` prefactors, and the rebuilt value-major
-    ///    scoring matrix;
+    ///    the `(1 − ρ_l)·u_l` prefactors, and the rebuilt scoring table;
     /// 2. **apply** — the per-object award/penalty cascade. `Serial` runs
     ///    [`apply_span`](Self::apply_span) over the whole shuffled order in
     ///    place; replicated plans run one `apply_span` per shard on a cohort
@@ -732,8 +703,7 @@ impl Mgcpl {
         // All pass scratch is checked out of the workspace: grown at most
         // once, reused across passes, stages, and fits.
         let Workspace { mgcpl: scratch, allocs, .. } = ws;
-        let MgcplScratch { order, one_minus_rho, prefactors, accumulators, decisions, replicated } =
-            scratch;
+        let MgcplScratch { order, one_minus_rho, prefactors, decisions, replicated } = scratch;
         note_growth(order, n, allocs);
         order.clear();
         order.extend(0..n);
@@ -749,8 +719,7 @@ impl Mgcpl {
             // sequential award/penalty cascades don't depend on storage order.
             order.shuffle(rng);
 
-            let post_scale =
-                self.snapshot_pass(clusters, one_minus_rho, prefactors, accumulators, d, allocs);
+            let post_scale = self.snapshot_pass(clusters, one_minus_rho, prefactors, d, allocs);
 
             let mut changed = match shard_map {
                 None => {
@@ -763,7 +732,6 @@ impl Mgcpl {
                         None,
                         one_minus_rho,
                         prefactors,
-                        accumulators,
                         post_scale,
                         stats,
                     );
@@ -832,7 +800,7 @@ impl Mgcpl {
     /// Snapshot phase: freezes the pass-start competition state. Computes
     /// `1 − ρ_l` from the previous passes' win counts (Eq. 7), the hoisted
     /// `(1 − ρ_l)·u_l` prefactors, resets the pass win counters, and
-    /// rebuilds the value-major scoring matrix so it reflects this pass's ω
+    /// rebuilds the scoring table so it reflects this pass's ω
     /// and any pruning from the previous pass. Returns the post-scale that
     /// recovers the Eq. (1) mean from the raw sweep sums.
     fn snapshot_pass(
@@ -840,7 +808,6 @@ impl Mgcpl {
         clusters: &mut Cohort,
         one_minus_rho: &mut Vec<f64>,
         prefactors: &mut Vec<f64>,
-        accumulators: &mut Vec<f64>,
         d: usize,
         allocs: &mut u64,
     ) -> f64 {
@@ -861,11 +828,13 @@ impl Mgcpl {
         prefactors.extend(
             one_minus_rho.iter().zip(&clusters.delta).map(|(&m, &dl)| m * sigmoid_weight(dl)),
         );
-        resize_tracked(accumulators, k, 0.0, allocs);
-        let use_weighted = self.weighted_similarity;
-        let post_scale = if use_weighted { 1.0 } else { 1.0 / d as f64 };
-        clusters.rebuild_value_major(use_weighted);
-        post_scale
+        let omega = self.weighted_similarity.then_some(&clusters.omega[..]);
+        clusters.scores.rebuild(&clusters.profiles, omega);
+        if omega.is_some() {
+            1.0
+        } else {
+            1.0 / d as f64
+        }
     }
 
     /// Apply phase over one presentation span: the per-object award/penalty
@@ -884,7 +853,7 @@ impl Mgcpl {
     /// read-only snapshot instead of cloning the whole vector.
     ///
     /// Hot-path structure (see `DESIGN.md` §"Hot path"): per object one
-    /// [`score_all_transposed`] sweep evaluates every live cluster against
+    /// [`ScoreTable::top2`] sweep evaluates every live cluster against
     /// the row with the `(1 − ρ_l) · u_l` prefactor hoisted into a cached
     /// per-cluster vector. ρ is fixed within a pass (it derives from the
     /// previous passes' win counts), and δ — hence `u` — changes for at
@@ -901,7 +870,6 @@ impl Mgcpl {
         mut confidences: Option<&mut Vec<f64>>,
         one_minus_rho: &[f64],
         prefactors: &mut [f64],
-        accumulators: &mut [f64],
         post_scale: f64,
         stats: &mut HotPathStats,
     ) -> bool {
@@ -921,29 +889,17 @@ impl Mgcpl {
             // Score every live cluster — (1 − ρ_l) · u_l · s(x_i, C_l) —
             // and select the winner v (Eq. 6) and the rival h (Eq. 9) in
             // the same fused sweep.
-            let (best, rival) = score_all_transposed(
-                row,
-                clusters.layout.offsets(),
-                &clusters.value_major,
-                post_scale,
-                prefactors,
-                accumulators,
-            );
+            let top = clusters.scores.top2(row, clusters.layout.offsets(), prefactors, post_scale);
+            let (best, rival) = (top.winner, top.rival);
 
             // Assign x_i to the winner (Eq. 4 / Eq. 10).
-            let previous = prior[i];
-            if previous != Some(best) {
-                if let Some(p) = previous {
-                    clusters.profiles[p].remove(row);
-                    clusters.sync_value_major(p, row, use_weighted);
-                }
-                clusters.profiles[best].add(row);
-                clusters.sync_value_major(best, row, use_weighted);
+            if prior[i] != Some(best) {
+                clusters.move_row(row, prior[i], best, use_weighted);
                 changed = true;
             }
             decisions.push(best);
             if let Some(scores) = confidences.as_deref_mut() {
-                scores.push(accumulators[best] * post_scale);
+                scores.push(top.winner_sum * post_scale);
             }
             clusters.wins_now[best] += 1;
 
@@ -961,7 +917,7 @@ impl Mgcpl {
                 prefactors[best] = one_minus_rho[best] * sigmoid_weight(awarded);
             }
             if rival != usize::MAX {
-                let rival_similarity = accumulators[rival] * post_scale;
+                let rival_similarity = top.rival_sum * post_scale;
                 let penalized = (clusters.delta[rival] - eta * rival_similarity).max(0.0);
                 if penalized != clusters.delta[rival] {
                     clusters.delta[rival] = penalized;
@@ -1117,7 +1073,6 @@ impl Mgcpl {
                     }
                 }
                 copy_into(&mut slot.prefactors, prefactors, &mut slot.allocs);
-                resize_tracked(&mut slot.accumulators, k, 0.0, &mut slot.allocs);
                 note_growth(&slot.decisions, slot.rows.len(), &mut slot.allocs);
                 let local = slot.cohort.as_mut().expect("cohort installed above");
                 let mut span_stats = HotPathStats::default();
@@ -1130,7 +1085,6 @@ impl Mgcpl {
                     overlap.then_some(&mut slot.confidences),
                     one_minus_rho,
                     &mut slot.prefactors,
-                    &mut slot.accumulators,
                     post_scale,
                     &mut span_stats,
                 );
@@ -1204,7 +1158,7 @@ impl Mgcpl {
         // rows whose every presenting replica was quarantined carry no
         // verdict, so they keep their prior membership — or, on a first
         // pass without one, are re-scored against the frozen pass-start
-        // state (value-major matrix and prefactors are still the
+        // state (scoring table and prefactors are still the
         // snapshot's at this point; the profile merge below then stays
         // exact over every row's final membership). Gated on an actual
         // quarantine so the clean path never touches any of this.
@@ -1217,22 +1171,14 @@ impl Mgcpl {
             stats.quarantined_shards += quarantined as u64;
             let permille = ((map.n_shards - quarantined) as u64 * 1000) / map.n_shards as u64;
             stats.min_survivor_permille = stats.min_survivor_permille.min(permille);
-            resize_tracked(&mut rep.fallback_accumulators, k, 0.0, allocs);
             for &i in order {
                 if rep.final_of[i] == usize::MAX {
                     rep.final_of[i] = match assignment[i] {
                         Some(c) => c,
                         None => {
                             stats.score_evals += k as u64;
-                            score_all_transposed(
-                                table.row(i),
-                                clusters.layout.offsets(),
-                                &clusters.value_major,
-                                post_scale,
-                                prefactors,
-                                &mut rep.fallback_accumulators,
-                            )
-                            .0
+                            let (row, offsets) = (table.row(i), clusters.layout.offsets());
+                            clusters.scores.top2(row, offsets, prefactors, post_scale).winner
                         }
                     };
                 }
@@ -1538,10 +1484,12 @@ mod tests {
 
     #[test]
     fn patched_value_major_matches_fresh_rebuild_bit_for_bit() {
-        // Random moves patched into the value-major matrix must leave
-        // exactly what a full rebuild from the moved profiles writes —
-        // weighted and unweighted, on a mixed-cardinality schema with
-        // MISSING values in the rows.
+        // Random moves patched into the scoring table through the cohort's
+        // `move_row` must leave exactly what a full rebuild from the moved
+        // profiles writes — weighted and unweighted, on a mixed-cardinality
+        // schema with MISSING values in the rows, for cluster counts with
+        // no padding (8), partial padding (7, 9, 17) and one cluster.
+        use categorical_data::MISSING;
         use rand::Rng;
         let cardinalities = [3u32, 5, 2, 4, 6];
         let d = cardinalities.len();
@@ -1553,7 +1501,6 @@ mod tests {
                 .collect(),
         );
         let layout = schema.csr_layout();
-        let k = 7;
         let mut rng = ChaCha8Rng::seed_from_u64(0x5EED);
         let rows: Vec<Vec<u32>> = (0..60)
             .map(|_| {
@@ -1563,36 +1510,36 @@ mod tests {
                     .collect()
             })
             .collect();
-        for weighted in [false, true] {
-            let mut labels: Vec<usize> = (0..rows.len()).map(|i| i % k).collect();
-            let mut profiles = vec![ClusterProfile::with_layout(layout.clone()); k];
-            for (row, &l) in rows.iter().zip(&labels) {
-                profiles[l].add(row);
+        for k in [1usize, 7, 8, 9, 17] {
+            for weighted in [false, true] {
+                let mut labels: Vec<usize> = (0..rows.len()).map(|i| i % k).collect();
+                let mut profiles = vec![ClusterProfile::with_layout(layout.clone()); k];
+                for (row, &l) in rows.iter().zip(&labels) {
+                    profiles[l].add(row);
+                }
+                let omega: Vec<f64> = (0..k * d).map(|_| rng.gen_range(0.01..1.0)).collect();
+                let mut cohort = Cohort {
+                    profiles,
+                    delta: vec![1.0; k],
+                    wins_prev: vec![0; k],
+                    wins_now: vec![0; k],
+                    omega,
+                    scores: ScoreTable::default(),
+                    layout: layout.clone(),
+                };
+                cohort.scores.rebuild(&cohort.profiles, weighted.then_some(&cohort.omega[..]));
+                for _ in 0..300 {
+                    let i = rng.gen_range(0..rows.len());
+                    let to = rng.gen_range(0..k);
+                    cohort.move_row(&rows[i], Some(labels[i]), to, weighted);
+                    labels[i] = to;
+                }
+                let bits =
+                    |t: &ScoreTable| t.entries().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let mut fresh = ScoreTable::default();
+                fresh.rebuild(&cohort.profiles, weighted.then_some(&cohort.omega[..]));
+                assert_eq!(bits(&cohort.scores), bits(&fresh), "k={k} weighted={weighted}");
             }
-            let omega: Vec<f64> = (0..k * d).map(|_| rng.gen_range(0.01..1.0)).collect();
-            let mut cohort = Cohort {
-                profiles,
-                delta: vec![1.0; k],
-                wins_prev: vec![0; k],
-                wins_now: vec![0; k],
-                omega,
-                value_major: Vec::new(),
-                layout: layout.clone(),
-            };
-            cohort.rebuild_value_major(weighted);
-            for _ in 0..300 {
-                let i = rng.gen_range(0..rows.len());
-                let (from, to) = (labels[i], rng.gen_range(0..k));
-                cohort.profiles[from].remove(&rows[i]);
-                cohort.profiles[to].add(&rows[i]);
-                cohort.sync_value_major(from, &rows[i], weighted);
-                cohort.sync_value_major(to, &rows[i], weighted);
-                labels[i] = to;
-            }
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            let mut fresh = cohort.clone();
-            fresh.rebuild_value_major(weighted);
-            assert_eq!(bits(&cohort.value_major), bits(&fresh.value_major), "weighted={weighted}");
         }
     }
 

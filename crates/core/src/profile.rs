@@ -41,11 +41,11 @@ fn inv_count(table: &[f64], p: u32) -> f64 {
 /// the integer count, so it is exact and two profiles with the same members
 /// compare equal. The Eq. (2) per-value similarity is formed where it is
 /// read, as `counts[i] as f64 * inv_present[r]`: one rounding of the same
-/// two operands wherever it happens, so every reader (scoring, MGCPL's
-/// value-major matrix, [`FrozenModel`](crate::FrozenModel)) sees the same
-/// f64. Scoring a row is therefore one linear sweep with no division and no
-/// pointer chasing; see `DESIGN.md` §"Hot path" for the measured effect and
-/// [`score_all`] for the fused batch kernel built on top.
+/// two operands wherever it happens, so every reader (this profile's
+/// sweeps and the value-major scoring table behind MGCPL and
+/// [`FrozenModel`](crate::FrozenModel)) sees the same f64. Scoring a row is
+/// therefore one linear sweep with no division and no pointer chasing; see
+/// `DESIGN.md` §"Hot path" for the measured effect.
 ///
 /// Query codes must be in-domain (or [`MISSING`]): rows produced by a
 /// [`CategoricalTable`] always are (construction validates them), and the
@@ -304,9 +304,9 @@ impl ClusterProfile {
 
     /// Feature `r`'s Eq. (2) per-value similarities in code order, each
     /// formed as `count · inv_present(r)` — the same f64 as
-    /// [`value_similarity`](Self::value_similarity). Readers that fold a
-    /// per-feature factor into a derived table (MGCPL's value-major matrix,
-    /// [`FrozenModel`](crate::FrozenModel)) write `w * s` from this.
+    /// [`value_similarity`](Self::value_similarity). The scoring table
+    /// behind MGCPL and [`FrozenModel`](crate::FrozenModel) writes `w * s`
+    /// from this.
     pub(crate) fn relative_frequencies(&self, r: usize) -> impl Iterator<Item = f64> + '_ {
         let inv = self.inv_present[r];
         self.feature_counts(r).iter().map(move |&c| c as f64 * inv)
@@ -370,17 +370,7 @@ impl ClusterProfile {
     /// Returns [`crate::McdcError::ArityMismatch`] on arity mismatch and
     /// [`crate::McdcError::OutOfDomain`] for the first inadmissible code.
     pub fn validate_row(&self, row: &[u32]) -> Result<(), crate::McdcError> {
-        let d = self.present.len();
-        if row.len() != d {
-            return Err(crate::McdcError::ArityMismatch { expected: d, found: row.len() });
-        }
-        for (r, &code) in row.iter().enumerate() {
-            let cardinality = self.layout.cardinality(r) as u32;
-            if code != MISSING && code >= cardinality {
-                return Err(crate::McdcError::OutOfDomain { feature: r, code, cardinality });
-            }
-        }
-        Ok(())
+        check_row(row, self.layout.offsets())
     }
 
     /// [`similarity`](Self::similarity) behind the trust boundary:
@@ -394,53 +384,6 @@ impl ClusterProfile {
     pub fn try_similarity(&self, row: &[u32]) -> Result<f64, crate::McdcError> {
         self.validate_row(row)?;
         Ok(self.similarity(row))
-    }
-
-    /// Feature-weighted object–cluster similarity of Eq. (14):
-    /// `Σ_r ω_rl · s(x_ir, C_l)` with `Σ_r ω_rl = 1`.
-    ///
-    /// Eq. (14) as printed carries an extra `1/d` in front of the already
-    /// normalized weighted sum; we read that as a leftover from Eq. (1)
-    /// (uniform `ω = 1` there) and keep the weighted *mean*, so similarity
-    /// stays in `[0, 1]` and the rival penalty of Eq. (13) remains
-    /// commensurate with the winner award of Eq. (12). With the printed
-    /// `1/d` the penalty would shrink by `d` and cluster elimination would
-    /// stall (see DESIGN.md §2).
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if `weights.len()` mismatches the arity.
-    #[inline]
-    pub fn weighted_similarity(&self, row: &[u32], weights: &[f64]) -> f64 {
-        debug_assert_eq!(row.len(), self.present.len());
-        debug_assert_eq!(weights.len(), self.present.len());
-        let d = self.present.len();
-        if let Some(stride) = self.layout.uniform_stride() {
-            // Strided fast path, as in `similarity`: `r·stride + code` in a
-            // register instead of loading `offsets[r]` per feature.
-            let stride = stride as usize;
-            let mut acc = 0.0f64;
-            let mut base = 0usize;
-            for ((&code, &w), &inv) in row.iter().zip(weights).zip(&self.inv_present) {
-                if code != MISSING {
-                    debug_assert!((code as usize) < stride, "code out of domain");
-                    acc += w * (self.counts[base + code as usize] as f64 * inv);
-                }
-                base += stride;
-            }
-            return acc;
-        }
-        let offsets = &self.layout.offsets()[..d];
-        let mut acc = 0.0;
-        for ((r, (&code, &w)), (&off, &inv)) in
-            row.iter().zip(weights).enumerate().zip(offsets.iter().zip(&self.inv_present))
-        {
-            if code != MISSING {
-                debug_assert!((code as usize) < self.layout.cardinality(r), "code out of domain");
-                acc += w * (self.counts[off as usize + code as usize] as f64 * inv);
-            }
-        }
-        acc
     }
 
     /// The cluster mode: the most frequent value per feature (ties resolve to
@@ -471,118 +414,27 @@ impl ClusterProfile {
     }
 }
 
-/// Fused batch scoring kernel: evaluates one object against every cluster in
-/// a single call, writing the prefactor-scaled competition scores (and,
-/// when requested, the raw similarities) side by side.
+/// The one row-admission check behind every `validate_row`: arity
+/// `offsets.len() − 1`, and every code [`MISSING`] or inside its feature's
+/// domain `0..offsets[r + 1] − offsets[r]` (the schema's CSR offsets).
 ///
-/// For cluster `l`, the similarity `s(x, C_l)` is the `omega`-weighted
-/// similarity of Eq. (14) when `omega` is `Some` (one `d` sized weight row
-/// per cluster, row-major), the plain Eq. (1) mean otherwise, and
-/// `scores[l] = prefactors[l] · s`, the `(1 − ρ_l) · u_l · s(x, C_l)` of
-/// Eq. (6) with the prefactor hoisted out of the feature loop.
-/// `similarities`, when `Some`, receives the raw `s` values — callers
-/// without a rival-penalty term (e.g. classic competitive learning) pass
-/// `None` and skip those writes. One linear sweep per cluster, no
-/// divisions, no intermediate allocation (see `DESIGN.md` §"Hot path").
+/// # Errors
 ///
-/// # Panics
-///
-/// Panics (in debug builds) when slice lengths disagree: `prefactors`,
-/// `scores`, and `similarities` (when present) must have one entry per
-/// profile, and `omega`, when present, `profiles.len() × d` entries.
-pub fn score_all(
-    row: &[u32],
-    profiles: &[ClusterProfile],
-    omega: Option<&[f64]>,
-    prefactors: &[f64],
-    mut similarities: Option<&mut [f64]>,
-    scores: &mut [f64],
-) {
-    let d = row.len();
-    debug_assert_eq!(prefactors.len(), profiles.len());
-    debug_assert_eq!(scores.len(), profiles.len());
-    if let Some(sims) = similarities.as_deref() {
-        debug_assert_eq!(sims.len(), profiles.len());
+/// [`crate::McdcError::ArityMismatch`] on arity mismatch, else
+/// [`crate::McdcError::OutOfDomain`] for the first inadmissible code.
+#[inline]
+pub(crate) fn check_row(row: &[u32], offsets: &[u32]) -> Result<(), crate::McdcError> {
+    let d = offsets.len() - 1;
+    if row.len() != d {
+        return Err(crate::McdcError::ArityMismatch { expected: d, found: row.len() });
     }
-    for (l, profile) in profiles.iter().enumerate() {
-        let s = match omega {
-            Some(omega) => {
-                debug_assert_eq!(omega.len(), profiles.len() * d);
-                profile.weighted_similarity(row, &omega[l * d..(l + 1) * d])
-            }
-            None => profile.similarity(row),
-        };
-        if let Some(sims) = similarities.as_deref_mut() {
-            sims[l] = s;
-        }
-        scores[l] = prefactors[l] * s;
-    }
-}
-
-/// The [`score_all`] sweep turned value-major, fused with the winner/rival
-/// selection of Eqs. (6)/(9): `matrix_t[v * k + l]` holds cluster `l`'s
-/// similarity term for flat value `v`, so scoring one object sweeps `d`
-/// *contiguous* `k`-length columns — straight-line vectorizable adds
-/// instead of one gather per (cluster, feature). Per cluster the terms are
-/// still accumulated in ascending feature order, so the sums are
-/// bit-identical to the cluster-major sweep.
-///
-/// On return, `accumulators[l]` holds the raw sweep sum
-/// `Σ_r matrix_t[(off_r + x_r)·k + l]`; cluster `l`'s similarity is
-/// `post_scale · accumulators[l]` (pass `1/d` to turn a plain-scaled matrix
-/// into the Eq. (1) mean, `1.0` when the matrix already carries normalized
-/// ω weights) and its competition score `prefactors[l]` times that. The
-/// returned pair is `(winner, rival)`: the argmax of the scores and the
-/// runner-up (`usize::MAX` when there is only one cluster), resolved
-/// first-index-wins on ties — scores themselves are never materialized.
-///
-/// This is the kernel MGCPL's `run_stage` drives once per object; the
-/// cohort maintains `matrix_t` incrementally (see `DESIGN.md` §"Hot path").
-///
-/// # Panics
-///
-/// Panics (in debug builds) when slice lengths disagree, and (always) when
-/// `prefactors` is empty.
-pub fn score_all_transposed(
-    row: &[u32],
-    offsets: &[u32],
-    matrix_t: &[f64],
-    post_scale: f64,
-    prefactors: &[f64],
-    accumulators: &mut [f64],
-) -> (usize, usize) {
-    let d = row.len();
-    debug_assert_eq!(offsets.len(), d + 1);
-    let k = prefactors.len();
-    assert!(k > 0, "cannot score against zero clusters");
-    debug_assert_eq!(matrix_t.len(), offsets[d] as usize * k);
-    debug_assert_eq!(accumulators.len(), k);
-    accumulators.fill(0.0);
-    for (&code, &off) in row.iter().zip(&offsets[..d]) {
-        if code != MISSING {
-            let column = &matrix_t[(off as usize + code as usize) * k..][..k];
-            for (acc, &term) in accumulators.iter_mut().zip(column) {
-                *acc += term;
-            }
+    for (r, (&code, pair)) in row.iter().zip(offsets.windows(2)).enumerate() {
+        let cardinality = pair[1] - pair[0];
+        if code != MISSING && code >= cardinality {
+            return Err(crate::McdcError::OutOfDomain { feature: r, code, cardinality });
         }
     }
-    let mut best = 0usize;
-    let mut rival = usize::MAX;
-    let mut best_score = prefactors[0] * (accumulators[0] * post_scale);
-    let mut rival_score = f64::NEG_INFINITY;
-    for l in 1..k {
-        let score = prefactors[l] * (accumulators[l] * post_scale);
-        if score > best_score {
-            rival = best;
-            rival_score = best_score;
-            best = l;
-            best_score = score;
-        } else if rival == usize::MAX || score > rival_score {
-            rival = l;
-            rival_score = score;
-        }
-    }
-    (best, rival)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -591,11 +443,6 @@ mod tests {
 
     fn schema() -> Schema {
         Schema::uniform(3, 4)
-    }
-
-    /// Every value's relative frequency, CSR-addressed like the layout.
-    fn frequencies(profile: &ClusterProfile) -> Vec<f64> {
-        (0..profile.n_features()).flat_map(|r| profile.relative_frequencies(r)).collect()
     }
 
     #[test]
@@ -653,27 +500,6 @@ mod tests {
             Err(crate::McdcError::OutOfDomain { feature: 1, code: 7, cardinality: 4 })
         );
         assert_eq!(p.try_similarity(&[MISSING; 3]).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn weighted_similarity_respects_weights() {
-        let mut p = ClusterProfile::new(&schema());
-        p.add(&[0, 0, 0]);
-        p.add(&[0, 1, 1]);
-        // Feature 0 matches with frequency 1.0; weights isolate it.
-        let s = p.weighted_similarity(&[0, 3, 3], &[1.0, 0.0, 0.0]);
-        assert!((s - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn uniform_weights_recover_plain_similarity() {
-        let mut p = ClusterProfile::new(&schema());
-        p.add(&[0, 1, 2]);
-        p.add(&[0, 2, 2]);
-        let row = [0, 1, 2];
-        let w = [1.0 / 3.0; 3];
-        // Eq.(14) with ω=1/d reduces to Eq.(1).
-        assert!((p.weighted_similarity(&row, &w) - p.similarity(&row)).abs() < 1e-12);
     }
 
     #[test]
@@ -735,118 +561,6 @@ mod tests {
         sequential.add(&[3, 0, 0]);
         left.merge(&right);
         assert_eq!(left, sequential);
-    }
-
-    #[test]
-    fn score_all_matches_per_cluster_calls() {
-        let mut a = ClusterProfile::new(&schema());
-        a.add(&[0, 1, 2]);
-        a.add(&[0, 2, 2]);
-        let mut b = ClusterProfile::new(&schema());
-        b.add(&[3, 3, 3]);
-        let profiles = [a, b];
-        let row = [0u32, 2, 3];
-        let pref = [0.7, 0.9];
-        let omega: Vec<f64> = vec![0.5, 0.25, 0.25, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0];
-        let mut sims = [0.0; 2];
-        let mut scores = [0.0; 2];
-
-        score_all(&row, &profiles, Some(&omega), &pref, Some(&mut sims), &mut scores);
-        for l in 0..2 {
-            let expected = profiles[l].weighted_similarity(&row, &omega[l * 3..(l + 1) * 3]);
-            assert!((sims[l] - expected).abs() < 1e-15);
-            assert!((scores[l] - pref[l] * expected).abs() < 1e-15);
-        }
-
-        score_all(&row, &profiles, None, &pref, Some(&mut sims), &mut scores);
-        for l in 0..2 {
-            let expected = profiles[l].similarity(&row);
-            assert!((sims[l] - expected).abs() < 1e-15);
-            assert!((scores[l] - pref[l] * expected).abs() < 1e-15);
-        }
-    }
-
-    #[test]
-    fn transposed_kernel_matches_cluster_major_scoring() {
-        // Three clusters over a mixed-cardinality schema, with a MISSING in
-        // the query: the value-major fused kernel must reproduce score_all's
-        // similarities (via the accumulators), its scores, and the
-        // winner/rival selection exactly.
-        let schema = Schema::uniform(4, 3);
-        let layout = schema.csr_layout();
-        let rows: [&[u32]; 5] =
-            [&[0, 1, 2, 0], &[0, 2, 2, 1], &[1, 1, 0, 2], &[2, 0, 1, 1], &[0, 0, 2, 2]];
-        let mut profiles = vec![
-            ClusterProfile::new(&schema),
-            ClusterProfile::new(&schema),
-            ClusterProfile::new(&schema),
-        ];
-        for (i, row) in rows.iter().enumerate() {
-            profiles[i % 3].add(row);
-        }
-        let prefactors = [0.9, 0.4, 0.7];
-        let d = 4;
-        let post_scale = 1.0 / d as f64;
-
-        // Build the plain value-major matrix (w = 1 per feature).
-        let k = profiles.len();
-        let total = layout.total_values();
-        let mut matrix_t = vec![0.0f64; total * k];
-        for (l, profile) in profiles.iter().enumerate() {
-            for (v, s) in frequencies(profile).into_iter().enumerate() {
-                matrix_t[v * k + l] = s;
-            }
-        }
-
-        let query = [0u32, MISSING, 2, 1];
-        let mut accumulators = vec![0.0; k];
-        let (best, rival) = score_all_transposed(
-            &query,
-            layout.offsets(),
-            &matrix_t,
-            post_scale,
-            &prefactors,
-            &mut accumulators,
-        );
-
-        let mut sims = vec![0.0; k];
-        let mut scores = vec![0.0; k];
-        score_all(&query, &profiles, None, &prefactors, Some(&mut sims), &mut scores);
-        for l in 0..k {
-            assert!((accumulators[l] * post_scale - sims[l]).abs() < 1e-15, "cluster {l}");
-        }
-        // Winner/rival must match a reference scan over the scores.
-        let (mut want_best, mut want_rival) = (0usize, usize::MAX);
-        for c in 1..k {
-            if scores[c] > scores[want_best] {
-                want_rival = want_best;
-                want_best = c;
-            } else if want_rival == usize::MAX || scores[c] > scores[want_rival] {
-                want_rival = c;
-            }
-        }
-        assert_eq!((best, rival), (want_best, want_rival));
-    }
-
-    #[test]
-    fn transposed_kernel_single_cluster_has_no_rival() {
-        let schema = Schema::uniform(2, 2);
-        let layout = schema.csr_layout();
-        let mut profile = ClusterProfile::new(&schema);
-        profile.add(&[0, 1]);
-        let matrix_t: Vec<f64> = frequencies(&profile); // k = 1
-        let mut accumulators = vec![0.0];
-        let (best, rival) = score_all_transposed(
-            &[0, 1],
-            layout.offsets(),
-            &matrix_t,
-            0.5,
-            &[1.0],
-            &mut accumulators,
-        );
-        assert_eq!(best, 0);
-        assert_eq!(rival, usize::MAX);
-        assert!((accumulators[0] * 0.5 - profile.similarity(&[0, 1])).abs() < 1e-15);
     }
 
     #[test]

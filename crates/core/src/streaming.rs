@@ -599,27 +599,13 @@ impl StreamingMcdc {
     /// [`McdcError::ArityMismatch`] always on wrong arity;
     /// [`McdcError::OutOfDomain`] under `Reject`/`Quarantine`.
     pub fn try_serve_one(&self, row: &[u32]) -> Result<u32, McdcError> {
-        match self.unseen_policy {
-            UnseenPolicy::Reject | UnseenPolicy::Quarantine => self.served.model.try_score_one(row),
-            UnseenPolicy::AsMissing => match self.served.model.validate_row(row) {
-                Ok(()) => Ok(self.served.model.score_one(row)),
-                Err(McdcError::OutOfDomain { .. }) => {
-                    let model = &self.served.model;
-                    let coerced: Vec<u32> = row
-                        .iter()
-                        .enumerate()
-                        .map(|(r, &code)| {
-                            if code != MISSING && code >= model.feature_cardinality(r) {
-                                MISSING
-                            } else {
-                                code
-                            }
-                        })
-                        .collect();
-                    Ok(model.score_one(&coerced))
-                }
-                Err(e) => Err(e),
-            },
+        let model = &self.served.model;
+        match (self.unseen_policy, model.validate_row(row)) {
+            (_, Ok(())) => Ok(model.score_one(row)),
+            (UnseenPolicy::AsMissing, Err(McdcError::OutOfDomain { .. })) => {
+                Ok(model.score_one(&coerce_unseen(model, row).0))
+            }
+            (_, Err(error)) => Err(error),
         }
     }
 
@@ -703,54 +689,29 @@ impl StreamingMcdc {
     /// [`McdcError::ArityMismatch`] and [`McdcError::OutOfDomain`] as
     /// described above.
     pub fn try_absorb(&mut self, row: &[u32]) -> Result<Admission, McdcError> {
-        let d = self.buffer.n_features();
-        if row.len() != d {
-            if self.unseen_policy == UnseenPolicy::Quarantine {
+        let error = match self.served.model.validate_row(row) {
+            Ok(()) => {
+                let labels = self.admit(row);
+                return Ok(Admission::Learned { labels, coerced_values: 0 });
+            }
+            Err(error) => error,
+        };
+        match (self.unseen_policy, &error) {
+            (UnseenPolicy::Quarantine, _) => {
                 self.divert(row);
-                return Ok(Admission::Quarantined);
+                Ok(Admission::Quarantined)
             }
-            self.refuse();
-            return Err(McdcError::ArityMismatch { expected: d, found: row.len() });
-        }
-        let first_bad = {
-            let schema = self.buffer.schema();
-            row.iter().enumerate().find_map(|(r, &code)| {
-                let cardinality = schema.domain(r).cardinality();
-                (code != MISSING && code >= cardinality).then_some((r, code, cardinality))
-            })
-        };
-        let Some((feature, code, cardinality)) = first_bad else {
-            let labels = self.admit(row);
-            return Ok(Admission::Learned { labels, coerced_values: 0 });
-        };
-        match self.unseen_policy {
-            UnseenPolicy::Reject => {
-                self.refuse();
-                Err(McdcError::OutOfDomain { feature, code, cardinality })
-            }
-            UnseenPolicy::AsMissing => {
-                let schema = self.buffer.schema();
-                let mut coerced_values = 0usize;
-                let coerced: Vec<u32> = row
-                    .iter()
-                    .enumerate()
-                    .map(|(r, &c)| {
-                        if c != MISSING && c >= schema.domain(r).cardinality() {
-                            coerced_values += 1;
-                            MISSING
-                        } else {
-                            c
-                        }
-                    })
-                    .collect();
+            // Only out-of-domain codes coerce; arity cannot.
+            (UnseenPolicy::AsMissing, McdcError::OutOfDomain { .. }) => {
+                let (coerced, coerced_values) = coerce_unseen(&self.served.model, row);
                 let labels = self.admit(&coerced);
                 self.ingest.coerced_rows += 1;
                 self.ingest.coerced_values += coerced_values as u64;
                 Ok(Admission::Learned { labels, coerced_values })
             }
-            UnseenPolicy::Quarantine => {
-                self.divert(row);
-                Ok(Admission::Quarantined)
+            _ => {
+                self.refuse();
+                Err(error)
             }
         }
     }
@@ -943,6 +904,25 @@ impl StreamingMcdc {
         self.update_health();
         Ok(&self.last_refit)
     }
+}
+
+/// `row` (of the model's arity) with every out-of-domain code replaced by
+/// MISSING, and the number of codes replaced.
+fn coerce_unseen(model: &FrozenModel, row: &[u32]) -> (Vec<u32>, usize) {
+    let mut replaced = 0usize;
+    let coerced = row
+        .iter()
+        .enumerate()
+        .map(|(r, &code)| {
+            if code != MISSING && code >= model.feature_cardinality(r) {
+                replaced += 1;
+                MISSING
+            } else {
+                code
+            }
+        })
+        .collect();
+    (coerced, replaced)
 }
 
 /// Lowest-score-wins-never argmax over `(index, score)` pairs under

@@ -1,7 +1,7 @@
 //! Zero-allocation pass workspaces (DESIGN.md §3, §4).
 //!
 //! Every MGCPL pass used to allocate its scratch on entry — and replicated
-//! plans re-cloned the full cohort (profiles, δ, value-major matrix) *per
+//! plans re-cloned the full cohort (profiles, δ, scoring table) *per
 //! replica per pass*. [`Workspace`] is the arena that ends that churn: all
 //! pass- and replica-scoped scratch (presentation orders, δ/prefactor
 //! vectors, replica cohorts, vote buffers, CAME's dirty-cluster margins)
@@ -46,7 +46,7 @@ pub(crate) fn resize_tracked<T: Clone>(vec: &mut Vec<T>, len: usize, fill: T, al
 }
 
 /// Per-replica scratch for replicated MGCPL passes: the replica's cohort
-/// clone target, its local prefactor/accumulator vectors, its presentation
+/// clone target, its local prefactor vector, its presentation
 /// span and verdicts, and the per-shard profile-rebuild buffers. Slots are
 /// moved into the rayon workers and returned, so buffers persist across
 /// passes without sharing.
@@ -61,8 +61,6 @@ pub(crate) struct ReplicaSlot {
     pub(crate) spare_profiles: Vec<ClusterProfile>,
     /// Replica-local copy of the hoisted `(1 − ρ)·u` prefactors.
     pub(crate) prefactors: Vec<f64>,
-    /// Scoring accumulators (one per live cluster).
-    pub(crate) accumulators: Vec<f64>,
     /// Presentation span: the global shuffle filtered to this replica.
     pub(crate) rows: Vec<usize>,
     /// Winner per presented row, parallel to `rows`.
@@ -107,10 +105,6 @@ pub(crate) struct ReplicatedScratch {
     /// Merge target for the per-shard profiles; swapped with the cohort's
     /// profiles each pass so both sides recycle.
     pub(crate) merged: Vec<ClusterProfile>,
-    /// Scoring accumulators for the orphan fallback: rows of quarantined
-    /// shards re-scored against the frozen pass-start cohort (DESIGN.md
-    /// §8).
-    pub(crate) fallback_accumulators: Vec<f64>,
 }
 
 /// Scratch for one MGCPL fit.
@@ -122,8 +116,6 @@ pub(crate) struct MgcplScratch {
     pub(crate) one_minus_rho: Vec<f64>,
     /// Hoisted `(1 − ρ)·u` prefactors.
     pub(crate) prefactors: Vec<f64>,
-    /// Scoring accumulators.
-    pub(crate) accumulators: Vec<f64>,
     /// Winner per presented row (serial path).
     pub(crate) decisions: Vec<usize>,
     /// Replica-merge scratch.

@@ -1,7 +1,8 @@
 //! Contract pins for frozen-model inference (DESIGN.md §9):
 //!
 //! * the frozen `score_one`/`score_batch` argmax is **identical** to the
-//!   live [`score_all`] assignment (first index wins on ties) on random
+//!   live per-profile [`ClusterProfile::similarity`] argmax (first index
+//!   wins on ties) on random
 //!   tables *with MISSING values*, for models fitted under every
 //!   `ExecutionPlan` × halo combination and frozen at every granularity;
 //! * the full-pipeline `McdcResult::freeze` matches the live kernels the
@@ -12,7 +13,7 @@
 //!   performs no allocation (pointer and capacity pinned).
 
 use categorical_data::{CategoricalTable, Schema, MISSING};
-use mcdc_core::{score_all, ClusterProfile, ExecutionPlan, FrozenModel, Mcdc, Mgcpl};
+use mcdc_core::{ClusterProfile, ExecutionPlan, FrozenModel, Mcdc, Mgcpl};
 use proptest::prelude::*;
 
 /// Random tables over a uniform 4-value schema where code 4 maps to
@@ -53,8 +54,8 @@ fn fit_mgcpl(
     Mgcpl::builder().seed(seed).execution(plan).halo(halo).build().fit(table).unwrap()
 }
 
-/// The live reference: profiles of the partition, [`score_all`] with unit
-/// prefactors, first-index argmax — the exact semantics the frozen table
+/// The live reference: profiles of the partition, each scored with
+/// [`ClusterProfile::similarity`], first-index argmax — the exact semantics the frozen table
 /// compacts.
 fn live_argmax(table: &CategoricalTable, partition: &[usize], k: usize, row: &[u32]) -> u32 {
     let mut members: Vec<Vec<usize>> = vec![Vec::new(); k];
@@ -67,13 +68,9 @@ fn live_argmax(table: &CategoricalTable, partition: &[usize], k: usize, row: &[u
 }
 
 fn live_argmax_profiles(profiles: &[ClusterProfile], row: &[u32]) -> u32 {
-    let k = profiles.len();
-    let prefactors = vec![1.0f64; k];
-    let mut scores = vec![0.0f64; k];
-    score_all(row, profiles, None, &prefactors, None, &mut scores);
     let mut best = 0usize;
-    for l in 1..k {
-        if scores[l] > scores[best] {
+    for l in 1..profiles.len() {
+        if profiles[l].similarity(row) > profiles[best].similarity(row) {
             best = l;
         }
     }
@@ -84,7 +81,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
-    fn frozen_argmax_matches_live_score_all_across_engines_and_policies(
+    fn frozen_argmax_matches_live_similarity_across_engines_and_policies(
         table in arbitrary_table_with_missing(),
         seed in 0u64..40,
     ) {

@@ -10,8 +10,10 @@
 //! - its float kernels must equal, bit for bit, the products
 //!   `feature_counts(r)[t] as f64 * inv_present(r)` and their
 //!   ascending-feature sums, across add/remove/merge/extend_rows/reset
-//!   sequences — the invariant `FrozenModel` and MGCPL's value-major scoring
-//!   matrix rely on when they form the same products themselves.
+//!   sequences — the invariant the value-major scoring table behind MGCPL
+//!   and `FrozenModel` relies on when it forms the same products itself.
+//!   The ω-weighted sums are pinned, bit for bit, by that table's unit
+//!   tests against a nested-vec weighted reference.
 
 // As in mcdc-core itself: the loops walk one index across several parallel
 // structures, and the iterator rewrite would obscure the access pattern.
@@ -71,14 +73,6 @@ impl ReferenceProfile {
     fn similarity(&self, row: &[u32]) -> f64 {
         let d = row.len() as f64;
         row.iter().enumerate().map(|(r, &c)| self.value_similarity(r, c)).sum::<f64>() / d
-    }
-
-    fn weighted_similarity(&self, row: &[u32], weights: &[f64]) -> f64 {
-        row.iter()
-            .zip(weights)
-            .enumerate()
-            .map(|(r, (&c, &w))| w * self.value_similarity(r, c))
-            .sum()
     }
 
     fn mode(&self) -> Vec<u32> {
@@ -161,11 +155,6 @@ fn flat_profile_agrees_with_reference_under_random_mutation() {
             // Float kernels on random queries (with MISSING values).
             for _q in 0..4 {
                 let query = random_row(&mut rng, &cardinalities, 0.2);
-                let weights: Vec<f64> = {
-                    let raw: Vec<f64> = (0..d).map(|_| rng.gen_range(0.0..1.0)).collect();
-                    let total: f64 = raw.iter().sum::<f64>().max(f64::MIN_POSITIVE);
-                    raw.iter().map(|w| w / total).collect()
-                };
                 for r in 0..d {
                     assert!(
                         (flat.value_similarity(r, query[r])
@@ -177,13 +166,6 @@ fn flat_profile_agrees_with_reference_under_random_mutation() {
                 assert!(
                     (flat.similarity(&query) - reference.similarity(&query)).abs() < TOLERANCE,
                     "similarity mismatch (case {case_seed})"
-                );
-                assert!(
-                    (flat.weighted_similarity(&query, &weights)
-                        - reference.weighted_similarity(&query, &weights))
-                    .abs()
-                        < TOLERANCE,
-                    "weighted similarity mismatch (case {case_seed})"
                 );
             }
         }
@@ -202,12 +184,11 @@ fn product(profile: &ClusterProfile, r: usize, code: u32) -> f64 {
     profile.feature_counts(r)[code as usize] as f64 * profile.inv_present(r)
 }
 
-/// Checks `value_similarity`, `similarity` and `weighted_similarity` against
-/// the products and their ascending-feature sums, bit for bit.
-fn assert_products_bit_exact(profile: &ClusterProfile, query: &[u32], weights: &[f64]) {
+/// Checks `value_similarity` and `similarity` against the products and
+/// their ascending-feature sum, bit for bit.
+fn assert_products_bit_exact(profile: &ClusterProfile, query: &[u32]) {
     let d = query.len();
     let mut plain = 0.0f64;
-    let mut weighted = 0.0f64;
     for r in 0..d {
         if query[r] == MISSING {
             assert_eq!(profile.value_similarity(r, MISSING).to_bits(), 0.0f64.to_bits());
@@ -216,15 +197,9 @@ fn assert_products_bit_exact(profile: &ClusterProfile, query: &[u32], weights: &
         let s = product(profile, r, query[r]);
         assert_eq!(profile.value_similarity(r, query[r]).to_bits(), s.to_bits(), "feature {r}");
         plain += s;
-        weighted += weights[r] * s;
     }
     let plain = plain * (1.0 / d as f64);
     assert_eq!(profile.similarity(query).to_bits(), plain.to_bits(), "similarity");
-    assert_eq!(
-        profile.weighted_similarity(query, weights).to_bits(),
-        weighted.to_bits(),
-        "weighted similarity"
-    );
 }
 
 #[test]
@@ -282,8 +257,7 @@ fn float_kernels_are_the_read_time_products_bit_for_bit() {
             assert_eq!(profile.size() as usize, members.len());
             for _q in 0..3 {
                 let query = random_row(&mut rng, &cardinalities, 0.2);
-                let weights: Vec<f64> = (0..d).map(|_| rng.gen_range(0.0..1.0)).collect();
-                assert_products_bit_exact(&profile, &query, &weights);
+                assert_products_bit_exact(&profile, &query);
             }
         }
     }

@@ -11,7 +11,8 @@
 # (`infer_hotpath --quick`) times the frozen-model serving path on three
 # shapes and fails on panics/NaN medians, on frozen/live argmax parity
 # breaking on the pinned seed, or on the frozen kernels losing to the
-# live `score_all` path they compact. The reconcile smoke
+# live per-profile `ClusterProfile::similarity` argmax they compact. The
+# reconcile smoke
 # (`reconcile_ablation --quick`) fits serial and a 4-shard mini-batch
 # plan with and without a shard halo on a small nested table and fails
 # on panics or non-finite metrics. The chaos smoke (`fault_chaos --quick`) runs the fault arms
