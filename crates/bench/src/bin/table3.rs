@@ -49,14 +49,8 @@ fn main() {
     println!();
     for ((_, ds), row) in sets.iter().zip(&summaries) {
         for (method, summary) in Method::TABLE3.iter().zip(row) {
-            if summary.failures > 0 {
-                println!(
-                    "note: {} failed to form k* clusters on {} in {}/{} runs",
-                    method.name(),
-                    ds.name(),
-                    summary.failures,
-                    summary.runs
-                );
+            if let Some(note) = format::failure_note(method.name(), ds.name(), summary) {
+                println!("{note}");
             }
         }
     }

@@ -1,12 +1,14 @@
 //! E3 — regenerates Table IV: two-tailed Wilcoxon signed-rank test (α = 0.1)
 //! of MCDC+F. against each counterpart, per validity index, over the eight
 //! data sets. "+" marks a significant win, "-" no significant difference.
+//! Runs that failed to form `k*` clusters score 0.000 and are listed after
+//! the table, for MCDC+F. and every counterpart.
 //!
 //! Usage: `table4 [--runs N] [--seed N] [--data-dir PATH]`
 
 use cluster_eval::wilcoxon_signed_rank;
 use mcdc_bench::runner::{run_method, INDICES};
-use mcdc_bench::{datasets, Method};
+use mcdc_bench::{datasets, format, Method, MethodSummary};
 
 /// The six counterparts Table IV tests MCDC+F. against.
 const COUNTERPARTS: [Method; 6] =
@@ -28,6 +30,7 @@ fn main() {
         args.runs
     );
     println!("{:<10} {:>5} {:>5} {:>5} {:>5}", "Method", "ACC", "ARI", "AMI", "FM");
+    let mut notes = failure_notes(Method::McdcFkmawcw, &sets, &ours);
     for method in COUNTERPARTS {
         eprintln!("scoring {} ...", method.name());
         let theirs: Vec<_> =
@@ -45,7 +48,26 @@ fn main() {
             method.name(),
             cells.iter().map(|c| format!("{c:>12}")).collect::<Vec<_>>().join(" ")
         );
+        notes.extend(failure_notes(method, &sets, &theirs));
     }
+    if !notes.is_empty() {
+        println!();
+        for note in notes {
+            println!("{note}");
+        }
+    }
+}
+
+/// `method`'s failure notes over the data sets, in data-set order.
+fn failure_notes(
+    method: Method,
+    sets: &[(&str, categorical_data::Dataset)],
+    summaries: &[MethodSummary],
+) -> Vec<String> {
+    sets.iter()
+        .zip(summaries)
+        .filter_map(|((_, ds), summary)| format::failure_note(method.name(), ds.name(), summary))
+        .collect()
 }
 
 struct Args {

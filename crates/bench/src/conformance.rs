@@ -27,13 +27,15 @@ use categorical_data::stats::entropy_from_counts;
 use categorical_data::synth::GeneratorConfig;
 use categorical_data::{CategoricalTable, MISSING};
 use cluster_eval::accuracy;
-use mcdc_core::{ExecutionPlan, FaultPlan, Mcdc, McdcResult, Mgcpl, StreamingMcdc, UnseenPolicy};
+use mcdc_core::{ExecutionPlan, Mcdc, McdcResult, Mgcpl, StreamingMcdc, UnseenPolicy};
 use mcdc_reference::{
     distinct_labels, partition_entropy, reference_mcdc, ReferenceConfig, ReferenceMcdc,
 };
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+
+use crate::corrupt::RowCorruptor;
 
 /// Minimum clustering accuracy a bounded-tier cell must reach against the
 /// oracle's serial partition, as a function of the sought `k`. Replicated
@@ -533,8 +535,8 @@ const GATE_INGEST_ARRIVALS: u64 = 400;
 
 /// The streaming-ingest gate workload: per seed and per [`UnseenPolicy`],
 /// bootstrap a [`StreamingMcdc`], replay `GATE_INGEST_ARRIVALS` rows drawn
-/// cyclically from a fixed table with seeded [`FaultPlan`] row corruption
-/// armed, and sum the boundary counters. Everything — the corruption
+/// cyclically from a fixed table through a seeded [`RowCorruptor`], and
+/// sum the boundary counters. Everything — the corruption
 /// schedule, the admission decisions, the health walk — is a pure function
 /// of the seeds, so the counters are machine-independent.
 fn measure_ingest_suite(total: &mut GateCounters) {
@@ -543,10 +545,7 @@ fn measure_ingest_suite(total: &mut GateCounters) {
             .noise(0.1)
             .generate(seed)
             .dataset;
-        let plan = FaultPlan::seeded(seed ^ 0x1A6E57)
-            .ingest_truncation_rate(0.08)
-            .ingest_out_of_domain_rate(0.15)
-            .ingest_missing_flood_rate(0.08);
+        let corruptor = RowCorruptor::seeded(seed ^ 0x1A6E57);
         for policy in [UnseenPolicy::Reject, UnseenPolicy::AsMissing, UnseenPolicy::Quarantine] {
             let mut stream =
                 StreamingMcdc::bootstrap(Mgcpl::builder().seed(seed).build(), data.table())
@@ -556,7 +555,7 @@ fn measure_ingest_suite(total: &mut GateCounters) {
             for arrival in 0..GATE_INGEST_ARRIVALS {
                 row.clear();
                 row.extend_from_slice(data.table().row(arrival as usize % data.table().n_rows()));
-                plan.corrupt_row(arrival, &mut row);
+                corruptor.corrupt_row(arrival, &mut row);
                 let _ = stream.try_absorb(&row);
             }
             let stats = stream.ingest_stats();

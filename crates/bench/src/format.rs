@@ -4,6 +4,8 @@
 //! second best with an underline; in terminal output we mark them `*best*`
 //! and `_second_`.
 
+use crate::MethodSummary;
+
 /// Renders one Table III row: per-method `mean±std` cells with best /
 /// second-best markers.
 pub fn table3_row(dataset: &str, cells: &[(f64, f64)]) -> String {
@@ -39,6 +41,17 @@ pub fn header(first: &str, names: &[&str]) -> String {
     format!("{first:<5} {}", cells.join(" "))
 }
 
+/// The paper's "judged as failed" prose for one (method, data set) cell:
+/// `None` when every run delivered `k*` clusters.
+pub fn failure_note(method: &str, dataset: &str, summary: &MethodSummary) -> Option<String> {
+    (summary.failures > 0).then(|| {
+        format!(
+            "note: {method} failed to form k* clusters on {dataset} in {}/{} runs",
+            summary.failures, summary.runs
+        )
+    })
+}
+
 /// Renders a horizontal bar for terminal "figures" (Fig. 4 / Fig. 5 style):
 /// `width`-character bar proportional to `value` within `[lo, hi]`.
 pub fn bar(value: f64, lo: f64, hi: f64, width: usize) -> String {
@@ -54,6 +67,7 @@ pub fn bar(value: f64, lo: f64, hi: f64, width: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scores;
 
     #[test]
     fn best_two_orders_descending() {
@@ -73,6 +87,21 @@ mod tests {
         let row = table3_row("Tic.", &[(0.5, 0.0), (0.7, 0.01), (0.6, 0.0)]);
         assert!(row.contains("*0.700±0.01*"), "{row}");
         assert!(row.contains("_0.600±0.00_"), "{row}");
+    }
+
+    #[test]
+    fn failure_note_names_failed_runs_only() {
+        let summary = |failures| MethodSummary {
+            mean: Scores::default(),
+            std: Scores::default(),
+            failures,
+            runs: 10,
+        };
+        assert_eq!(
+            failure_note("ROCK", "Mus.", &summary(3)).as_deref(),
+            Some("note: ROCK failed to form k* clusters on Mus. in 3/10 runs")
+        );
+        assert_eq!(failure_note("MCDC+F.", "Vot.", &summary(0)), None);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! * [`runner`] — multi-run sweeps with mean ± std scoring and the paper's
 //!   "failed methods score 0.000" convention;
 //! * [`format`](mod@format) — paper-style table rendering with best / second-best
-//!   highlighting.
+//!   highlighting;
+//! * [`corrupt`] — seeded row corruption for the streaming trust-boundary
+//!   checks (`conformance`'s ingest gate and `fault_chaos`).
 //!
 //! Each experiment has a dedicated binary (`table2`, `table3`, `table4`,
 //! `fig4_ablation`, `fig5_ktrace`, `fig6_scaling`, `dist_partition`); see
@@ -17,6 +19,7 @@
 #![forbid(unsafe_code)]
 
 pub mod conformance;
+pub mod corrupt;
 pub mod datasets;
 pub mod format;
 pub mod methods;

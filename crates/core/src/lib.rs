@@ -21,20 +21,16 @@
 //!   plus a span-size-weighted δ average — and the one merge setting is
 //!   [`MgcplBuilder::halo`], which lets shards overlap by a band of
 //!   boundary rows (DESIGN.md §5);
-//! * [`FaultPlan`] — deterministic, seeded fault injection with graceful
-//!   degradation: quarantined replicas, bounded retries, survivor
-//!   re-weighting, and poisoned-δ rejection (DESIGN.md §8);
 //! * [`StreamingMcdc`] — online absorption with drift-triggered re-fits
-//!   over a bounded reservoir, rolling back re-fits that degrade below a
-//!   survivor quorum; its `try_absorb`/`try_serve_*` boundary validates
-//!   untrusted rows under an [`UnseenPolicy`] and exposes a
-//!   [`ServingHealth`] state machine with exponential re-fit backoff
-//!   (DESIGN.md §11);
+//!   over a bounded reservoir; every re-fit installs. Its
+//!   `try_absorb`/`try_serve_*` boundary validates untrusted rows under
+//!   an [`UnseenPolicy`] and exposes a [`ServingHealth`] state machine
+//!   driven by the drift and reject ratios (DESIGN.md §11);
 //! * [`FrozenModel`] — fitted models compacted into read-only, cache-dense
 //!   scoring tables for the serving hot path: `score_one`/`score_batch`
 //!   match the live kernels' argmax bit for bit, and the versioned
 //!   save/load roundtrip is bit-exact (DESIGN.md §9);
-//! * [`Workspace`] / [`WorkspacePool`] — reusable pass-scratch arenas:
+//! * [`Workspace`] — a reusable pass-scratch arena:
 //!   `fit_with` runs repeated fits allocation-free once warm, and
 //!   [`HotPathStats`] reports scoring work, CAME's skipped rescans, and
 //!   workspace growth per fit (DESIGN.md §3).
@@ -68,7 +64,6 @@ mod competitive;
 mod encoding;
 mod error;
 mod execution;
-mod fault;
 mod frozen;
 mod mgcpl;
 mod pipeline;
@@ -86,7 +81,6 @@ pub use competitive::{CompetitiveLearning, CompetitiveResult};
 pub use encoding::{encode_mgcpl, encode_partitions};
 pub use error::McdcError;
 pub use execution::ExecutionPlan;
-pub use fault::{DeltaFault, FaultPlan, IngestFault, ReplicaFault};
 pub use frozen::FrozenModel;
 pub use mgcpl::{Mgcpl, MgcplBuilder, MgcplResult};
 pub use pipeline::{Mcdc, McdcBuilder, McdcResult};
@@ -96,4 +90,4 @@ pub use streaming::{
     UnseenPolicy,
 };
 pub use trace::{HotPathStats, LearningTrace, StageRecord};
-pub use workspace::{PooledWorkspace, Workspace, WorkspacePool};
+pub use workspace::Workspace;

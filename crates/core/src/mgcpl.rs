@@ -19,7 +19,6 @@ use rayon::prelude::*;
 use categorical_data::CsrLayout;
 
 use crate::execution::ShardMap;
-use crate::fault::{DeltaFault, FaultPlan, ReplicaFault};
 use crate::score::ScoreTable;
 use crate::weights::feature_weights_into;
 use crate::workspace::{
@@ -56,7 +55,6 @@ pub struct Mgcpl {
     seed: u64,
     execution: ExecutionPlan,
     halo: usize,
-    fault: FaultPlan,
 }
 
 /// Builder for [`Mgcpl`]; defaults follow the paper (`η = 0.03`,
@@ -72,7 +70,6 @@ pub struct MgcplBuilder {
     seed: u64,
     execution: ExecutionPlan,
     halo: usize,
-    fault: FaultPlan,
 }
 
 impl Default for MgcplBuilder {
@@ -87,7 +84,6 @@ impl Default for MgcplBuilder {
             seed: 0,
             execution: ExecutionPlan::Serial,
             halo: 0,
-            fault: FaultPlan::none(),
         }
     }
 }
@@ -196,25 +192,12 @@ impl MgcplBuilder {
         self
     }
 
-    /// Installs a fault-injection schedule for replicated plans (default
-    /// [`FaultPlan::none()`], which keeps the engine bit-exact with the
-    /// pre-fault behavior). Under an armed plan, replicated merges probe
-    /// the schedule per shard and degrade gracefully — bounded retries,
-    /// quarantine with survivor re-weighting, poisoned-δ rejection — as
-    /// specified in DESIGN.md §8; serial plans have no replicas to fail
-    /// and ignore the schedule.
-    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault = plan;
-        self
-    }
-
     /// Validates and builds the learner.
     ///
     /// # Panics
     ///
     /// Panics on any configuration [`try_build`](Self::try_build) rejects:
-    /// a non-finite or out-of-range `learning_rate`, a zero cap, or an
-    /// invalid [`FaultPlan`].
+    /// a non-finite or out-of-range `learning_rate` or a zero cap.
     pub fn build(self) -> Mgcpl {
         self.try_build().unwrap_or_else(|e| panic!("{e}"))
     }
@@ -227,9 +210,8 @@ impl MgcplBuilder {
     /// # Errors
     ///
     /// Returns [`McdcError::InvalidConfig`] naming the offending parameter
-    /// if `learning_rate` is not finite or outside `(0, 1)`, a cap is
-    /// zero, or the [`FaultPlan`] fails its own validation (a rate outside
-    /// `[0, 1]`, a zero retry budget).
+    /// if `learning_rate` is not finite or outside `(0, 1)` or a cap is
+    /// zero.
     pub fn try_build(self) -> Result<Mgcpl, McdcError> {
         if !self.learning_rate.is_finite() || self.learning_rate <= 0.0 || self.learning_rate >= 1.0
         {
@@ -250,7 +232,6 @@ impl MgcplBuilder {
                 message: "must be positive".to_string(),
             });
         }
-        self.fault.validate()?;
         Ok(Mgcpl {
             learning_rate: self.learning_rate,
             initial_k: self.initial_k,
@@ -261,7 +242,6 @@ impl MgcplBuilder {
             seed: self.seed,
             execution: self.execution,
             halo: self.halo,
-            fault: self.fault,
         })
     }
 }
@@ -568,9 +548,6 @@ impl Mgcpl {
         }
         plan.validate(n)?;
         let shard_map = plan.shard_map(table, self.halo)?;
-        // Merge steps completed so far, across stages: the fault plan's
-        // step coordinate (DESIGN.md §8).
-        let mut merge_steps: u64 = 0;
         let d = table.n_features();
         let k0 = match self.initial_k {
             Some(k) => {
@@ -641,7 +618,6 @@ impl Mgcpl {
                 &mut assignment,
                 &mut rng,
                 shard_map.as_ref(),
-                &mut merge_steps,
                 ws,
                 &mut stats,
             );
@@ -693,7 +669,6 @@ impl Mgcpl {
         assignment: &mut [Option<usize>],
         rng: &mut ChaCha8Rng,
         shard_map: Option<&ShardMap>,
-        merge_steps: &mut u64,
         ws: &mut Workspace,
         stats: &mut HotPathStats,
     ) -> usize {
@@ -740,24 +715,19 @@ impl Mgcpl {
                     }
                     changed
                 }
-                Some(map) => {
-                    let changed = self.apply_replicated(
-                        table,
-                        order,
-                        clusters,
-                        assignment,
-                        one_minus_rho,
-                        prefactors,
-                        post_scale,
-                        *merge_steps,
-                        map,
-                        replicated,
-                        allocs,
-                        stats,
-                    );
-                    *merge_steps += 1;
-                    changed
-                }
+                Some(map) => self.apply_replicated(
+                    table,
+                    order,
+                    clusters,
+                    assignment,
+                    one_minus_rho,
+                    prefactors,
+                    post_scale,
+                    map,
+                    replicated,
+                    allocs,
+                    stats,
+                ),
             };
 
             // Prune clusters that lost all members. After a prune, reset the
@@ -956,19 +926,6 @@ impl Mgcpl {
     /// shuffle filtered to that span, so a one-shard plan degenerates to
     /// the serial order and results are deterministic for a fixed seed,
     /// shard count, and halo.
-    ///
-    /// Under an armed [`FaultPlan`] (DESIGN.md §8) the merge degrades
-    /// instead of failing: each replica probes the schedule per execution
-    /// attempt (`merge_step` is the fault plan's step coordinate) and a
-    /// crashed or deadline-exceeded replica is retried up to the plan's
-    /// attempt budget, then quarantined — its rows fall back to their
-    /// prior membership (or a frozen-snapshot rescore on the first pass),
-    /// the profile merge stays exact over all rows' final memberships,
-    /// and the δ blend re-weights over the surviving replicas. Poisoned
-    /// or dropped δ vectors are detected by finiteness/ω-bound checks and
-    /// excluded the same way. All of this is gated on
-    /// [`FaultPlan::is_none`], so the clean path is bit-exact with the
-    /// pre-fault engine.
     #[allow(clippy::too_many_arguments)]
     fn apply_replicated(
         &self,
@@ -979,7 +936,6 @@ impl Mgcpl {
         one_minus_rho: &[f64],
         prefactors: &[f64],
         post_scale: f64,
-        merge_step: u64,
         map: &ShardMap,
         rep: &mut ReplicatedScratch,
         allocs: &mut u64,
@@ -1014,55 +970,11 @@ impl Mgcpl {
         // previous pass grew) and runs the shared `apply_span`.
         let snapshot: &Cohort = clusters;
         let frozen_assignment: &[Option<usize>] = assignment;
-        let fault = &self.fault;
         let slots_in = std::mem::take(&mut rep.slots);
         let slots: Vec<ReplicaSlot> = slots_in
             .into_par_iter()
             .map(|mut slot| {
-                slot.stats = HotPathStats::default();
                 slot.allocs = 0;
-                slot.failures = 0;
-                slot.retries = 0;
-                slot.quarantined = false;
-                slot.delta_dropped = false;
-                // Fault probe (DESIGN.md §8): decide this replica's fate
-                // before executing — each attempt re-draws the schedule,
-                // a deadline-exceeded straggler counts as a failed
-                // attempt, and exhausting the attempt budget quarantines
-                // the shard for this merge step. Deterministic per
-                // (step, shard, attempt), so the thread schedule cannot
-                // change the outcome.
-                if !fault.is_none() {
-                    let budget = fault.attempts();
-                    let mut attempt = 0usize;
-                    loop {
-                        let healthy = match fault.replica_fault(merge_step, slot.index, attempt) {
-                            ReplicaFault::Healthy => true,
-                            ReplicaFault::Fail => false,
-                            ReplicaFault::Straggle { delay } => !fault.deadline_exceeded(delay),
-                        };
-                        if healthy {
-                            break;
-                        }
-                        slot.failures += 1;
-                        attempt += 1;
-                        if attempt >= budget {
-                            slot.quarantined = true;
-                            break;
-                        }
-                        slot.retries += 1;
-                    }
-                }
-                if slot.quarantined {
-                    // The replica never delivers: clear its outputs so the
-                    // vote/write-back loops below see an empty verdict set
-                    // (`rows` stays intact — the profile rebuild still
-                    // needs the shard's owned-row span).
-                    slot.decisions.clear();
-                    slot.confidences.clear();
-                    slot.delta.clear();
-                    return slot;
-                }
                 match slot.cohort.as_mut() {
                     Some(cohort) => {
                         cohort.copy_from(snapshot, &mut slot.spare_profiles, &mut slot.allocs);
@@ -1075,7 +987,7 @@ impl Mgcpl {
                 copy_into(&mut slot.prefactors, prefactors, &mut slot.allocs);
                 note_growth(&slot.decisions, slot.rows.len(), &mut slot.allocs);
                 let local = slot.cohort.as_mut().expect("cohort installed above");
-                let mut span_stats = HotPathStats::default();
+                slot.stats = HotPathStats::default();
                 self.apply_span(
                     table,
                     &slot.rows,
@@ -1086,32 +998,12 @@ impl Mgcpl {
                     one_minus_rho,
                     &mut slot.prefactors,
                     post_scale,
-                    &mut span_stats,
+                    &mut slot.stats,
                 );
-                slot.stats = span_stats;
                 let local_delta: &[f64] = &slot.cohort.as_ref().expect("still installed").delta;
                 note_growth(&slot.delta, local_delta.len(), &mut slot.allocs);
                 slot.delta.clear();
                 slot.delta.extend_from_slice(local_delta);
-                // δ transit faults: corruption poisons one entry (NaN or
-                // an out-of-[0,1] value, alternating so both detector
-                // branches stay exercised); a drop loses the vector. The
-                // merge-side validity scan below catches both.
-                if !fault.is_none() && !slot.delta.is_empty() {
-                    match fault.delta_fault(merge_step, slot.index) {
-                        DeltaFault::Clean => {}
-                        DeltaFault::Drop => slot.delta_dropped = true,
-                        DeltaFault::Corrupt => {
-                            let idx = (merge_step as usize + slot.index) % slot.delta.len();
-                            slot.delta[idx] = if (merge_step + slot.index as u64).is_multiple_of(2)
-                            {
-                                f64::NAN
-                            } else {
-                                4.0
-                            };
-                        }
-                    }
-                }
                 slot
             })
             .collect();
@@ -1139,48 +1031,12 @@ impl Mgcpl {
                 }
             }
             for (&i, row_votes) in map.halo_rows.iter().zip(&rep.votes) {
-                // Every replica that would have presented this halo row
-                // was quarantined: leave it to the orphan fallback below.
-                if row_votes.is_empty() {
-                    continue;
-                }
                 rep.final_of[i] = halo_vote(row_votes);
             }
         } else {
             for slot in &slots {
                 for (&i, &c) in slot.rows.iter().zip(&slot.decisions) {
                     rep.final_of[i] = c;
-                }
-            }
-        }
-
-        // Quarantine accounting and the orphan fallback (DESIGN.md §8):
-        // rows whose every presenting replica was quarantined carry no
-        // verdict, so they keep their prior membership — or, on a first
-        // pass without one, are re-scored against the frozen pass-start
-        // state (scoring table and prefactors are still the
-        // snapshot's at this point; the profile merge below then stays
-        // exact over every row's final membership). Gated on an actual
-        // quarantine so the clean path never touches any of this.
-        for slot in &slots {
-            stats.replica_failures += slot.failures;
-            stats.retries += slot.retries;
-        }
-        let quarantined = slots.iter().filter(|s| s.quarantined).count();
-        if quarantined > 0 {
-            stats.quarantined_shards += quarantined as u64;
-            let permille = ((map.n_shards - quarantined) as u64 * 1000) / map.n_shards as u64;
-            stats.min_survivor_permille = stats.min_survivor_permille.min(permille);
-            for &i in order {
-                if rep.final_of[i] == usize::MAX {
-                    rep.final_of[i] = match assignment[i] {
-                        Some(c) => c,
-                        None => {
-                            stats.score_evals += k as u64;
-                            let (row, offsets) = (table.row(i), clusters.layout.offsets());
-                            clusters.scores.top2(row, offsets, prefactors, post_scale).winner
-                        }
-                    };
                 }
             }
         }
@@ -1268,34 +1124,13 @@ impl Mgcpl {
             profile.copy_from_profile(merged);
         }
 
-        // δ consensus: span-size-weighted average over the replicas whose
-        // δ actually arrived intact. A δ participates only if its replica
-        // survived, the vector wasn't dropped in transit, and every entry
-        // is finite and inside the `[0, 1]` ω-clamp the learning rule
-        // guarantees — the poisoned-δ detector of DESIGN.md §8. With every
-        // replica clean (always the case under `FaultPlan::none()`) the
-        // filter passes everything.
-        let mut rejected = 0u64;
-        for slot in &mut slots {
-            let intact = slot.delta.len() == k
-                && slot.delta.iter().all(|d| d.is_finite() && (0.0..=1.0).contains(d));
-            slot.delta_ok = !slot.quarantined && !slot.delta_dropped && intact;
-            if !slot.quarantined && !slot.delta_ok {
-                rejected += 1;
-            }
-        }
-        stats.rejected_deltas += rejected;
-        let total_presented: f64 =
-            slots.iter().filter(|s| s.delta_ok).map(|s| s.rows.len() as f64).sum();
-        // When every replica's δ was lost this pass, the pass-start δ
-        // carries forward rather than averaging toward zero.
-        if total_presented > 0.0 {
-            clusters.delta.fill(0.0);
-            for slot in slots.iter().filter(|s| s.delta_ok) {
-                let weight = slot.rows.len() as f64 / total_presented;
-                for (merged, &delta) in clusters.delta.iter_mut().zip(&slot.delta) {
-                    *merged += weight * delta;
-                }
+        // δ consensus: span-size-weighted average over every replica.
+        let total_presented: f64 = slots.iter().map(|s| s.rows.len() as f64).sum();
+        clusters.delta.fill(0.0);
+        for slot in &slots {
+            let weight = slot.rows.len() as f64 / total_presented;
+            for (merged, &delta) in clusters.delta.iter_mut().zip(&slot.delta) {
+                *merged += weight * delta;
             }
         }
 
@@ -1359,7 +1194,7 @@ fn dense_labels(assignment: &[Option<usize>]) -> Vec<usize> {
 /// winner as that replica saw it. Per-cluster similarity sums decide, with
 /// the smallest cluster index winning ties; a single vote wins outright.
 fn halo_vote(votes: &[(usize, f64)]) -> usize {
-    debug_assert!(!votes.is_empty(), "empty vote sets fall back to the orphan path");
+    debug_assert!(!votes.is_empty(), "every halo row is presented at least once");
     if votes.len() == 1 {
         return votes[0].0;
     }

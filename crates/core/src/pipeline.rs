@@ -4,8 +4,8 @@
 use categorical_data::CategoricalTable;
 
 use crate::{
-    encode_mgcpl, Came, CameInit, CameResult, ExecutionPlan, FaultPlan, McdcError, Mgcpl,
-    MgcplResult, Workspace,
+    encode_mgcpl, Came, CameInit, CameResult, ExecutionPlan, McdcError, Mgcpl, MgcplResult,
+    Workspace,
 };
 
 /// The full MCDC clusterer. Construct via [`Mcdc::builder`].
@@ -42,7 +42,6 @@ pub struct McdcBuilder {
     came_init: Option<CameInit>,
     execution: Option<ExecutionPlan>,
     halo: Option<usize>,
-    fault_plan: Option<FaultPlan>,
     seed: u64,
 }
 
@@ -113,18 +112,6 @@ impl McdcBuilder {
         self
     }
 
-    /// Installs a fault-injection schedule for the MGCPL stage's
-    /// replicated merges (default [`FaultPlan::none()`], bit-exact with
-    /// the pre-fault pipeline). See
-    /// [`MgcplBuilder::fault_plan`](crate::MgcplBuilder::fault_plan) for
-    /// the degradation semantics; CAME's parallel paths are exact
-    /// reductions with no replica state to lose, so the schedule applies
-    /// to the learning stage only.
-    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
-        self
-    }
-
     /// Seeds all randomized choices.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -141,9 +128,8 @@ impl McdcBuilder {
     }
 
     /// Builds the pipeline, reporting bad configuration — a non-finite
-    /// learning rate, a zero cap, an invalid
-    /// [`FaultPlan`] — as [`McdcError::InvalidConfig`] instead of
-    /// panicking.
+    /// learning rate or a zero cap — as [`McdcError::InvalidConfig`]
+    /// instead of panicking.
     ///
     /// # Errors
     ///
@@ -175,9 +161,6 @@ impl McdcBuilder {
         }
         if let Some(rows) = self.halo {
             mgcpl = mgcpl.halo(rows);
-        }
-        if let Some(plan) = self.fault_plan {
-            mgcpl = mgcpl.fault_plan(plan);
         }
         Ok(Mcdc { mgcpl: mgcpl.try_build()?, came: came.build() })
     }

@@ -4,7 +4,7 @@
 /// may count differently (a cold workspace grows buffers a warm one
 /// reuses), so result types exclude these counters from their equality —
 /// see `MgcplResult` / `CameResult`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HotPathStats {
     /// Full object rescans performed (one `d×k` scoring sweep each). MGCPL
     /// rescans every presentation.
@@ -31,48 +31,6 @@ pub struct HotPathStats {
     /// Learning passes (MGCPL) or alternating-minimization iterations
     /// (CAME) executed.
     pub passes: u64,
-    /// Injected replica execution failures (crashes plus
-    /// deadline-exceeded stragglers), counted per failed attempt — a
-    /// shard that crashed twice before its retry succeeded contributes 2.
-    /// Always 0 under `FaultPlan::none()` (DESIGN.md §8).
-    pub replica_failures: u64,
-    /// Failed replica attempts that were re-executed within the
-    /// per-shard attempt budget (`FaultPlan::retry_budget`).
-    pub retries: u64,
-    /// Shard-passes excluded from a merge because the replica exhausted
-    /// its attempt budget, summed over merge steps (a shard quarantined
-    /// in 3 passes contributes 3).
-    pub quarantined_shards: u64,
-    /// Merge δ vectors excluded from the δ blend on a surviving replica:
-    /// poisoned (NaN / non-finite / outside the `[0, 1]` ω-clamp) or
-    /// dropped in transit.
-    pub rejected_deltas: u64,
-    /// Worst per-merge-step survivor fraction of the fit, in permille:
-    /// 1000 means every shard survived every merge step (also the value
-    /// for serial plans, which have no replicas to lose); 0 means some
-    /// merge step lost every shard. Streaming's survivor-quorum rollback
-    /// gates on this (DESIGN.md §8).
-    pub min_survivor_permille: u64,
-}
-
-impl Default for HotPathStats {
-    fn default() -> Self {
-        HotPathStats {
-            full_rescans: 0,
-            skipped_rescans: 0,
-            score_evals: 0,
-            merges: 0,
-            allocations: 0,
-            passes: 0,
-            replica_failures: 0,
-            retries: 0,
-            quarantined_shards: 0,
-            rejected_deltas: 0,
-            // The neutral element for a running `min`: a fit that never
-            // loses a replica reports full survivorship.
-            min_survivor_permille: 1000,
-        }
-    }
 }
 
 impl HotPathStats {
@@ -93,12 +51,6 @@ impl HotPathStats {
         } else {
             self.allocations as f64 / self.passes as f64
         }
-    }
-
-    /// The worst per-merge-step survivor fraction, in `[0, 1]` (see
-    /// [`min_survivor_permille`](HotPathStats::min_survivor_permille)).
-    pub fn survivor_fraction(&self) -> f64 {
-        self.min_survivor_permille as f64 / 1000.0
     }
 }
 
@@ -181,18 +133,5 @@ mod tests {
         let trace = LearningTrace { initial_k: 7, stages: vec![] };
         assert_eq!(trace.final_k(), 7);
         assert_eq!(trace.sigma(), 0);
-    }
-
-    #[test]
-    fn default_stats_report_full_survivorship() {
-        let stats = HotPathStats::default();
-        assert_eq!(stats.min_survivor_permille, 1000);
-        assert_eq!(stats.survivor_fraction(), 1.0);
-        assert_eq!(stats.replica_failures, 0);
-        assert_eq!(stats.retries, 0);
-        assert_eq!(stats.quarantined_shards, 0);
-        assert_eq!(stats.rejected_deltas, 0);
-        assert_eq!(stats.score_evals, 0);
-        assert_eq!(stats.merges, 0);
     }
 }

@@ -10,12 +10,9 @@
 //!
 //! `Mgcpl::fit` / `Came::fit` create a throwaway workspace internally;
 //! callers that fit repeatedly (benchmarks, the streaming re-fit, servers)
-//! pass a persistent one to `fit_with` — or check one out of a shared
-//! [`WorkspacePool`]. Buffer *growth* events are counted
+//! pass a persistent one to `fit_with`. Buffer *growth* events are counted
 //! ([`Workspace::allocations`]), which is what `hotpath_snapshot` reports
 //! as `allocations_per_pass`.
-
-use std::sync::Mutex;
 
 use crate::mgcpl::Cohort;
 use crate::trace::HotPathStats;
@@ -77,17 +74,6 @@ pub(crate) struct ReplicaSlot {
     pub(crate) stats: HotPathStats,
     /// Buffer-growth events inside the worker, folded after join.
     pub(crate) allocs: u64,
-    /// Injected execution failures this pass (one per failed attempt).
-    pub(crate) failures: u64,
-    /// Failed attempts re-executed within the attempt budget.
-    pub(crate) retries: u64,
-    /// Whether the replica exhausted its budget and sat out this merge.
-    pub(crate) quarantined: bool,
-    /// Whether the replica's merge δ was dropped in transit.
-    pub(crate) delta_dropped: bool,
-    /// Whether this replica's δ participates in the blend (survivor with
-    /// an intact, in-bounds δ).
-    pub(crate) delta_ok: bool,
 }
 
 /// Scratch for replicated (mini-batch / sharded) MGCPL passes.
@@ -203,74 +189,6 @@ impl Clone for Workspace {
     }
 }
 
-/// A shared pool of [`Workspace`]s for callers that run fits concurrently
-/// (one checkout per fit; the workspace returns to the pool on drop).
-///
-/// # Example
-///
-/// ```
-/// use mcdc_core::WorkspacePool;
-///
-/// let pool = WorkspacePool::new();
-/// {
-///     let mut ws = pool.checkout();
-///     ws.reset_allocations();
-/// } // returned here
-/// let _again = pool.checkout(); // reuses the same arena
-/// ```
-#[derive(Debug, Default)]
-pub struct WorkspacePool {
-    idle: Mutex<Vec<Workspace>>,
-}
-
-impl WorkspacePool {
-    /// Creates an empty pool.
-    pub fn new() -> WorkspacePool {
-        WorkspacePool::default()
-    }
-
-    /// Checks a workspace out, creating one when the pool is empty.
-    pub fn checkout(&self) -> PooledWorkspace<'_> {
-        let ws = self.idle.lock().expect("workspace pool poisoned").pop().unwrap_or_default();
-        PooledWorkspace { ws: Some(ws), pool: self }
-    }
-
-    /// Number of idle workspaces currently pooled.
-    pub fn idle_count(&self) -> usize {
-        self.idle.lock().expect("workspace pool poisoned").len()
-    }
-}
-
-/// A pool checkout; derefs to [`Workspace`] and returns it on drop.
-#[derive(Debug)]
-pub struct PooledWorkspace<'a> {
-    ws: Option<Workspace>,
-    pool: &'a WorkspacePool,
-}
-
-impl std::ops::Deref for PooledWorkspace<'_> {
-    type Target = Workspace;
-    fn deref(&self) -> &Workspace {
-        self.ws.as_ref().expect("workspace present until drop")
-    }
-}
-
-impl std::ops::DerefMut for PooledWorkspace<'_> {
-    fn deref_mut(&mut self) -> &mut Workspace {
-        self.ws.as_mut().expect("workspace present until drop")
-    }
-}
-
-impl Drop for PooledWorkspace<'_> {
-    fn drop(&mut self) {
-        if let Some(ws) = self.ws.take() {
-            if let Ok(mut idle) = self.pool.idle.lock() {
-                idle.push(ws);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,18 +206,5 @@ mod tests {
         assert_eq!(allocs, 1);
         copy_into(&mut v, &[1.0; 64], &mut allocs);
         assert_eq!(allocs, 2);
-    }
-
-    #[test]
-    fn pool_recycles_workspaces() {
-        let pool = WorkspacePool::new();
-        assert_eq!(pool.idle_count(), 0);
-        {
-            let _ws = pool.checkout();
-            assert_eq!(pool.idle_count(), 0);
-        }
-        assert_eq!(pool.idle_count(), 1);
-        let _ws = pool.checkout();
-        assert_eq!(pool.idle_count(), 0);
     }
 }

@@ -7,7 +7,10 @@
 //!   snapshot scoring) but must stay inside the quality tolerance band of
 //!   the stochastic suites on well-separated synthetic data;
 //! * for a fixed seed and shard count, every backend is deterministic;
-//! * invalid plans surface `McdcError::InvalidShards` instead of panicking.
+//! * invalid plans surface `McdcError::InvalidShards` instead of panicking,
+//!   and the builder boundary rejects non-finite or zero knobs with
+//!   `McdcError::InvalidConfig` naming the offending parameter, for MGCPL
+//!   and the MCDC pipeline alike.
 
 use categorical_data::synth::GeneratorConfig;
 use categorical_data::Dataset;
@@ -167,4 +170,35 @@ fn pipeline_threads_the_plan_through_both_stages() {
         .fit(data.table(), 3)
         .unwrap();
     assert_eq!(serial.labels(), full_batch.labels());
+}
+
+#[test]
+fn builder_boundary_rejects_non_finite_knobs() {
+    let expect = |result: Result<Mgcpl, McdcError>, parameter: &str| match result {
+        Err(McdcError::InvalidConfig { parameter: p, .. }) => {
+            assert_eq!(p, parameter);
+        }
+        other => panic!("expected InvalidConfig for {parameter}, got {other:?}"),
+    };
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, 1.0, -0.2] {
+        expect(Mgcpl::builder().learning_rate(bad).try_build(), "learning_rate");
+    }
+    expect(Mgcpl::builder().max_inner_iterations(0).try_build(), "max_inner_iterations");
+    expect(Mgcpl::builder().max_stages(0).try_build(), "max_stages");
+    // The pipeline builder forwards the same boundary.
+    match Mcdc::builder().learning_rate(f64::NAN).try_build() {
+        Err(McdcError::InvalidConfig { parameter, .. }) => {
+            assert_eq!(parameter, "learning_rate");
+        }
+        other => panic!("expected InvalidConfig from Mcdc::try_build, got {other:?}"),
+    }
+    // And the happy path still builds.
+    assert!(Mgcpl::builder().learning_rate(0.5).try_build().is_ok());
+    assert!(Mcdc::builder().try_build().is_ok());
+}
+
+#[test]
+#[should_panic(expected = "invalid configuration for learning_rate")]
+fn infallible_build_panics_with_the_config_error() {
+    let _ = Mgcpl::builder().learning_rate(f64::NAN).build();
 }

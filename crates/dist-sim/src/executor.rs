@@ -3,7 +3,6 @@
 //! thread-pool run (crossbeam scoped threads) demonstrating the speedup.
 
 use crossbeam::thread;
-use mcdc_core::{FaultPlan, ReplicaFault};
 use parking_lot::Mutex;
 
 use crate::Placement;
@@ -30,13 +29,6 @@ pub struct ExecutionStats {
     pub cross_worker_messages: u64,
     /// Wall-clock nanoseconds of the real thread-pool validation run.
     pub wall_clock_nanos: u128,
-    /// Workers lost to injected faults (crashes plus deadline-exceeded
-    /// stragglers); 0 under [`SimulatedCluster::run`] and
-    /// [`FaultPlan::none`].
-    pub dead_workers: u64,
-    /// Items re-placed from a dead worker onto a survivor; 0 under
-    /// [`SimulatedCluster::run`] and [`FaultPlan::none`].
-    pub replaced_items: u64,
 }
 
 /// Deterministic cluster simulator over a fixed worker count.
@@ -120,102 +112,7 @@ impl SimulatedCluster {
         let wall_clock_nanos = start.elapsed().as_nanos();
         assert_eq!(*processed.lock(), total_work, "parallel run must conserve work");
 
-        ExecutionStats {
-            makespan,
-            total_work,
-            cross_worker_messages: cross,
-            wall_clock_nanos,
-            dead_workers: 0,
-            replaced_items: 0,
-        }
-    }
-
-    /// Runs `items` under `placement` with an injected [`FaultPlan`]: each
-    /// worker `w` is probed once (`fault.replica_fault(0, w, 0)`) before
-    /// execution. A crashed worker — or a straggler past the plan's
-    /// deadline — is declared dead and its items are re-placed greedily
-    /// onto the least-loaded survivor (ties to the lowest worker index),
-    /// which is the accounting a coordinator pays for failing over mid-job.
-    /// In-deadline stragglers keep their items but finish late: their
-    /// configured delay is added to their busy time before the makespan
-    /// max. Should every worker die, the coordinator restarts worker 0
-    /// (delay-free) so the job still completes; the restarted worker still
-    /// counts in [`ExecutionStats::dead_workers`].
-    ///
-    /// With [`FaultPlan::none`] this is exactly [`SimulatedCluster::run`]:
-    /// same makespan, work, and traffic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `placement.worker_of.len() != items.len()`.
-    pub fn run_with_faults(
-        &self,
-        placement: &Placement,
-        items: &[WorkItem],
-        fault: &FaultPlan,
-    ) -> ExecutionStats {
-        assert_eq!(placement.worker_of.len(), items.len(), "one placement entry per item");
-        let n_workers = placement.n_workers;
-
-        // Probe every worker once, before any work moves.
-        let mut alive = vec![true; n_workers];
-        let mut delay = vec![0u64; n_workers];
-        for w in 0..n_workers {
-            match fault.replica_fault(0, w, 0) {
-                ReplicaFault::Healthy => {}
-                ReplicaFault::Fail => alive[w] = false,
-                ReplicaFault::Straggle { delay: d } => {
-                    if fault.deadline_exceeded(d) {
-                        alive[w] = false;
-                    } else {
-                        delay[w] = d;
-                    }
-                }
-            }
-        }
-        let dead_workers = alive.iter().filter(|a| !**a).count() as u64;
-        if alive.iter().all(|a| !a) && n_workers > 0 {
-            // Total loss: the coordinator restarts worker 0 from scratch.
-            alive[0] = true;
-            delay[0] = 0;
-        }
-
-        // Greedy fail-over: walk the items in order and push each orphan
-        // onto the currently least-loaded survivor.
-        let mut busy = vec![0u64; n_workers];
-        for (item, &w) in items.iter().zip(&placement.worker_of) {
-            if alive[w] {
-                busy[w] += item.cost;
-            }
-        }
-        let mut worker_of = placement.worker_of.clone();
-        let mut replaced_items = 0u64;
-        for (item, w) in items.iter().zip(worker_of.iter_mut()) {
-            if alive[*w] {
-                continue;
-            }
-            let target = (0..n_workers)
-                .filter(|&s| alive[s])
-                .min_by_key(|&s| (busy[s], s))
-                .expect("at least one survivor after the coordinator fallback");
-            busy[target] += item.cost;
-            *w = target;
-            replaced_items += 1;
-        }
-
-        // Degraded run: virtual time, traffic, and the real thread-pool
-        // validation all use the effective placement.
-        let effective = Placement { worker_of, n_workers };
-        let mut stats = self.run(&effective, items);
-        stats.makespan = busy
-            .iter()
-            .zip(&delay)
-            .map(|(&b, &d)| if b > 0 { b + d } else { 0 })
-            .max()
-            .unwrap_or(0);
-        stats.dead_workers = dead_workers;
-        stats.replaced_items = replaced_items;
-        stats
+        ExecutionStats { makespan, total_work, cross_worker_messages: cross, wall_clock_nanos }
     }
 }
 
@@ -270,72 +167,5 @@ mod tests {
     fn mismatched_lengths_panic() {
         let items = items(10, 2);
         let _ = SimulatedCluster::new().run(&round_robin(5, 2), &items);
-    }
-
-    #[test]
-    fn faultless_plan_matches_the_clean_run() {
-        let items = items(120, 5);
-        let placement = round_robin(120, 4);
-        let sim = SimulatedCluster::new();
-        let clean = sim.run(&placement, &items);
-        let faulted = sim.run_with_faults(&placement, &items, &FaultPlan::none());
-        // Field-by-field, not whole-struct: the two real thread-pool runs
-        // legitimately differ in wall clock.
-        assert_eq!(faulted.makespan, clean.makespan);
-        assert_eq!(faulted.total_work, clean.total_work);
-        assert_eq!(faulted.cross_worker_messages, clean.cross_worker_messages);
-        assert_eq!(faulted.dead_workers, 0);
-        assert_eq!(faulted.replaced_items, 0);
-    }
-
-    #[test]
-    fn dead_worker_items_fail_over_and_work_is_conserved() {
-        let items = items(120, 5);
-        let placement = round_robin(120, 4);
-        let fault = FaultPlan::none().fail_replica(0, 1);
-        let stats = SimulatedCluster::new().run_with_faults(&placement, &items, &fault);
-        assert_eq!(stats.dead_workers, 1);
-        assert_eq!(stats.replaced_items, 30, "round-robin gives worker 1 a quarter of 120");
-        assert_eq!(stats.total_work, items.iter().map(|w| w.cost).sum::<u64>());
-        // Three survivors absorb the orphans: the makespan sits between the
-        // perfectly balanced and the fully serial extremes.
-        assert!(stats.makespan >= stats.total_work.div_ceil(3));
-        assert!(stats.makespan < stats.total_work);
-    }
-
-    #[test]
-    fn total_loss_falls_back_to_a_single_restarted_worker() {
-        let items = items(60, 3);
-        let placement = round_robin(60, 4);
-        let fault = FaultPlan::seeded(9).replica_failure_rate(1.0);
-        let stats = SimulatedCluster::new().run_with_faults(&placement, &items, &fault);
-        assert_eq!(stats.dead_workers, 4);
-        // Everything runs on the restarted worker 0; only its original
-        // items avoid the re-placement count.
-        assert_eq!(stats.makespan, stats.total_work);
-        assert_eq!(stats.replaced_items, 45);
-    }
-
-    #[test]
-    fn in_deadline_stragglers_delay_the_makespan_without_moving_work() {
-        let items = items(120, 5);
-        let placement = round_robin(120, 4);
-        let sim = SimulatedCluster::new();
-        let clean = sim.run(&placement, &items);
-        let fault =
-            FaultPlan::none().straggle_replica(0, 3).straggler_delay(7).straggler_deadline(7);
-        let stats = sim.run_with_faults(&placement, &items, &fault);
-        assert_eq!(stats.dead_workers, 0);
-        assert_eq!(stats.replaced_items, 0);
-        assert_eq!(stats.cross_worker_messages, clean.cross_worker_messages);
-        // Worker 3 holds the costliest stripe (cost 4 items), so its delay
-        // sets the finish line.
-        assert_eq!(stats.makespan, clean.makespan + 7);
-        // Past the deadline the same straggler is treated as dead instead.
-        let expired =
-            FaultPlan::none().straggle_replica(0, 3).straggler_delay(8).straggler_deadline(7);
-        let stats = sim.run_with_faults(&placement, &items, &expired);
-        assert_eq!(stats.dead_workers, 1);
-        assert!(stats.replaced_items > 0);
     }
 }

@@ -15,14 +15,10 @@
 # reconcile smoke
 # (`reconcile_ablation --quick`) fits serial and a 4-shard mini-batch
 # plan with and without a shard halo on a small nested table and fails
-# on panics or non-finite metrics. The chaos smoke (`fault_chaos --quick`) runs the fault arms
-# (retry, quarantine, probabilistic chaos) on a small grid and fails on
-# panics, non-finite metrics, a chaos arm that never injects a failure,
-# a retry arm that diverges from the clean labels, or a quarantined fit
-# dropping more than 0.05 mean ACC below clean; its ingest axis
-# (DESIGN.md §11) replays seeded row corruption (arity truncation,
-# out-of-domain codes, MISSING flooding) through the streaming
-# `try_absorb` boundary under every UnseenPolicy and fails on panics,
+# on panics or non-finite metrics. The chaos smoke (`fault_chaos --quick`)
+# replays seeded row corruption (arity truncation, out-of-domain codes,
+# MISSING flooding) through the streaming `try_absorb` boundary
+# (DESIGN.md §11) under every UnseenPolicy and fails on panics,
 # on rejection/quarantine/coercion counters that never fire, or on a
 # replay whose admissions or health transitions are not bit-identical
 # per seed. The conformance steps
