@@ -14,7 +14,7 @@
 //! * `--gate`: measures the fixed counter suites, compares them against
 //!   the checked-in baselines, then self-tests the gate by holding the
 //!   measured `[replicated]` counters to the `[serial]` baseline — the
-//!   replica merges must fail it.
+//!   rows the replicated passes move must fail it.
 //! * `--write-gates`: re-measures and rewrites `PERF_GATES.toml`,
 //!   printing the old → new diff (wrapped by `scripts/update_gates.sh`).
 //! * `--replay SEED`: verbose single-seed replay, one line per cell.
@@ -227,10 +227,10 @@ fn run_gate(path: &str) -> bool {
 }
 
 /// The gate's own regression test: hold the measured `[replicated]`
-/// counters to the `[serial]` baseline. The replicated suite merges shard
-/// profiles every pass while the serial one never merges, so the
-/// comparison must report violations (`merges` alone grows from 0) — if it
-/// passes, the gate is vacuous and the run fails.
+/// counters to the `[serial]` baseline. The replicated suite moves rows
+/// between profiles to settle every pass while the serial one moves none
+/// that way, so the comparison must report violations (`merges` alone
+/// grows from 0) — if it passes, the gate is vacuous and the run fails.
 fn gate_self_test(
     baselines: &[(String, GateCounters)],
     measured: &[(String, GateCounters)],

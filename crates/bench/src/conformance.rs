@@ -431,7 +431,8 @@ pub fn render_witness(spec: &TableSpec, divergence: &Divergence, rows: &[Vec<u32
 pub struct GateCounters {
     /// Object–cluster score evaluations ([`mcdc_core::HotPathStats::score_evals`]).
     pub score_evals: u64,
-    /// Replicated profile merges ([`mcdc_core::HotPathStats::merges`]).
+    /// Rows moved while settling replicated passes
+    /// ([`mcdc_core::HotPathStats::merges`]).
     pub merges: u64,
     /// Learning passes + refinement iterations.
     pub passes: u64,
@@ -491,7 +492,7 @@ const GATE_N: usize = 480;
 const GATE_SEEDS: [u64; 3] = [11, 12, 13];
 
 /// The checked-in gate suites: the serial hot path (`k₀ = 24`), the
-/// replicated merge path at the per-pass barrier, and the
+/// replicated settling path at the per-pass barrier, and the
 /// streaming-ingest boundary under seeded row corruption.
 pub fn gate_suites() -> Vec<GateSuite> {
     vec![
@@ -637,9 +638,10 @@ pub fn render_gates(tolerance: f64, suites: &[(String, GateCounters)]) -> String
     out.push_str(
         "# Deterministic hot-path work baselines for `conformance --gate`\n\
          # (DESIGN.md §10). Counters are machine-independent: score\n\
-         # evaluations, profile merges, and passes over fixed seeded\n\
-         # workloads. Regenerate with scripts/update_gates.sh after an\n\
-         # intentional algorithmic change.\n",
+         # evaluations, rows moved settling replicated passes, and\n\
+         # passes over fixed seeded workloads. Regenerate with\n\
+         # scripts/update_gates.sh after an intentional algorithmic\n\
+         # change.\n",
     );
     out.push_str(&format!("tolerance = {tolerance}\n"));
     for (name, counters) in suites {

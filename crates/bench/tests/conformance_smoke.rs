@@ -108,7 +108,7 @@ fn replicated_suite_counts_merges() {
     let replicated = suites.iter().find(|s| s.name == "replicated").expect("a replicated suite");
     let serial = suites.iter().find(|s| s.name == "serial").expect("a serial suite");
     let counters = measure_suite(replicated);
-    assert!(counters.merges > 0, "replicated plans must count profile merges");
+    assert!(counters.merges > 0, "replicated plans must count the rows they settle");
     let violations = compare_counters("serial", &measure_suite(serial), &counters, 0.05)
         .expect_err("the self-test's vacuous-gate probe must fail");
     assert!(violations.iter().any(|v| v.contains("serial.merges")), "{violations:?}");

@@ -12,9 +12,9 @@
 //! * [`ExecutionPlan::MiniBatch`] — rows sharded into deterministic
 //!   contiguous batches (`shard s = rows [s·b, (s+1)·b)`); each replica runs
 //!   the SoA cohort over its shard against a frozen pass-start snapshot,
-//!   rayon-parallel, and the replicas reconcile via
-//!   [`ClusterProfile::merge`](crate::ClusterProfile::merge) plus a
-//!   shard-size-weighted δ average (ω re-derives from the merged profiles).
+//!   rayon-parallel, and the replicas reconcile by moving each row whose
+//!   settled cluster changed between profiles, plus a shard-size-weighted
+//!   δ average (ω re-derives from the settled profiles).
 //!   With `batch_size == n` there is exactly one replica, so the pass *is*
 //!   the serial cascade and labels reproduce `Serial` bit for bit;
 //! * [`ExecutionPlan::Sharded`] — the same replica-merge pass over an
@@ -23,7 +23,8 @@
 //!   data's coarse-cluster structure.
 //!
 //! Replicas reconcile once per pass, at the pass barrier, by one fixed
-//! rule: an exact profile merge plus a span-size-weighted δ average. The
+//! rule: each row's settled cluster moves it between profiles exactly as
+//! the serial cascade would, plus a span-size-weighted δ average. The
 //! learner's optional `halo` lets shards overlap by a band of boundary rows
 //! (this module materializes that geometry into the [`ShardMap`]). See
 //! `DESIGN.md` §4 for the replica-merge semantics and why serial ≡

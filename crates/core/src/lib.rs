@@ -17,10 +17,11 @@
 //! * [`ExecutionPlan`] — the pluggable execution engine (serial /
 //!   mini-batch / sharded replica-merge parallelism) driving MGCPL, CAME,
 //!   and the streaming re-fit through one builder knob (DESIGN.md §4).
-//!   Replicated plans merge by one fixed rule — an exact profile merge
-//!   plus a span-size-weighted δ average — and the one merge setting is
-//!   [`MgcplBuilder::halo`], which lets shards overlap by a band of
-//!   boundary rows (DESIGN.md §5);
+//!   Replicated plans merge by one fixed rule — each row's settled
+//!   cluster moves it between profiles exactly as the serial cascade
+//!   does, plus a span-size-weighted δ average — and the one merge
+//!   setting is [`MgcplBuilder::halo`], which lets shards overlap by a
+//!   band of boundary rows (DESIGN.md §5);
 //! * [`StreamingMcdc`] — online absorption with drift-triggered re-fits
 //!   over a bounded reservoir; every re-fit installs. Its
 //!   `try_absorb`/`try_serve_*` boundary validates untrusted rows under
@@ -86,8 +87,7 @@ pub use mgcpl::{Mgcpl, MgcplBuilder, MgcplResult};
 pub use pipeline::{Mcdc, McdcBuilder, McdcResult};
 pub use profile::ClusterProfile;
 pub use streaming::{
-    Admission, HealthState, IngestStats, MgcplResultSummary, ServingHealth, StreamingMcdc,
-    UnseenPolicy,
+    Admission, HealthState, IngestStats, ServingHealth, StreamingMcdc, UnseenPolicy,
 };
 pub use trace::{HotPathStats, LearningTrace, StageRecord};
 pub use workspace::Workspace;

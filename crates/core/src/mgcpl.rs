@@ -26,6 +26,10 @@ use crate::workspace::{
 };
 use crate::{ClusterProfile, ExecutionPlan, HotPathStats, LearningTrace, McdcError, StageRecord};
 
+/// Safety valve on the number of granularity stages per fit: every stage
+/// but the last strictly lowers k, so real fits stop far earlier.
+const MAX_STAGES: usize = 64;
+
 /// Configurable MGCPL learner. Construct via [`Mgcpl::builder`].
 ///
 /// # Example
@@ -49,7 +53,6 @@ pub struct Mgcpl {
     learning_rate: f64,
     initial_k: Option<usize>,
     max_inner_iterations: usize,
-    max_stages: usize,
     weighted_similarity: bool,
     random_init: bool,
     seed: u64,
@@ -64,7 +67,6 @@ pub struct MgcplBuilder {
     learning_rate: f64,
     initial_k: Option<usize>,
     max_inner_iterations: usize,
-    max_stages: usize,
     weighted_similarity: bool,
     random_init: bool,
     seed: u64,
@@ -78,7 +80,6 @@ impl Default for MgcplBuilder {
             learning_rate: 0.03,
             initial_k: None,
             max_inner_iterations: 8,
-            max_stages: 64,
             weighted_similarity: true,
             random_init: true,
             seed: 0,
@@ -112,12 +113,6 @@ impl MgcplBuilder {
         self
     }
 
-    /// Caps the number of granularity stages (safety valve).
-    pub fn max_stages(mut self, cap: usize) -> Self {
-        self.max_stages = cap;
-        self
-    }
-
     /// Toggles the feature-weighted similarity of Eq. (14) (on by default;
     /// off reduces to the plain Eq. (1) similarity).
     pub fn weighted_similarity(mut self, on: bool) -> Self {
@@ -146,8 +141,9 @@ impl MgcplBuilder {
     /// Selects the execution backend for the learning stage (default
     /// [`ExecutionPlan::Serial`]). Mini-batch and sharded plans run the
     /// replica-merge formulation: shard-local cascades against a frozen
-    /// pass-start snapshot, reconciled via profile merge and a
-    /// shard-size-weighted δ average (see `DESIGN.md` §4).
+    /// pass-start snapshot, reconciled by moving each row whose settled
+    /// cluster changed between profiles and a shard-size-weighted δ
+    /// average (see `DESIGN.md` §4).
     /// `MiniBatch { batch_size: n }` reproduces the serial labels
     /// bit-exactly; smaller batches change semantics but stay deterministic
     /// for a fixed seed and shard count.
@@ -161,7 +157,7 @@ impl MgcplBuilder {
     /// presents the last `rows` rows of the previous shard and the first
     /// `rows` rows of the next, in shard-index order; a row presented to
     /// several replicas settles by a similarity-weighted vote of their
-    /// verdicts, and ownership for the exact profile merge never moves.
+    /// verdicts, so each row still settles into exactly one profile.
     /// The halo pays on many small shards whose boundaries cut through
     /// natural clusters (DESIGN.md §5 has the 60-seed measurement). Each
     /// borrowed row costs one extra presentation per pass; the width
@@ -197,7 +193,8 @@ impl MgcplBuilder {
     /// # Panics
     ///
     /// Panics on any configuration [`try_build`](Self::try_build) rejects:
-    /// a non-finite or out-of-range `learning_rate` or a zero cap.
+    /// a non-finite or out-of-range `learning_rate` or a zero
+    /// `max_inner_iterations`.
     pub fn build(self) -> Mgcpl {
         self.try_build().unwrap_or_else(|e| panic!("{e}"))
     }
@@ -210,8 +207,8 @@ impl MgcplBuilder {
     /// # Errors
     ///
     /// Returns [`McdcError::InvalidConfig`] naming the offending parameter
-    /// if `learning_rate` is not finite or outside `(0, 1)` or a cap is
-    /// zero.
+    /// if `learning_rate` is not finite or outside `(0, 1)` or
+    /// `max_inner_iterations` is zero.
     pub fn try_build(self) -> Result<Mgcpl, McdcError> {
         if !self.learning_rate.is_finite() || self.learning_rate <= 0.0 || self.learning_rate >= 1.0
         {
@@ -226,17 +223,10 @@ impl MgcplBuilder {
                 message: "must be positive".to_string(),
             });
         }
-        if self.max_stages == 0 {
-            return Err(McdcError::InvalidConfig {
-                parameter: "max_stages",
-                message: "must be positive".to_string(),
-            });
-        }
         Ok(Mgcpl {
             learning_rate: self.learning_rate,
             initial_k: self.initial_k,
             max_inner_iterations: self.max_inner_iterations,
-            max_stages: self.max_stages,
             weighted_similarity: self.weighted_similarity,
             random_init: self.random_init,
             seed: self.seed,
@@ -485,16 +475,6 @@ impl Mgcpl {
         self.halo
     }
 
-    /// A copy of this learner with its execution plan adapted to an input
-    /// of `n` rows ([`ExecutionPlan::for_rows`]) — what callers that re-fit
-    /// over growing or shrinking inputs (the streaming reservoir) use to
-    /// keep a fixed-`n` plan from invalidating later fits.
-    pub fn with_execution_for(&self, n: usize) -> Mgcpl {
-        let mut adapted = self.clone();
-        adapted.execution = adapted.execution.for_rows(n);
-        adapted
-    }
-
     /// Runs multi-granular learning on `table`.
     ///
     /// # Errors
@@ -609,7 +589,7 @@ impl Mgcpl {
         let alloc_start = ws.allocs;
         let mut k_old = clusters.len();
 
-        for stage in 1..=self.max_stages {
+        for stage in 1..=MAX_STAGES {
             let k_before = clusters.len();
             let inner_iterations = self.run_stage(
                 table,
@@ -910,16 +890,17 @@ impl Mgcpl {
     /// * **memberships** — rows presented once take their replica's verdict
     ///   directly; rows presented on several replicas settle by
     ///   [`halo_vote`] over the replicas' `(winner, similarity)` verdicts;
-    /// * **profiles** — per-cluster profiles are rebuilt over each shard's
-    ///   *owned* rows from the settled memberships, then merged via
-    ///   [`ClusterProfile::merge`]. Every row is owned by exactly one
-    ///   shard whatever the halo, so the merged integer counts stay exact;
+    /// * **profiles** — every row whose settled cluster differs from its
+    ///   pass-start one is removed from its old profile and added to the
+    ///   new, as in the serial cascade. A settled membership is unique per
+    ///   row whatever the halo, so no row is counted twice and the integer
+    ///   counts stay exact;
     /// * **δ** — span-size-weighted average of the replica accumulators
     ///   (one replica ⇒ weight `1.0` ⇒ bit-exact with serial);
     /// * **wins** — integer counts of the final memberships (halo rows
     ///   count once, not once per presenting replica);
     /// * **ω** — not reconciled here: the epilogue re-derives it from the
-    ///   merged profiles after every merge, which is the deterministic
+    ///   settled profiles after every pass, which is the deterministic
     ///   consensus.
     ///
     /// The presentation order inside each span is the global per-pass
@@ -941,19 +922,15 @@ impl Mgcpl {
         allocs: &mut u64,
         stats: &mut HotPathStats,
     ) -> bool {
-        let k = clusters.len();
         let n_rows = assignment.len();
         let overlap = map.has_overlap();
 
         // One persistent slot per shard: each holds the replica's cohort
-        // clone target, span, verdict buffers, and per-shard profile
-        // rebuild scratch, all reused across passes (and fits).
+        // clone target, span, and verdict buffers, all reused across
+        // passes (and fits).
         if rep.slots.len() != map.n_shards {
             note_growth(&rep.slots, map.n_shards, allocs);
             rep.slots.resize_with(map.n_shards, ReplicaSlot::default);
-            for (s, slot) in rep.slots.iter_mut().enumerate() {
-                slot.index = s;
-            }
         }
 
         // Presentation spans: the global shuffle filtered to each replica's
@@ -1000,10 +977,6 @@ impl Mgcpl {
                     post_scale,
                     &mut slot.stats,
                 );
-                let local_delta: &[f64] = &slot.cohort.as_ref().expect("still installed").delta;
-                note_growth(&slot.delta, local_delta.len(), &mut slot.allocs);
-                slot.delta.clear();
-                slot.delta.extend_from_slice(local_delta);
                 slot
             })
             .collect();
@@ -1041,87 +1014,27 @@ impl Mgcpl {
             }
         }
 
-        // Write back memberships for the presented rows; wins count each
-        // row's final verdict once per presentation, matching the serial
-        // cascade's one-increment-per-presentation accounting.
+        // Settle the presented rows as the serial cascade would: a row whose
+        // settled cluster differs from its pass-start one leaves its old
+        // profile (the cohort still holds the pass-start profiles) and
+        // joins the new. Wins count each row's final verdict once per
+        // presentation, matching the serial cascade's accounting.
         let mut changed = false;
+        let Cohort { profiles, wins_now, .. } = clusters;
         for &i in order {
             let c = rep.final_of[i];
-            let slot = &mut assignment[i];
-            if *slot != Some(c) {
+            let prior = assignment[i];
+            if prior != Some(c) {
+                let row = table.row(i);
+                if let Some(p) = prior {
+                    profiles[p].remove(row);
+                }
+                profiles[c].add(row);
+                stats.merges += 1;
+                assignment[i] = Some(c);
                 changed = true;
             }
-            *slot = Some(c);
-            clusters.wins_now[c] += 1;
-        }
-
-        // Exact profile merge from the settled memberships, grouped by
-        // owning shard (bulk `extend_rows` builds into the slots'
-        // persistent profile buffers, parallel across shards). Profile
-        // state is a pure function of the member multiset, so the walk
-        // order is immaterial and the merge stays bit-exact.
-        let layout = &clusters.layout;
-        let settled: &[Option<usize>] = assignment;
-        let mut slots: Vec<ReplicaSlot> = slots
-            .into_par_iter()
-            .map(|mut slot| {
-                if slot.members.len() < k {
-                    note_growth(&slot.members, k, &mut slot.allocs);
-                    slot.members.resize_with(k, Vec::new);
-                }
-                for members in slot.members[..k].iter_mut() {
-                    members.clear();
-                }
-                for (i, &label) in settled.iter().enumerate() {
-                    if map.shard_of[i] as usize == slot.index {
-                        if let Some(c) = label {
-                            slot.members[c].push(i);
-                        }
-                    }
-                }
-                // Per-cluster profiles over the owned rows: reset-and-refill
-                // the persistent buffers (never truncated below the high-water
-                // k, so later stages with fewer clusters don't churn).
-                if slot.profiles.first().is_some_and(|p| p.layout() != layout) {
-                    slot.profiles.clear();
-                }
-                while slot.profiles.len() < k {
-                    slot.allocs += 1;
-                    slot.profiles.push(ClusterProfile::with_layout(layout.clone()));
-                }
-                // Only the first `k` member lists were cleared and filled
-                // above — the high-water tail holds stale rows from wider
-                // passes (or an earlier fit on a bigger table), so the
-                // rebuild must not walk it.
-                for (profile, members) in slot.profiles[..k].iter_mut().zip(&slot.members[..k]) {
-                    profile.reset();
-                    profile.extend_rows(members.iter().map(|&i| table.row(i)));
-                }
-                slot
-            })
-            .collect();
-
-        // Merge into the persistent target, then copy over the cohort's
-        // profiles — state identical to rebuilding them from scratch, since
-        // reset + merge recomputes every cached value from integer counts.
-        if rep.merged.first().is_some_and(|p| p.layout() != layout) {
-            rep.merged.clear();
-        }
-        while rep.merged.len() < k {
-            *allocs += 1;
-            rep.merged.push(ClusterProfile::with_layout(layout.clone()));
-        }
-        for merged in rep.merged[..k].iter_mut() {
-            merged.reset();
-        }
-        for slot in &slots {
-            for (merged, profile) in rep.merged[..k].iter_mut().zip(&slot.profiles) {
-                merged.merge(profile);
-                stats.merges += 1;
-            }
-        }
-        for (profile, merged) in clusters.profiles.iter_mut().zip(&rep.merged) {
-            profile.copy_from_profile(merged);
+            wins_now[c] += 1;
         }
 
         // δ consensus: span-size-weighted average over every replica.
@@ -1129,18 +1042,18 @@ impl Mgcpl {
         clusters.delta.fill(0.0);
         for slot in &slots {
             let weight = slot.rows.len() as f64 / total_presented;
-            for (merged, &delta) in clusters.delta.iter_mut().zip(&slot.delta) {
+            let local = slot.cohort.as_ref().expect("installed by the replica apply");
+            for (merged, &delta) in clusters.delta.iter_mut().zip(&local.delta) {
                 *merged += weight * delta;
             }
         }
 
         // Fold the worker-local counters back into the fit's totals.
-        for slot in &mut slots {
+        for slot in &slots {
             stats.full_rescans += slot.stats.full_rescans;
             stats.skipped_rescans += slot.stats.skipped_rescans;
             stats.score_evals += slot.stats.score_evals;
             *allocs += slot.allocs;
-            slot.allocs = 0;
         }
         rep.slots = slots;
         changed
@@ -1374,6 +1287,92 @@ mod tests {
                 let mut fresh = ScoreTable::default();
                 fresh.rebuild(&cohort.profiles, weighted.then_some(&cohort.omega[..]));
                 assert_eq!(bits(&cohort.scores), bits(&fresh), "k={k} weighted={weighted}");
+            }
+        }
+    }
+
+    #[test]
+    fn replicated_settling_moves_every_changed_row_exactly_once() {
+        use categorical_data::MISSING;
+        use rand::Rng;
+
+        let d = 6;
+        let mut rng = ChaCha8Rng::seed_from_u64(21);
+        let mut table = CategoricalTable::new(categorical_data::Schema::uniform(d, 4));
+        for _ in 0..96 {
+            let row: Vec<u32> = (0..d)
+                .map(|_| if rng.gen_bool(0.15) { MISSING } else { rng.gen_range(0..4) })
+                .collect();
+            table.push_row(&row).unwrap();
+        }
+        let n = table.n_rows();
+        let profile_of = |assignment: &[Option<usize>], c: usize| {
+            let members: Vec<usize> = (0..n).filter(|&i| assignment[i] == Some(c)).collect();
+            ClusterProfile::from_members(&table, &members)
+        };
+        for shards in [2, 4] {
+            for halo in [0, 3] {
+                for k in [1, 5, 9] {
+                    let mgcpl = Mgcpl::builder().halo(halo).build();
+                    let plan = ExecutionPlan::mini_batch(n / shards);
+                    let map = plan.shard_map(&table, halo).unwrap().expect("replicated plan");
+                    // Every fourth row starts unassigned (joins from
+                    // nowhere), the rest round-robin over the k clusters.
+                    let mut assignment: Vec<Option<usize>> =
+                        (0..n).map(|i| (i % 4 != 3).then_some(i % k)).collect();
+                    let mut clusters = Cohort {
+                        profiles: (0..k).map(|c| profile_of(&assignment, c)).collect(),
+                        delta: vec![1.0; k],
+                        wins_prev: vec![0; k],
+                        wins_now: vec![0; k],
+                        omega: vec![1.0 / d as f64; k * d],
+                        scores: ScoreTable::default(),
+                        layout: table.schema().csr_layout(),
+                    };
+                    let mut ws = Workspace::new();
+                    let mut order: Vec<usize> = (0..n).collect();
+                    for _pass in 0..3 {
+                        order.shuffle(&mut rng);
+                        let (mut one_minus_rho, mut prefactors, mut allocs) = (vec![], vec![], 0);
+                        let post_scale = mgcpl.snapshot_pass(
+                            &mut clusters,
+                            &mut one_minus_rho,
+                            &mut prefactors,
+                            d,
+                            &mut allocs,
+                        );
+                        let before = assignment.clone();
+                        let mut stats = HotPathStats::default();
+                        mgcpl.apply_replicated(
+                            &table,
+                            &order,
+                            &mut clusters,
+                            &mut assignment,
+                            &one_minus_rho,
+                            &prefactors,
+                            post_scale,
+                            &map,
+                            &mut ws.mgcpl.replicated,
+                            &mut allocs,
+                            &mut stats,
+                        );
+                        let moved = before.iter().zip(&assignment).filter(|(a, b)| a != b).count();
+                        let case = format!("shards={shards} halo={halo} k={k}");
+                        assert_eq!(stats.merges, moved as u64, "{case}");
+                        for (c, profile) in clusters.profiles.iter().enumerate() {
+                            let rebuilt = profile_of(&assignment, c);
+                            assert_eq!(*profile, rebuilt, "{case} cluster {c}");
+                            for r in 0..d {
+                                assert_eq!(
+                                    profile.inv_present(r).to_bits(),
+                                    rebuilt.inv_present(r).to_bits(),
+                                    "{case} cluster {c} feature {r}"
+                                );
+                            }
+                        }
+                        clusters.prune_empty(&mut assignment);
+                    }
+                }
             }
         }
     }

@@ -109,21 +109,12 @@ impl ClusterProfile {
         }
     }
 
-    /// Refreshes every feature's cached reciprocal from the integer
-    /// present-counts (`O(d)`).
-    fn refresh_reciprocals(&mut self) {
-        let inv_table: &[f64] = &INV_TABLE;
-        for (inv, &present) in self.inv_present.iter_mut().zip(&self.present) {
-            *inv = inv_count(inv_table, present);
-        }
-    }
-
     /// Adds every row of `rows` with the reciprocal refresh deferred to one
     /// final `O(d)` sweep: `O(Σ_rows d)` overall. The end state is identical
     /// to repeated [`add`](Self::add) calls (the cached reciprocals are
-    /// always recomputed from the integer counts), which is what makes
-    /// bulk-built shard profiles mergeable with incrementally maintained
-    /// ones.
+    /// always recomputed from the integer counts), so bulk-built and
+    /// incrementally maintained profiles of the same members compare
+    /// equal.
     ///
     /// # Panics
     ///
@@ -142,7 +133,10 @@ impl ClusterProfile {
             }
             self.size += 1;
         }
-        self.refresh_reciprocals();
+        let inv_table: &[f64] = &INV_TABLE;
+        for (inv, &present) in self.inv_present.iter_mut().zip(&self.present) {
+            *inv = inv_count(inv_table, present);
+        }
     }
 
     /// Creates a profile holding exactly the rows of `table` selected by
@@ -246,29 +240,6 @@ impl ClusterProfile {
         } else {
             *self = src.clone();
         }
-    }
-
-    /// Absorbs every member of `other` (counts are added feature-wise).
-    ///
-    /// Integer counts make this exact and order-independent, so chunked
-    /// aggregation (build per-chunk profiles, merge) reproduces the
-    /// sequential result bit for bit. (CAME's parallel mode counting uses
-    /// raw count matrices instead — this method is the general-purpose
-    /// form for library users.)
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two profiles have different layouts.
-    pub fn merge(&mut self, other: &ClusterProfile) {
-        assert_eq!(self.layout, other.layout, "profiles must share a schema layout");
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            *mine += theirs;
-        }
-        for (mine, theirs) in self.present.iter_mut().zip(&other.present) {
-            *mine += theirs;
-        }
-        self.refresh_reciprocals();
-        self.size += other.size;
     }
 
     /// Count of members holding value `code` in feature `r`
@@ -546,21 +517,6 @@ mod tests {
         q.add(table.row(0));
         q.add(table.row(2));
         assert_eq!(p, q);
-    }
-
-    #[test]
-    fn merge_equals_sequential_adds() {
-        let mut left = ClusterProfile::new(&schema());
-        left.add(&[0, 1, 2]);
-        left.add(&[1, MISSING, 2]);
-        let mut right = ClusterProfile::new(&schema());
-        right.add(&[3, 0, 0]);
-        let mut sequential = ClusterProfile::new(&schema());
-        sequential.add(&[0, 1, 2]);
-        sequential.add(&[1, MISSING, 2]);
-        sequential.add(&[3, 0, 0]);
-        left.merge(&right);
-        assert_eq!(left, sequential);
     }
 
     #[test]

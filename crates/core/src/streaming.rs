@@ -230,8 +230,6 @@ pub struct StreamingMcdc {
     /// Drives the reservoir's eviction choices (deterministic stream).
     reservoir_rng: ChaCha8Rng,
     n_seen: usize,
-    /// Summary of the most recent [`StreamingMcdc::refit`].
-    last_refit: MgcplResultSummary,
     /// What `try_absorb`/`try_serve_one` do with out-of-domain codes.
     unseen_policy: UnseenPolicy,
     /// Quarantined rows, most recent last; bounded by
@@ -274,8 +272,6 @@ impl StreamingMcdc {
         let result = mgcpl.fit_with(batch, &mut workspace)?;
         let granularities = build_profiles(batch, &result);
         let served = ServedSnapshot::capture(&granularities);
-        let last_refit =
-            MgcplResultSummary { kappa: result.kappa.clone(), sigma: result.partitions.len() };
         Ok(StreamingMcdc {
             mgcpl,
             granularities,
@@ -289,7 +285,6 @@ impl StreamingMcdc {
             // replaying the same arrivals reproduces the same re-fit data.
             reservoir_rng: ChaCha8Rng::seed_from_u64(0x9E37_79B9_7F4A_7C15),
             n_seen: batch.n_rows(),
-            last_refit,
             unseen_policy: UnseenPolicy::default(),
             quarantine: VecDeque::new(),
             quarantine_capacity: DEFAULT_QUARANTINE_CAPACITY,
@@ -783,17 +778,15 @@ impl StreamingMcdc {
     /// # Errors
     ///
     /// Propagates [`McdcError`] from the underlying MGCPL fit.
-    pub fn refit(&mut self) -> Result<&MgcplResultSummary, McdcError> {
+    pub fn refit(&mut self) -> Result<(), McdcError> {
         let result = self.mgcpl.fit_adapted(&self.buffer, &mut self.workspace)?;
         self.drifted = 0;
         self.arrived = 0;
         self.window_rejected = 0;
         self.granularities = build_profiles(&self.buffer, &result);
         self.served = ServedSnapshot::capture(&self.granularities);
-        self.last_refit =
-            MgcplResultSummary { kappa: result.kappa, sigma: result.partitions.len() };
         self.update_health();
-        Ok(&self.last_refit)
+        Ok(())
     }
 }
 
@@ -846,15 +839,6 @@ impl ServedSnapshot {
             kappa: granularities.iter().map(Vec::len).collect(),
         }
     }
-}
-
-/// Summary of the most recent re-fit.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MgcplResultSummary {
-    /// Cluster counts per granularity after the re-fit.
-    pub kappa: Vec<usize>,
-    /// Number of granularity levels after the re-fit.
-    pub sigma: usize,
 }
 
 fn build_profiles(table: &CategoricalTable, result: &MgcplResult) -> Vec<Vec<ClusterProfile>> {
@@ -933,8 +917,8 @@ mod tests {
         for i in 0..50 {
             stream.absorb(data.table().row(i));
         }
-        let summary = stream.refit().unwrap().clone();
-        assert_eq!(summary.sigma, stream.sigma());
+        stream.refit().unwrap();
+        assert_eq!(stream.sigma(), stream.kappa().len());
         assert_eq!(stream.drift_ratio(), 0.0);
         assert_eq!(stream.n_seen(), 350);
     }
@@ -1018,8 +1002,8 @@ mod tests {
         // Two refits through the growing reservoir: the halo must stay
         // well-posed on every adapted plan.
         for _ in 0..2 {
-            let summary = stream.refit().unwrap();
-            assert!(summary.sigma >= 1, "overlapping refit lost its granularities");
+            stream.refit().unwrap();
+            assert!(stream.sigma() >= 1, "overlapping refit lost its granularities");
             assert!(stream.kappa().iter().all(|&k| k >= 1));
         }
     }
@@ -1035,8 +1019,8 @@ mod tests {
         for i in 0..200 {
             stream.absorb(data.table().row(i % 300));
         }
-        let summary = stream.refit().unwrap();
-        assert!(summary.sigma >= 1);
+        stream.refit().unwrap();
+        assert!(stream.sigma() >= 1);
         assert!(stream.kappa().iter().all(|&k| k >= 1));
     }
 
@@ -1059,8 +1043,8 @@ mod tests {
                 stream.absorb(data.table().row(i));
             }
             // 400 rows retained now; the bootstrap-sized plan no longer fits.
-            let summary = stream.refit().expect("refit adapts the plan to the reservoir");
-            assert!(summary.sigma >= 1);
+            stream.refit().expect("refit adapts the plan to the reservoir");
+            assert!(stream.sigma() >= 1);
             // And refitting again after more growth keeps working.
             for i in 0..50 {
                 stream.absorb(data.table().row(i));
@@ -1098,10 +1082,11 @@ mod tests {
         assert_eq!(served_after, served_before, "absorb traffic leaked into serving");
         assert_eq!(stream.served_model().to_bytes(), snapshot_before);
         assert_eq!(stream.kappa(), kappa_before);
-        // A re-fit swaps the snapshot and the summary together.
+        // A re-fit swaps the snapshot and the κ summary together.
+        let refitted = stream.mgcpl.fit_adapted(&stream.buffer, &mut Workspace::new()).unwrap();
         stream.refit().unwrap();
-        assert_eq!(stream.kappa(), stream.last_refit.kappa);
-        assert_eq!(stream.sigma(), stream.last_refit.sigma);
+        assert_eq!(stream.kappa(), refitted.kappa);
+        assert_eq!(stream.sigma(), refitted.sigma());
         assert_eq!(stream.served_model().k(), *stream.kappa().last().unwrap());
     }
 
@@ -1115,9 +1100,10 @@ mod tests {
             stream.absorb(data.table().row(i));
         }
         // Every re-fit installs: the served κ is the re-fit's κ.
-        let summary = stream.refit().unwrap().clone();
-        assert!(summary.sigma >= 1);
-        assert_eq!(stream.kappa(), summary.kappa);
+        let refitted = stream.mgcpl.fit_adapted(&stream.buffer, &mut Workspace::new()).unwrap();
+        stream.refit().unwrap();
+        assert!(stream.sigma() >= 1);
+        assert_eq!(stream.kappa(), refitted.kappa);
         assert_eq!(stream.rollbacks(), 0);
     }
 

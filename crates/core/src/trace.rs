@@ -21,9 +21,9 @@ pub struct HotPathStats {
     /// the deterministic work measure the conformance perf gates compare
     /// (DESIGN.md §10) — unlike wall time, it is machine-independent.
     pub score_evals: u64,
-    /// Cluster-profile merge operations performed while reconciling
-    /// replicated passes: one per (shard, cluster) profile folded into a
-    /// merged model. 0 under serial plans.
+    /// Rows moved between profiles while settling replicated passes: one
+    /// per row whose settled cluster differs from its pass-start one. 0
+    /// under serial plans.
     pub merges: u64,
     /// Workspace buffer-growth events during the fit (0 on a warm
     /// [`Workspace`](crate::Workspace)).

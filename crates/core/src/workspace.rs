@@ -43,15 +43,13 @@ pub(crate) fn resize_tracked<T: Clone>(vec: &mut Vec<T>, len: usize, fill: T, al
 }
 
 /// Per-replica scratch for replicated MGCPL passes: the replica's cohort
-/// clone target, its local prefactor vector, its presentation
-/// span and verdicts, and the per-shard profile-rebuild buffers. Slots are
-/// moved into the rayon workers and returned, so buffers persist across
-/// passes without sharing.
+/// clone target, its local prefactor vector, and its presentation span and
+/// verdicts. Slots are moved into the rayon workers and returned, so
+/// buffers persist across passes without sharing.
 #[derive(Debug, Default)]
 pub(crate) struct ReplicaSlot {
-    /// This slot's shard index (stable across passes).
-    pub(crate) index: usize,
-    /// Replica-local cohort, refreshed from the pass-start snapshot.
+    /// Replica-local cohort, refreshed from the pass-start snapshot; its
+    /// δ at span end feeds the consensus average.
     pub(crate) cohort: Option<Cohort>,
     /// Profiles parked when the cohort shrinks (pruned clusters), reused
     /// when a later fit starts wide again.
@@ -64,12 +62,6 @@ pub(crate) struct ReplicaSlot {
     pub(crate) decisions: Vec<usize>,
     /// Winner similarity per presented row; filled only under overlap.
     pub(crate) confidences: Vec<f64>,
-    /// Replica δ at span end (extracted from the cohort for the blend).
-    pub(crate) delta: Vec<f64>,
-    /// Per-cluster member lists of this shard's *owned* rows.
-    pub(crate) members: Vec<Vec<usize>>,
-    /// Per-cluster profiles rebuilt over the owned rows.
-    pub(crate) profiles: Vec<ClusterProfile>,
     /// Hot-path counters accumulated inside the worker, folded after join.
     pub(crate) stats: HotPathStats,
     /// Buffer-growth events inside the worker, folded after join.
@@ -88,9 +80,6 @@ pub(crate) struct ReplicatedScratch {
     pub(crate) final_of: Vec<usize>,
     /// Vote buffers for multiply-presented (halo) rows.
     pub(crate) votes: Vec<Vec<(usize, f64)>>,
-    /// Merge target for the per-shard profiles; swapped with the cohort's
-    /// profiles each pass so both sides recycle.
-    pub(crate) merged: Vec<ClusterProfile>,
 }
 
 /// Scratch for one MGCPL fit.

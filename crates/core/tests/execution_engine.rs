@@ -184,7 +184,6 @@ fn builder_boundary_rejects_non_finite_knobs() {
         expect(Mgcpl::builder().learning_rate(bad).try_build(), "learning_rate");
     }
     expect(Mgcpl::builder().max_inner_iterations(0).try_build(), "max_inner_iterations");
-    expect(Mgcpl::builder().max_stages(0).try_build(), "max_stages");
     // The pipeline builder forwards the same boundary.
     match Mcdc::builder().learning_rate(f64::NAN).try_build() {
         Err(McdcError::InvalidConfig { parameter, .. }) => {

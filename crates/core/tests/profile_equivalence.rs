@@ -9,7 +9,7 @@
 //!   differ in the last ulp) and exactly on counts, modes, and presence;
 //! - its float kernels must equal, bit for bit, the products
 //!   `feature_counts(r)[t] as f64 * inv_present(r)` and their
-//!   ascending-feature sums, across add/remove/merge/extend_rows/reset
+//!   ascending-feature sums, across add/remove/extend_rows/reset
 //!   sequences — the invariant the value-major scoring table behind MGCPL
 //!   and `FrozenModel` relies on when it forms the same products itself.
 //!   The ω-weighted sums are pinned, bit for bit, by that table's unit
@@ -233,16 +233,7 @@ fn float_kernels_are_the_read_time_products_bit_for_bit() {
                     let row = members.swap_remove(rng.gen_range(0..members.len()));
                     profile.remove(&row);
                 }
-                6 => {
-                    let mut other = ClusterProfile::new(&schema);
-                    for _ in 0..rng.gen_range(0..6) {
-                        let row = random_row(&mut rng, &cardinalities, 0.15);
-                        other.add(&row);
-                        members.push(row);
-                    }
-                    profile.merge(&other);
-                }
-                7..=8 => {
+                6..=8 => {
                     let batch: Vec<Vec<u32>> = (0..rng.gen_range(0..6))
                         .map(|_| random_row(&mut rng, &cardinalities, 0.15))
                         .collect();

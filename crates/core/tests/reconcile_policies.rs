@@ -33,25 +33,30 @@ fn fit_with(
 fn sharded_plans_present_each_borrowed_row_once_more() {
     // Round-robin (worst-locality) shards of 60 rows with a 6-row halo:
     // the end shards borrow 6 rows, the two interior shards 12, so one
-    // pass presents 240 + 36 rows. A single one-pass stage scores every
-    // presentation against all k₀ = √240 ≈ 15 seeds, so the work counter
-    // exposes the presentation count exactly.
+    // pass presents 240 + 36 rows. One-pass stages score every
+    // presentation against all of the stage's starting clusters (k₀ =
+    // √240 ≈ 15 in the first), so the work counter exposes the
+    // presentation count exactly.
     let data = nested(240, 7);
     let shards: Vec<Vec<usize>> = (0..4).map(|s| (s..240).step_by(4).collect()).collect();
     let plan = ExecutionPlan::sharded(shards);
-    let one_pass = |halo: usize| {
-        Mgcpl::builder()
+    let assert_presents = |halo: usize, rows_per_pass: u64| {
+        let result = Mgcpl::builder()
             .seed(9)
             .execution(plan.clone())
             .halo(halo)
             .max_inner_iterations(1)
-            .max_stages(1)
             .build()
             .fit(data.table())
-            .unwrap()
+            .unwrap();
+        let stages = &result.trace.stages;
+        assert_eq!(stages[0].k_before, 15);
+        assert!(stages.iter().all(|s| s.inner_iterations == 1));
+        let clusters_scored: u64 = stages.iter().map(|s| s.k_before as u64).sum();
+        assert_eq!(result.stats.score_evals, rows_per_pass * clusters_scored);
     };
-    assert_eq!(one_pass(0).stats.score_evals, 240 * 15);
-    assert_eq!(one_pass(6).stats.score_evals, (240 + 36) * 15);
+    assert_presents(0, 240);
+    assert_presents(6, 240 + 36);
     // And a full overlapping fit on the explicit partition is well-formed.
     let result = fit_with(6, plan, data.table(), 9);
     assert!(result.kappa.windows(2).all(|w| w[0] > w[1]) || result.kappa.len() == 1);

@@ -1,9 +1,5 @@
 //! Execution substrate validating placement quality: a deterministic
-//! virtual-time model for makespan/traffic accounting plus a real
-//! thread-pool run (crossbeam scoped threads) demonstrating the speedup.
-
-use crossbeam::thread;
-use parking_lot::Mutex;
+//! virtual-time model for makespan/traffic accounting.
 
 use crate::Placement;
 
@@ -27,8 +23,6 @@ pub struct ExecutionStats {
     /// Cross-worker messages: one per same-coarse-cluster pair split across
     /// workers, the traffic a locality-oblivious placement pays.
     pub cross_worker_messages: u64,
-    /// Wall-clock nanoseconds of the real thread-pool validation run.
-    pub wall_clock_nanos: u128,
 }
 
 /// Deterministic cluster simulator over a fixed worker count.
@@ -55,17 +49,15 @@ impl SimulatedCluster {
     }
 
     /// Runs `items` under `placement`, accounting virtual time per worker
-    /// and validating with a real scoped-thread execution.
+    /// and the cross-worker traffic of split coarse clusters.
     ///
     /// # Panics
     ///
     /// Panics if `placement.worker_of.len() != items.len()`.
     pub fn run(&self, placement: &Placement, items: &[WorkItem]) -> ExecutionStats {
         assert_eq!(placement.worker_of.len(), items.len(), "one placement entry per item");
-        let n_workers = placement.n_workers;
-
         // Virtual-time accounting.
-        let mut busy = vec![0u64; n_workers];
+        let mut busy = vec![0u64; placement.n_workers];
         for (item, &w) in items.iter().zip(&placement.worker_of) {
             busy[w] += item.cost;
         }
@@ -88,31 +80,7 @@ impl SimulatedCluster {
             cross += choose2(cluster_sizes[c]) - within;
         }
 
-        // Real parallel validation: each worker thread consumes its queue.
-        let queues: Vec<Vec<u64>> = {
-            let mut queues = vec![Vec::new(); n_workers];
-            for (item, &w) in items.iter().zip(&placement.worker_of) {
-                queues[w].push(item.cost);
-            }
-            queues
-        };
-        let processed = Mutex::new(0u64);
-        let start = std::time::Instant::now();
-        thread::scope(|scope| {
-            for queue in &queues {
-                scope.spawn(|_| {
-                    // Spin through the queue; black_box-free busy work that
-                    // the optimizer cannot elide thanks to the shared sum.
-                    let local: u64 = queue.iter().copied().sum();
-                    *processed.lock() += local;
-                });
-            }
-        })
-        .expect("worker threads never panic");
-        let wall_clock_nanos = start.elapsed().as_nanos();
-        assert_eq!(*processed.lock(), total_work, "parallel run must conserve work");
-
-        ExecutionStats { makespan, total_work, cross_worker_messages: cross, wall_clock_nanos }
+        ExecutionStats { makespan, total_work, cross_worker_messages: cross }
     }
 }
 

@@ -13,9 +13,9 @@
 //!    performance-consistent groups, from which task-appropriate uniform
 //!    node sets can be selected.
 //!
-//! A deterministic virtual-time execution model ([`SimulatedCluster`]) plus a
-//! real thread-pool executor validate that locality-preserving placements
-//! reduce cross-worker traffic without hurting the parallel makespan.
+//! A deterministic virtual-time execution model ([`SimulatedCluster`])
+//! validates that locality-preserving placements reduce cross-worker
+//! traffic without hurting the parallel makespan.
 //!
 //! The workload-adapter functions ground the simulation in real shards:
 //! [`workload_from_table`] derives per-object costs from the actual scoring

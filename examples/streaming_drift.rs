@@ -44,11 +44,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Phase 4: re-fit over everything seen so far.
-    let summary = stream.refit()?.clone();
+    stream.refit()?;
     println!(
         "refit: kappa = {:?} over {} granularities ({} objects total)",
-        summary.kappa,
-        summary.sigma,
+        stream.kappa(),
+        stream.sigma(),
         stream.n_seen()
     );
     Ok(())
