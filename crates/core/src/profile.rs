@@ -8,12 +8,12 @@ use categorical_data::{CategoricalTable, CsrLayout, Schema, MISSING};
 /// there costs more than the rest of the O(1) update; the table turns it
 /// into a load. Entries are computed with the same `1.0 / p` operation they
 /// replace, so results are bit-identical to dividing inline.
-static INV_TABLE: LazyLock<Box<[f64]>> =
+pub(crate) static INV_TABLE: LazyLock<Box<[f64]>> =
     LazyLock::new(|| (0..65_536).map(|p| if p == 0 { 0.0 } else { 1.0 / p as f64 }).collect());
 
 /// `1/p` via [`INV_TABLE`], falling back to the division for huge clusters.
 #[inline]
-fn inv_count(table: &[f64], p: u32) -> f64 {
+pub(crate) fn inv_count(table: &[f64], p: u32) -> f64 {
     if (p as usize) < table.len() {
         table[p as usize]
     } else {

@@ -10,9 +10,14 @@
 //! are bit-exact with a per-profile [`ClusterProfile::similarity`] sweep:
 //! the same products, summed from `0.0` in ascending feature order (MISSING
 //! skipped), and a score is always `prefactor · (sum · post_scale)`.
+//!
+//! The streaming learner keeps a [`CountTable`] per granularity instead: the
+//! same lane-padded value-major layout, but holding integer counts and
+//! per-feature reciprocals, so absorbing a row is `O(d)` writes.
 
-use categorical_data::MISSING;
+use categorical_data::{CategoricalTable, MISSING};
 
+use crate::profile::{inv_count, INV_TABLE};
 use crate::workspace::copy_into;
 use crate::ClusterProfile;
 
@@ -212,6 +217,139 @@ impl ScoreTable {
     }
 }
 
+/// One granularity of the streaming learner (DESIGN.md §3): the value counts
+/// of `k` clusters, value-major and lane-padded like [`ScoreTable`], next to
+/// each cluster's per-feature present-counts and their reciprocals.
+///
+/// A [`ScoreTable`] stores `c · inv`, so absorbing a row would rewrite all
+/// `Σ m_r` entries of the winner; here it writes one count, one
+/// present-count and one reciprocal per non-MISSING feature. Scoring sweeps
+/// `count · inv` in [`LANES`]-wide blocks: the operands, order and
+/// association of [`ClusterProfile::similarity`], so every similarity is
+/// bit-exact with the per-profile sweep, and the table after any sequence
+/// of [`add`](Self::add)s equals a fresh build from the same members.
+#[derive(Debug, Clone)]
+pub(crate) struct CountTable {
+    /// Number of clusters.
+    k: usize,
+    /// `k` rounded up to a multiple of [`LANES`]; the column stride.
+    k_pad: usize,
+    /// The schema's `d + 1` CSR offsets.
+    offsets: Vec<u32>,
+    /// `counts[v · k_pad + l]`: members of cluster `l` holding flat value
+    /// `v`, as an exact f64; padded lanes stay zero.
+    counts: Vec<f64>,
+    /// `present[r · k_pad + l]`: members of cluster `l` with feature `r`
+    /// present.
+    present: Vec<u32>,
+    /// `inv[r · k_pad + l]`: the profile reciprocal of `present` (0 when it
+    /// is 0, so padded lanes stay zero).
+    inv: Vec<f64>,
+    /// `1 / d`, Eq. (1)'s mean.
+    inv_arity: f64,
+}
+
+impl CountTable {
+    /// Counts the `k`-cluster partition `labels` (dense, one per row) of
+    /// `table`.
+    pub(crate) fn from_partition(table: &CategoricalTable, labels: &[usize], k: usize) -> Self {
+        assert_eq!(labels.len(), table.n_rows(), "one label per row");
+        let layout = table.schema().csr_layout();
+        let d = layout.n_features();
+        let k_pad = padded(k);
+        let mut counts = vec![0.0f64; layout.total_values() * k_pad];
+        let mut present = vec![0u32; d * k_pad];
+        for (row, &l) in table.rows().zip(labels) {
+            assert!(l < k, "label {l} is out of range for k = {k}");
+            for (r, (&code, &offset)) in row.iter().zip(layout.offsets()).enumerate() {
+                if code != MISSING {
+                    counts[(offset as usize + code as usize) * k_pad + l] += 1.0;
+                    present[r * k_pad + l] += 1;
+                }
+            }
+        }
+        let inv_table: &[f64] = &INV_TABLE;
+        let inv = present.iter().map(|&p| inv_count(inv_table, p)).collect();
+        CountTable {
+            k,
+            k_pad,
+            offsets: layout.offsets().to_vec(),
+            counts,
+            present,
+            inv,
+            inv_arity: if d == 0 { 0.0 } else { 1.0 / d as f64 },
+        }
+    }
+
+    /// The sums `Σ_r count · inv` of the row over the [`LANES`] clusters
+    /// from `block` on, in ascending feature order (MISSING skipped; lanes
+    /// past `k` sum padding zeros). The row must be admissible.
+    #[inline]
+    fn block_sums(&self, row: &[u32], block: usize) -> [f64; LANES] {
+        debug_assert_eq!(row.len() + 1, self.offsets.len(), "row arity mismatches the table");
+        let k_pad = self.k_pad;
+        let mut acc = [0.0f64; LANES];
+        for (r, (&code, pair)) in row.iter().zip(self.offsets.windows(2)).enumerate() {
+            if code != MISSING {
+                debug_assert!(code < pair[1] - pair[0], "code out of domain");
+                let base = (pair[0] as usize + code as usize) * k_pad + block;
+                let counts: &[f64; LANES] =
+                    self.counts[base..base + LANES].try_into().expect("padded column block");
+                let base = r * k_pad + block;
+                let inv: &[f64; LANES] =
+                    self.inv[base..base + LANES].try_into().expect("padded column block");
+                for ((a, &c), &i) in acc.iter_mut().zip(counts).zip(inv) {
+                    *a += c * i;
+                }
+            }
+        }
+        acc
+    }
+
+    /// The cluster most similar to `row` and its Eq. (1) similarity
+    /// `sum · (1/d)`. Ties go to the *last* maximal index under
+    /// [`f64::total_cmp`] (`Iterator::max_by`'s convention), so the verdict
+    /// is deterministic on every input: NaN ranks above every score.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the table holds no cluster.
+    #[inline]
+    pub(crate) fn nearest(&self, row: &[u32]) -> (usize, f64) {
+        assert!(self.k > 0, "cannot score against zero clusters");
+        let mut best = (0usize, 0.0f64);
+        let mut block = 0usize;
+        while block < self.k {
+            let sums = self.block_sums(row, block);
+            for (lane, &sum) in sums.iter().enumerate().take(LANES.min(self.k - block)) {
+                let similarity = sum * self.inv_arity;
+                if block + lane == 0 || similarity.total_cmp(&best.1).is_ge() {
+                    best = (block + lane, similarity);
+                }
+            }
+            block += LANES;
+        }
+        best
+    }
+
+    /// Absorbs `row` into cluster `l`, exactly as [`ClusterProfile::add`]
+    /// would: per non-MISSING feature, one count, one present-count and one
+    /// reciprocal.
+    pub(crate) fn add(&mut self, l: usize, row: &[u32]) {
+        debug_assert!(l < self.k, "cluster {l} out of range");
+        let k_pad = self.k_pad;
+        let inv_table: &[f64] = &INV_TABLE;
+        for (r, (&code, &offset)) in row.iter().zip(&self.offsets).enumerate() {
+            if code != MISSING {
+                self.counts[(offset as usize + code as usize) * k_pad + l] += 1.0;
+                let slot = r * k_pad + l;
+                self.present[slot] += 1;
+                self.inv[slot] = inv_count(inv_table, self.present[slot]);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,5 +496,135 @@ mod tests {
             assert_eq!((top.winner, top.rival), (0, 1));
             assert_eq!(table.argmax(&row, layout.offsets(), &[1.0; 9], 0.5), 0);
         }
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The per-profile reference the stream used to score with: Eq. (1)
+    /// similarities, last maximal index under `total_cmp`.
+    fn reference_nearest(profiles: &[ClusterProfile], row: &[u32]) -> (usize, f64) {
+        profiles
+            .iter()
+            .map(|p| p.similarity(row))
+            .enumerate()
+            .max_by(|a, b| a.1.total_cmp(&b.1))
+            .expect("at least one cluster")
+    }
+
+    #[test]
+    fn count_table_matches_profiles_and_a_fresh_build_across_padding() {
+        let schema = schema();
+        let layout = schema.csr_layout();
+        let d = CARDINALITIES.len();
+        let mut rng = ChaCha8Rng::seed_from_u64(0xC0A7);
+        for k in [1usize, 7, 8, 9, 17] {
+            let rows: Vec<Vec<u32>> = (0..6 * k).map(|_| random_row(&mut rng, 0.2)).collect();
+            let mut labels: Vec<usize> = (0..rows.len()).map(|_| rng.gen_range(0..k)).collect();
+            let mut data =
+                CategoricalTable::from_rows(schema.clone(), rows.iter().map(Vec::as_slice))
+                    .unwrap();
+            let mut counts = CountTable::from_partition(&data, &labels, k);
+            let mut profiles: Vec<ClusterProfile> = (0..k)
+                .map(|l| {
+                    let members: Vec<usize> =
+                        (0..labels.len()).filter(|&i| labels[i] == l).collect();
+                    ClusterProfile::from_members(&data, &members)
+                })
+                .collect();
+            // Absorb arrivals (all-MISSING ones included, where every
+            // cluster ties at 0) and compare every lane against the profiles.
+            for t in 0..60 {
+                let row = if t % 10 == 0 { vec![MISSING; d] } else { random_row(&mut rng, 0.25) };
+                let case = format!("k={k} t={t} row={row:?}");
+                for block in (0..k).step_by(LANES) {
+                    let sums = counts.block_sums(&row, block);
+                    for (lane, &sum) in sums.iter().enumerate() {
+                        let l = block + lane;
+                        if l < k {
+                            let expected = profiles[l].similarity(&row);
+                            assert_eq!(
+                                (sum * counts.inv_arity).to_bits(),
+                                expected.to_bits(),
+                                "{case}"
+                            );
+                        } else {
+                            assert_eq!(sum.to_bits(), 0, "padded lane {l} summed {sum}: {case}");
+                        }
+                    }
+                }
+                let (best, similarity) = counts.nearest(&row);
+                let (expected, expected_similarity) = reference_nearest(&profiles, &row);
+                assert_eq!(best, expected, "{case}");
+                assert_eq!(similarity.to_bits(), expected_similarity.to_bits(), "{case}");
+                if row.iter().all(|&c| c == MISSING) {
+                    // Every lane ties at 0; the last real cluster wins, never a padded lane.
+                    assert_eq!(best, k - 1, "{case}");
+                }
+                counts.add(best, &row);
+                profiles[best].add(&row);
+                data.push_row(&row).unwrap();
+                labels.push(best);
+            }
+            let fresh = CountTable::from_partition(&data, &labels, k);
+            assert_eq!((counts.k, counts.k_pad), (fresh.k, fresh.k_pad));
+            assert_eq!(counts.offsets, fresh.offsets);
+            assert_eq!(bits(&counts.counts), bits(&fresh.counts), "k={k}");
+            assert_eq!(counts.present, fresh.present, "k={k}");
+            assert_eq!(bits(&counts.inv), bits(&fresh.inv), "k={k}");
+            assert_eq!(counts.inv_arity.to_bits(), fresh.inv_arity.to_bits());
+            for (r, column) in counts.present.chunks(padded(k)).enumerate() {
+                assert!(column[k..].iter().all(|&p| p == 0), "padded presence in feature {r}");
+                for (l, (&p, profile)) in column.iter().zip(&profiles).enumerate() {
+                    assert_eq!(p, profile.present(r), "k={k} l={l} r={r}");
+                }
+            }
+            for v in 0..layout.total_values() {
+                let lanes = &counts.counts[v * padded(k)..(v + 1) * padded(k)];
+                assert!(lanes[k..].iter().all(|c| c.to_bits() == 0), "padded count at {v}");
+            }
+        }
+    }
+
+    #[test]
+    fn nearest_is_nan_safe_and_gives_ties_to_the_last_index() {
+        // Nine identical clusters span two blocks: every row ties, and the
+        // last maximal index wins (`max_by`'s convention).
+        let schema = Schema::uniform(2, 2);
+        let one_row = CategoricalTable::from_rows(schema.clone(), [&[0u32, 1][..]]).unwrap();
+        let tied = |k: usize| {
+            let data = CategoricalTable::from_rows(schema.clone(), (0..k).map(|_| one_row.row(0)))
+                .unwrap();
+            CountTable::from_partition(&data, &(0..k).collect::<Vec<_>>(), k)
+        };
+        let mut table = tied(9);
+        assert_eq!(table.k_pad, 16);
+        for row in [[0, 1], [1, 0], [MISSING, MISSING]] {
+            assert_eq!(table.nearest(&row).0, 8);
+        }
+        // A second member in cluster 3 makes it the unique match for [1, 0].
+        table.add(3, &[1, 0]);
+        assert_eq!(table.nearest(&[0, 1]).0, 8);
+        assert_eq!(table.nearest(&[1, 0]), (3, 0.5));
+        // A NaN similarity sits above every finite score in the total order:
+        // the verdict is the poisoned cluster, deterministically, on every run.
+        table.counts[1] = f64::NAN; // flat value 0 (feature 0, code 0), cluster 1
+        let verdict = table.nearest(&[0, 1]);
+        assert_eq!(verdict.0, 1);
+        assert!(verdict.1.is_nan());
+        assert_eq!(table.nearest(&[0, 1]).0, verdict.0);
+        // Every cluster poisoned: the last index wins, across the block edge.
+        for l in 0..9 {
+            table.counts[l] = f64::NAN;
+        }
+        assert_eq!(table.nearest(&[0, MISSING]).0, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "zero clusters")]
+    fn nearest_over_no_cluster_panics() {
+        let data = CategoricalTable::new(Schema::uniform(2, 2));
+        CountTable::from_partition(&data, &[], 0).nearest(&[0, 1]);
     }
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate plus style/lint hygiene. Run from anywhere.
 #
-#   scripts/verify.sh           # build + tests + fmt + clippy + docs + perf smoke + perfbench
+#   scripts/verify.sh           # build + tests + fmt + clippy + docs + examples + perf smoke + perfbench
 #
 # The tier-1 gate (ROADMAP.md) is `cargo build --release && cargo test -q`;
 # fmt/clippy keep the tree warning-free, the rustdoc build (warnings
@@ -28,8 +28,10 @@
 # against the `PERF_GATES.toml` baselines, self-testing that the gate
 # still has teeth — the `[replicated]` counters must fail the `[serial]`
 # baseline (`conformance --gate`); re-baseline deliberate
-# changes with scripts/update_gates.sh. The benchmark (`perfbench/`) is a
-# workspace of its own, so it gets its own fmt/clippy steps and its tests
+# changes with scripts/update_gates.sh. The examples smoke runs
+# `streaming_drift`, the one public demo of bootstrap → absorb → re-fit,
+# and fails when it panics or returns an error. The benchmark
+# (`perfbench/`) is a workspace of its own, so it gets its own fmt/clippy steps and its tests
 # (which run its `--smoke` mode) — a library API change that breaks it
 # fails here rather than at benchmark time.
 set -euo pipefail
@@ -52,6 +54,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 
 echo "==> cargo test --doc -q"
 cargo test --doc -q
+
+echo "==> examples smoke (streaming_drift)"
+cargo run --release --example streaming_drift
 
 echo "==> perf smoke (hotpath_snapshot --quick)"
 cargo run --release -p mcdc-bench --bin hotpath_snapshot -- --quick
