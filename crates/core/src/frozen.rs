@@ -12,14 +12,24 @@
 //! then `d` contiguous column loads and a running argmax — no counts, no
 //! reciprocals, no per-cluster pointer chase.
 //!
+//! Batches ([`FrozenModel::score_batch`], [`FrozenModel::try_score_batch`],
+//! and the stream's `serve_batch` / `try_serve_batch`) go through one
+//! loop: rows are pulled from the caller's iterator into a stack tile of
+//! four, validated (or coerced) as they arrive, and each full tile is
+//! scored in shared passes over the table — four rows at once over the
+//! four live lanes when `k ≤ 4`, one row at a time over whole 8-lane
+//! blocks otherwise (DESIGN.md §9).
+//!
 //! The scores are **bit-identical** to the live
 //! [`ClusterProfile::similarity`] sweep: the table entries are the exact
 //! products [`ClusterProfile::value_similarity`] forms (same two operands,
 //! one rounding, never contracted into an FMA), the sweep accumulates them
-//! in the same ascending-feature order, and the final
-//! `prefactor · (acc · post_scale)` association matches, so the argmax
-//! (first index wins on ties) agrees with the live path on every row —
-//! MISSING values included, which contribute nothing on both sides.
+//! in the same ascending-feature order — each row of a tile in its own
+//! accumulators, and skipping a lane only when it holds padding zeros —
+//! and the final `prefactor · (acc · post_scale)` association matches, so
+//! the argmax (first index wins on ties) agrees with the live path on
+//! every row, batched or not — MISSING values included, which contribute
+//! nothing on both sides.
 //!
 //! Frozen models persist: [`FrozenModel::to_bytes`] writes a versioned
 //! little-endian binary image (f64s as raw bit patterns, so a roundtrip is
@@ -27,12 +37,13 @@
 //! before reconstructing — the save/load/version surface a future
 //! `mcdc-serve` crate deploys against.
 
+use std::convert::Infallible;
 use std::path::Path;
 
 use categorical_data::CategoricalTable;
 
 use crate::profile::check_row;
-use crate::score::{padded, ScoreTable};
+use crate::score::{padded, ScoreTable, TILE_ROWS};
 use crate::{ClusterProfile, McdcError};
 
 /// Magic bytes opening a serialized frozen model.
@@ -241,12 +252,66 @@ impl FrozenModel {
     /// caller-provided buffer: `out` is cleared and refilled, so a buffer
     /// with enough capacity makes the whole call allocation-free — the
     /// steady state a serving loop wants.
+    ///
+    /// The rows are scored in tiles that share each pass over the table
+    /// (DESIGN.md §9); every label is the one [`score_one`](Self::score_one)
+    /// gives its row.
     pub fn score_batch<'a, I>(&self, rows: I, out: &mut Vec<u32>)
     where
         I: IntoIterator<Item = &'a [u32]>,
     {
+        let Ok(()) = self.serve_rows(rows, out, |_| Ok::<_, Infallible>(None));
+    }
+
+    /// The one batch-serving loop: pulls `rows` into a stack tile, asks
+    /// `admit` about each row as it arrives, and scores every full tile in
+    /// shared passes over the table. `admit` returns `None` to score the row as
+    /// it is, `Some(replacement)` to score a replacement row instead (which
+    /// flushes the pending tile and is scored alone), or an error, on
+    /// which the pending rows are scored and the error returned — so `out`
+    /// (cleared first) holds exactly the labels of the rows before the
+    /// refused one.
+    pub(crate) fn serve_rows<'a, I, E>(
+        &self,
+        rows: I,
+        out: &mut Vec<u32>,
+        mut admit: impl FnMut(&[u32]) -> Result<Option<Vec<u32>>, E>,
+    ) -> Result<(), E>
+    where
+        I: IntoIterator<Item = &'a [u32]>,
+    {
         out.clear();
-        out.extend(rows.into_iter().map(|row| self.score_one(row)));
+        let mut tile: [&[u32]; TILE_ROWS] = [&[]; TILE_ROWS];
+        let mut held = 0usize;
+        for row in rows {
+            match admit(row) {
+                Ok(None) => {
+                    tile[held] = row;
+                    held += 1;
+                    if held == TILE_ROWS {
+                        self.score_tile(&tile, out);
+                        held = 0;
+                    }
+                }
+                Ok(Some(replacement)) => {
+                    self.score_tile(&tile[..held], out);
+                    held = 0;
+                    out.push(self.score_one(&replacement));
+                }
+                Err(error) => {
+                    self.score_tile(&tile[..held], out);
+                    return Err(error);
+                }
+            }
+        }
+        self.score_tile(&tile[..held], out);
+        Ok(())
+    }
+
+    /// Appends the labels of up to [`TILE_ROWS`] admissible rows to `out`.
+    #[inline]
+    fn score_tile(&self, rows: &[&[u32]], out: &mut Vec<u32>) {
+        self.scores.argmax_rows(rows, &self.offsets, &self.prefactors, self.post_scale, out);
     }
 
     /// Checks that `row` is admissible for scoring: the model's arity, and
@@ -276,8 +341,9 @@ impl FrozenModel {
     }
 
     /// [`try_score_one`](Self::try_score_one) over a batch of rows into a
-    /// caller-provided buffer. `out` is cleared, then filled row by row; on
-    /// the first inadmissible row the error is returned and `out` holds the
+    /// caller-provided buffer, tiled like [`score_batch`](Self::score_batch).
+    /// `out` is cleared, and each row is validated as it arrives; on the
+    /// first inadmissible row the error is returned and `out` holds the
     /// labels of the rows preceding it, so a caller can resume or discard.
     ///
     /// # Errors
@@ -288,11 +354,7 @@ impl FrozenModel {
     where
         I: IntoIterator<Item = &'a [u32]>,
     {
-        out.clear();
-        for row in rows {
-            out.push(self.try_score_one(row)?);
-        }
-        Ok(())
+        self.serve_rows(rows, out, |row| self.validate_row(row).map(|()| None))
     }
 
     /// Serializes the model into the versioned little-endian binary format

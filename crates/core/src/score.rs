@@ -5,9 +5,11 @@
 //! the plain `c/p` otherwise) sits at `table[v · k_pad + l]`, the `k`
 //! entries of a value zero-padded to a multiple of [`LANES`]. Scoring a row
 //! sums its `d` contiguous columns in `[f64; LANES]` register blocks and
-//! hands each raw sum to a fold: [`argmax`](ScoreTable::argmax) for
-//! serving, [`top2`](ScoreTable::top2) for MGCPL's winner and rival. Both
-//! are bit-exact with a per-profile [`ClusterProfile::similarity`] sweep:
+//! hands each raw sum to a fold: [`top2`](ScoreTable::top2) for MGCPL's
+//! winner and rival, [`argmax_rows`](ScoreTable::argmax_rows) for serving,
+//! which sweeps a tile of rows per pass and, when `k ≤ 4`, only the live
+//! half of the block. Both are bit-exact with a per-profile
+//! [`ClusterProfile::similarity`] sweep:
 //! the same products, summed from `0.0` in ascending feature order (MISSING
 //! skipped), and a score is always `prefactor · (sum · post_scale)`.
 //!
@@ -25,6 +27,21 @@ use crate::ClusterProfile;
 /// to a multiple of this, so every block reads one fixed-size chunk (a
 /// cache line of f64s) the compiler keeps in registers.
 const LANES: usize = 8;
+
+/// Serving width when `k ≤ NARROW`: the upper half of the only block holds
+/// padding zeros, so the serving sweep skips it.
+const NARROW: usize = 4;
+
+/// Rows per serving tile at width [`NARROW`] and at width [`LANES`]: at
+/// full width a second row's accumulators measured slower than one row's
+/// (DESIGN.md §9 has the measurement).
+const NARROW_ROWS: usize = 4;
+const WIDE_ROWS: usize = 1;
+
+/// Rows a serving caller gathers before calling
+/// [`ScoreTable::argmax_rows`]: a whole number of tiles at either width.
+pub(crate) const TILE_ROWS: usize = 4;
+const _: () = assert!(TILE_ROWS.is_multiple_of(NARROW_ROWS) && TILE_ROWS.is_multiple_of(WIDE_ROWS));
 
 /// `k` rounded up to a whole number of [`LANES`]-wide blocks.
 pub(crate) fn padded(k: usize) -> usize {
@@ -120,7 +137,8 @@ impl ScoreTable {
         copy_into(&mut self.table, &src.table, allocs);
     }
 
-    /// The one sweep: the sums of the row's columns over the [`LANES`]
+    /// [`top2`](Self::top2)'s sweep (the `R = 1, W = LANES` case of the
+    /// serving tile's): the sums of the row's columns over the [`LANES`]
     /// clusters from `block` on, in ascending feature order (MISSING
     /// skipped; lanes past `k` sum padding zeros). `offsets` are the
     /// schema's `d + 1` CSR offsets; the row must be admissible.
@@ -142,9 +160,8 @@ impl ScoreTable {
         acc
     }
 
-    /// The serving fold: the cluster with the highest
-    /// `prefactors[l] · (sum · post_scale)`, strict `>` so the first index
-    /// wins ties (0 when every score is NaN).
+    /// The serving fold over one row: [`argmax_rows`](Self::argmax_rows)
+    /// for a batch of one.
     #[inline]
     pub(crate) fn argmax(
         &self,
@@ -153,19 +170,104 @@ impl ScoreTable {
         prefactors: &[f64],
         post_scale: f64,
     ) -> usize {
-        let mut best = 0usize;
-        let mut best_score = f64::NEG_INFINITY;
+        if self.k <= NARROW {
+            self.argmax_tile::<1, NARROW>([row], offsets, prefactors, post_scale)[0]
+        } else {
+            self.argmax_tile::<1, LANES>([row], offsets, prefactors, post_scale)[0]
+        }
+    }
+
+    /// The serving fold over a batch, labels appended to `out` in row
+    /// order: tiles of `R` rows share each pass over the table, summing
+    /// only the first `W` lanes of a block (DESIGN.md §9). Every label is
+    /// the one [`argmax`](Self::argmax) gives its row alone.
+    pub(crate) fn argmax_rows(
+        &self,
+        rows: &[&[u32]],
+        offsets: &[u32],
+        prefactors: &[f64],
+        post_scale: f64,
+        out: &mut Vec<u32>,
+    ) {
+        if self.k <= NARROW {
+            self.argmax_tiles::<NARROW_ROWS, NARROW>(rows, offsets, prefactors, post_scale, out);
+        } else {
+            self.argmax_tiles::<WIDE_ROWS, LANES>(rows, offsets, prefactors, post_scale, out);
+        }
+    }
+
+    /// [`argmax_rows`](Self::argmax_rows) at one tile shape; rows past the
+    /// last whole tile are scored one at a time.
+    #[inline]
+    fn argmax_tiles<const R: usize, const W: usize>(
+        &self,
+        rows: &[&[u32]],
+        offsets: &[u32],
+        prefactors: &[f64],
+        post_scale: f64,
+        out: &mut Vec<u32>,
+    ) {
+        let mut tiles = rows.chunks_exact(R);
+        for tile in &mut tiles {
+            let tile: [&[u32]; R] = tile.try_into().expect("a whole tile");
+            let labels = self.argmax_tile::<R, W>(tile, offsets, prefactors, post_scale);
+            out.extend(labels.map(|l| l as u32));
+        }
+        for &row in tiles.remainder() {
+            out.push(self.argmax_tile::<1, W>([row], offsets, prefactors, post_scale)[0] as u32);
+        }
+    }
+
+    /// The serving sweep and fold for `R` rows at once: per `W`-lane block,
+    /// each row keeps its own accumulators and gets the cluster with the
+    /// highest `prefactors[l] · (sum · post_scale)`, strict `>` so the
+    /// first index wins ties (0 when every score is NaN). Each lane's sum is
+    /// the row's own chain from `0.0` in ascending feature order (MISSING
+    /// skipped), so interleaving rows changes no bit. `W` must divide
+    /// [`LANES`]; the rows must be admissible.
+    #[inline(always)]
+    fn argmax_tile<const R: usize, const W: usize>(
+        &self,
+        rows: [&[u32]; R],
+        offsets: &[u32],
+        prefactors: &[f64],
+        post_scale: f64,
+    ) -> [usize; R] {
+        let d = offsets.len() - 1;
+        let rows = rows.map(|row| {
+            debug_assert_eq!(row.len(), d, "row arity mismatches the table");
+            &row[..d]
+        });
+        let k_pad = self.k_pad;
+        let mut best = [0usize; R];
+        let mut best_score = [f64::NEG_INFINITY; R];
         let mut block = 0usize;
         while block < self.k {
-            let sums = self.block_sums(row, offsets, block);
-            for (lane, &sum) in sums.iter().enumerate().take(LANES.min(self.k - block)) {
-                let score = prefactors[block + lane] * (sum * post_scale);
-                if score > best_score {
-                    best_score = score;
-                    best = block + lane;
+            let mut acc = [[0.0f64; W]; R];
+            for (r, pair) in offsets.windows(2).enumerate() {
+                for (acc, row) in acc.iter_mut().zip(&rows) {
+                    let code = row[r];
+                    if code != MISSING {
+                        debug_assert!(code < pair[1] - pair[0], "code out of domain");
+                        let base = (pair[0] as usize + code as usize) * k_pad + block;
+                        let column: &[f64; W] =
+                            self.table[base..base + W].try_into().expect("padded column block");
+                        for (a, &term) in acc.iter_mut().zip(column) {
+                            *a += term;
+                        }
+                    }
                 }
             }
-            block += LANES;
+            for ((sums, best), best_score) in acc.iter().zip(&mut best).zip(&mut best_score) {
+                for (lane, &sum) in sums.iter().enumerate().take(W.min(self.k - block)) {
+                    let score = prefactors[block + lane] * (sum * post_scale);
+                    if score > *best_score {
+                        *best_score = score;
+                        *best = block + lane;
+                    }
+                }
+            }
+            block += W;
         }
         best
     }
@@ -495,6 +597,71 @@ mod tests {
             let top = table.top2(&row, layout.offsets(), &[1.0; 9], 0.5);
             assert_eq!((top.winner, top.rival), (0, 1));
             assert_eq!(table.argmax(&row, layout.offsets(), &[1.0; 9], 0.5), 0);
+        }
+    }
+
+    /// Per-row reference for the serving fold: the highest
+    /// `prefactor · similarity`, first index on ties.
+    fn reference_argmax(profiles: &[ClusterProfile], prefactors: &[f64], row: &[u32]) -> u32 {
+        let mut best = 0usize;
+        for l in 1..profiles.len() {
+            if prefactors[l] * profiles[l].similarity(row)
+                > prefactors[best] * profiles[best].similarity(row)
+            {
+                best = l;
+            }
+        }
+        best as u32
+    }
+
+    #[test]
+    fn serving_tiles_match_the_per_row_argmax_at_every_remainder() {
+        let schema = schema();
+        let layout = schema.csr_layout();
+        let d = CARDINALITIES.len();
+        let post_scale = 1.0 / d as f64;
+        let mut rng = ChaCha8Rng::seed_from_u64(0x711E);
+        // k ≤ 4 takes the narrow tile, the rest the wide one; 5, 9, 17 and
+        // 24 end on a partial block, 8 and 24 fill their last one.
+        for k in [1usize, 3, 4, 5, 8, 9, 17, 24] {
+            let rows: Vec<Vec<u32>> = (0..4 * k).map(|_| random_row(&mut rng, 0.2)).collect();
+            let mut profiles: Vec<ClusterProfile> = (0..k)
+                .map(|l| {
+                    let mut p = ClusterProfile::with_layout(layout.clone());
+                    p.extend_rows(rows.iter().skip(l).step_by(k).map(Vec::as_slice));
+                    p
+                })
+                .collect();
+            // Clusters 1 and 2 copy cluster 0, so rows near it tie.
+            for l in 1..k.min(3) {
+                profiles[l] = profiles[0].clone();
+            }
+            let mut table = ScoreTable::default();
+            table.rebuild(&profiles, None);
+            let random_prefactors: Vec<f64> = (0..k).map(|_| rng.gen_range(0.1..1.0)).collect();
+            for prefactors in [vec![1.0; k], random_prefactors] {
+                for len in 0..=9usize {
+                    let batch: Vec<Vec<u32>> = (0..len)
+                        .map(|i| match (i + len) % 4 {
+                            0 => vec![MISSING; d],
+                            1 => rows[rng.gen_range(0..rows.len())].clone(),
+                            _ => random_row(&mut rng, 0.3),
+                        })
+                        .collect();
+                    let batch: Vec<&[u32]> = batch.iter().map(Vec::as_slice).collect();
+                    let mut out = Vec::new();
+                    table.argmax_rows(&batch, layout.offsets(), &prefactors, post_scale, &mut out);
+                    let expected: Vec<u32> = batch
+                        .iter()
+                        .map(|row| reference_argmax(&profiles, &prefactors, row))
+                        .collect();
+                    assert_eq!(out, expected, "k={k} len={len} batch={batch:?}");
+                    for (&row, &label) in batch.iter().zip(&out) {
+                        let one = table.argmax(row, layout.offsets(), &prefactors, post_scale);
+                        assert_eq!(one as u32, label, "k={k} row={row:?}");
+                    }
+                }
+            }
         }
     }
 

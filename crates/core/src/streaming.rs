@@ -515,17 +515,30 @@ impl StreamingMcdc {
     /// [`McdcError::OutOfDomain`] under `Reject`/`Quarantine`.
     pub fn try_serve_one(&self, row: &[u32]) -> Result<u32, McdcError> {
         let model = &self.served.model;
+        Ok(match self.admit_read(row)? {
+            None => model.score_one(row),
+            Some(coerced) => model.score_one(&coerced),
+        })
+    }
+
+    /// The [`try_serve_one`](Self::try_serve_one) verdict on `row`: `None`
+    /// to serve it as it is, the coerced row under
+    /// [`UnseenPolicy::AsMissing`], or the refusal.
+    fn admit_read(&self, row: &[u32]) -> Result<Option<Vec<u32>>, McdcError> {
+        let model = &self.served.model;
         match (self.unseen_policy, model.validate_row(row)) {
-            (_, Ok(())) => Ok(model.score_one(row)),
+            (_, Ok(())) => Ok(None),
             (UnseenPolicy::AsMissing, Err(McdcError::OutOfDomain { .. })) => {
-                Ok(model.score_one(&coerce_unseen(model, row).0))
+                Ok(Some(coerce_unseen(model, row).0))
             }
             (_, Err(error)) => Err(error),
         }
     }
 
     /// [`try_serve_one`](Self::try_serve_one) over a batch of rows into a
-    /// caller-provided buffer. `out` is cleared, then filled row by row;
+    /// caller-provided buffer, through the same tiled loop as
+    /// [`FrozenModel::try_score_batch`]. `out` is cleared, and each row is
+    /// admitted (coerced under [`UnseenPolicy::AsMissing`]) as it arrives;
     /// on the first refused row the error is returned and `out` holds the
     /// labels of the rows preceding it.
     ///
@@ -537,11 +550,7 @@ impl StreamingMcdc {
     where
         I: IntoIterator<Item = &'a [u32]>,
     {
-        out.clear();
-        for row in rows {
-            out.push(self.try_serve_one(row)?);
-        }
-        Ok(())
+        self.served.model.serve_rows(rows, out, |row| self.admit_read(row))
     }
 
     /// Total objects seen (batch + absorbed).
@@ -1026,6 +1035,55 @@ mod tests {
         let refitted = stream.mgcpl.fit_adapted(&stream.buffer, &mut Workspace::new()).unwrap();
         stream.refit().unwrap();
         assert_eq!(stream.served_model().to_bytes(), frozen(&stream.buffer, &refitted));
+    }
+
+    #[test]
+    fn try_serve_batch_equals_per_row_try_serve_one_across_tiles() {
+        let data = batch(23);
+        let table = data.table();
+        let stream = StreamingMcdc::bootstrap(Mgcpl::builder().seed(1).build(), table).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(23);
+        // Serve models of k ≤ 4 (narrow tile) and k > 4 (wide tile).
+        for k in [3usize, 4, 9] {
+            let labels: Vec<usize> = (0..table.n_rows()).map(|_| rng.gen_range(0..k)).collect();
+            let model = FrozenModel::from_partition(table, &labels, k).unwrap();
+            for policy in [UnseenPolicy::AsMissing, UnseenPolicy::Reject] {
+                let mut stream = stream.clone().with_unseen_policy(policy);
+                stream.served = ServedSnapshot { model: model.clone(), kappa: vec![k] };
+                for len in 0..=11usize {
+                    // Unseen codes (4..7) anywhere in a tile, MISSING values,
+                    // and now and then a row of the wrong arity.
+                    let rows: Vec<Vec<u32>> = (0..len)
+                        .map(|_| {
+                            let mut row = table.row(rng.gen_range(0..table.n_rows())).to_vec();
+                            match rng.gen_range(0..8) {
+                                0 | 1 => row[rng.gen_range(0..8usize)] = rng.gen_range(4..7),
+                                2 => row[rng.gen_range(0..8usize)] = MISSING,
+                                3 if rng.gen_bool(0.2) => row.truncate(5),
+                                _ => {}
+                            }
+                            row
+                        })
+                        .collect();
+                    let mut expected = Vec::new();
+                    let mut error = None;
+                    for row in &rows {
+                        match stream.try_serve_one(row) {
+                            Ok(label) => expected.push(label),
+                            Err(e) => {
+                                error = Some(e);
+                                break;
+                            }
+                        }
+                    }
+                    let mut out = Vec::new();
+                    let served = stream.try_serve_batch(rows.iter().map(Vec::as_slice), &mut out);
+                    let case = format!("k={k} {policy:?} rows={rows:?}");
+                    assert_eq!(served.err(), error, "{case}");
+                    assert_eq!(out, expected, "{case}");
+                }
+            }
+        }
     }
 
     #[test]

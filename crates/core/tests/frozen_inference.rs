@@ -10,7 +10,9 @@
 //! * the serialized roundtrip is bit-exact: `from_bytes(to_bytes(m)) == m`
 //!   at the bit level, and re-serializing reproduces the same bytes;
 //! * `score_batch` into a caller-provided buffer with enough capacity
-//!   performs no allocation (pointer and capacity pinned).
+//!   performs no allocation (pointer and capacity pinned);
+//! * `try_score_batch` that meets a bad row at any position of a row tile
+//!   returns that row's error with exactly the preceding labels in `out`.
 
 use categorical_data::{CategoricalTable, Schema, MISSING};
 use mcdc_core::{ClusterProfile, ExecutionPlan, FrozenModel, Mcdc, Mgcpl};
@@ -165,6 +167,38 @@ fn score_batch_with_reserved_buffer_allocates_nothing() {
         assert_eq!(out.len(), rows.len());
         assert_eq!(out.as_ptr(), ptr, "score_batch reallocated the caller's buffer");
         assert_eq!(out.capacity(), cap, "score_batch grew the caller's buffer");
+    }
+}
+
+#[test]
+fn try_score_batch_stops_at_a_bad_row_anywhere_in_a_tile() {
+    let mut table = CategoricalTable::new(Schema::uniform(5, 4));
+    for i in 0..120u32 {
+        let row: Vec<u32> =
+            (0..5).map(|r| if (i + r) % 9 == 0 { MISSING } else { (i * 7 + r * r) % 4 }).collect();
+        table.push_row(&row).unwrap();
+    }
+    let rows: Vec<&[u32]> = (0..table.n_rows()).map(|i| table.row(i)).collect();
+    let out_of_domain: &[u32] = &[0, 1, 4, 2, 3];
+    let short: &[u32] = &[0, 1, 2];
+    // k = 3 serves on the narrow tile, k = 11 on the wide one.
+    for k in [3usize, 11] {
+        let labels: Vec<usize> = (0..table.n_rows()).map(|i| (i * 5 + i / 7) % k).collect();
+        let frozen = FrozenModel::from_partition(&table, &labels, k).unwrap();
+        let mut clean = Vec::new();
+        frozen.score_batch(rows.iter().copied(), &mut clean);
+        for bad in [out_of_domain, short] {
+            let expected = frozen.try_score_one(bad).unwrap_err();
+            // Every position of a tile, and past a whole tile.
+            for at in 0..9usize {
+                let mut batch: Vec<&[u32]> = rows[..12].to_vec();
+                batch.insert(at, bad);
+                let mut out = vec![7u32; 3];
+                let error = frozen.try_score_batch(batch.iter().copied(), &mut out).unwrap_err();
+                assert_eq!(error, expected, "k={k} bad row at {at}");
+                assert_eq!(out, clean[..at], "k={k} bad row at {at}");
+            }
+        }
     }
 }
 

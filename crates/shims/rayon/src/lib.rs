@@ -2,13 +2,15 @@
 //!
 //! Parallel iterators are materialized eagerly into a work list; `map` is
 //! recorded lazily and executed on `collect`/`reduce`/`for_each` by chunking
-//! the work list over `std::thread::scope` threads. Chunks are concatenated
+//! the work list: the calling thread maps the first chunk, a
+//! `std::thread::scope` thread each of the others. Chunks are concatenated
 //! in order, so results are identical to the sequential evaluation — which
 //! is what lets `mcdc-core` assert parallel CAME produces bit-identical
 //! labels.
 //!
 //! Thread count: `RAYON_NUM_THREADS` if set, else
-//! `std::thread::available_parallelism()`.
+//! `std::thread::available_parallelism()`, read on every call so a caller
+//! can change it between calls.
 
 use std::ops::Range;
 
@@ -29,36 +31,51 @@ pub fn current_num_threads() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
 }
 
-/// Runs `f` over `items` on up to [`current_num_threads`] scoped threads,
-/// preserving input order in the output.
+/// Runs `f` over `items` on up to [`current_num_threads`] threads (read on
+/// every call), preserving input order in the output.
 fn par_map_vec<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
 where
     T: Send,
     U: Send,
     F: Fn(T) -> U + Sync,
 {
+    par_map_chunks(items, current_num_threads(), f)
+}
+
+/// Maps `items` through `f` in up to `threads` contiguous chunks: the first
+/// on the calling thread, each other on a scoped thread of its own, so a
+/// call spawns `threads - 1` threads. The chunks are concatenated in input
+/// order; a panic in any chunk propagates to the caller.
+fn par_map_chunks<T, U, F>(items: Vec<T>, threads: usize, f: F) -> Vec<U>
+where
+    T: Send,
+    U: Send,
+    F: Fn(T) -> U + Sync,
+{
     let len = items.len();
-    let threads = current_num_threads().min(len);
+    let threads = threads.min(len);
     if threads <= 1 {
         return items.into_iter().map(f).collect();
     }
     let chunk_len = len.div_ceil(threads);
-    let mut chunks: Vec<Vec<T>> = Vec::with_capacity(threads);
     let mut iter = items.into_iter();
+    let first: Vec<T> = iter.by_ref().take(chunk_len).collect();
+    let mut rest: Vec<Vec<T>> = Vec::with_capacity(threads - 1);
     loop {
         let chunk: Vec<T> = iter.by_ref().take(chunk_len).collect();
         if chunk.is_empty() {
             break;
         }
-        chunks.push(chunk);
+        rest.push(chunk);
     }
     let f = &f;
     std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
+        let handles: Vec<_> = rest
             .into_iter()
             .map(|chunk| scope.spawn(move || chunk.into_iter().map(f).collect::<Vec<U>>()))
             .collect();
-        let mut out = Vec::with_capacity(len);
+        let mut out: Vec<U> = Vec::with_capacity(len);
+        out.extend(first.into_iter().map(f));
         for handle in handles {
             out.extend(handle.join().expect("rayon-shim worker panicked"));
         }
@@ -221,6 +238,43 @@ mod tests {
     fn reduce_folds_all_items() {
         let total = (0..100usize).into_par_iter().map(|i| i as u64).reduce(|| 0, |a, b| a + b);
         assert_eq!(total, 4950);
+    }
+
+    #[test]
+    fn chunks_keep_input_order_with_the_caller_mapping_the_first() {
+        let caller = std::thread::current().id();
+        for threads in 1..=5 {
+            for len in [0usize, 1, 2, 7, 64] {
+                let out = super::par_map_chunks((0..len).collect(), threads, |i| {
+                    (i * 3, std::thread::current().id() == caller)
+                });
+                let values: Vec<usize> = out.iter().map(|&(v, _)| v).collect();
+                assert_eq!(values, (0..len).map(|i| i * 3).collect::<Vec<_>>());
+                // The first chunk (and only it) runs on the calling thread.
+                let chunk_len = len.div_ceil(threads.min(len).max(1));
+                for (i, &(_, on_caller)) in out.iter().enumerate() {
+                    assert_eq!(on_caller, i < chunk_len, "threads={threads} len={len} i={i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "boom in the first chunk")]
+    fn a_panic_on_the_calling_thread_propagates() {
+        super::par_map_chunks((0..12usize).collect(), 3, |i| {
+            assert!(i != 1, "boom in the first chunk");
+            i
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "rayon-shim worker panicked")]
+    fn a_panic_on_a_worker_propagates() {
+        super::par_map_chunks((0..12usize).collect(), 3, |i| {
+            assert!(i != 10, "boom in the last chunk");
+            i
+        });
     }
 
     #[test]

@@ -28,9 +28,10 @@
 # against the `PERF_GATES.toml` baselines, self-testing that the gate
 # still has teeth — the `[replicated]` counters must fail the `[serial]`
 # baseline (`conformance --gate`); re-baseline deliberate
-# changes with scripts/update_gates.sh. The examples smoke runs
-# `streaming_drift`, the one public demo of bootstrap → absorb → re-fit,
-# and fails when it panics or returns an error. The benchmark
+# changes with scripts/update_gates.sh. The examples smoke runs every
+# example under examples/ and fails when one panics or returns an error —
+# `streaming_drift` returns one when its drift trigger fires on in-regime
+# arrivals or never fires on shifted ones. The benchmark
 # (`perfbench/`) is a workspace of its own, so it gets its own fmt/clippy steps and its tests
 # (which run its `--smoke` mode) — a library API change that breaks it
 # fails here rather than at benchmark time.
@@ -55,8 +56,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 echo "==> cargo test --doc -q"
 cargo test --doc -q
 
-echo "==> examples smoke (streaming_drift)"
-cargo run --release --example streaming_drift
+echo "==> examples smoke (every example under examples/)"
+for example in examples/*.rs; do
+    echo "--> $(basename "$example" .rs)"
+    cargo run --release --quiet --example "$(basename "$example" .rs)"
+done
 
 echo "==> perf smoke (hotpath_snapshot --quick)"
 cargo run --release -p mcdc-bench --bin hotpath_snapshot -- --quick
