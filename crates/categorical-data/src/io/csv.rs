@@ -102,16 +102,22 @@ pub fn read_csv_str(text: &str, options: &CsvOptions) -> Result<Dataset, DataErr
 fn read_csv_named(name: &str, text: &str, options: &CsvOptions) -> Result<Dataset, DataError> {
     let mut coder = Coder::new(options, text);
     let mut unquoted = Unquoted::default();
+    // A text without `"` needs no quote test line by line.
+    let quoted = text.contains('"');
+    // A predicate, not the `char` itself: `str::split(char)` compares a
+    // delimiter known only at run time through a call per field, where the
+    // predicate's test inlines (half the split's cost on short fields).
+    let delimiter = |c: char| c == options.delimiter;
     for (line_no, line) in (1..).zip(text.lines()) {
-        if line.trim().is_empty() {
+        if trim(line).is_empty() {
             continue;
         }
         // `Coder::record` is generic, so the common unquoted line gets a
         // loop of its own over fields split in place.
-        if line.contains('"') {
+        if quoted && line.contains('"') {
             coder.record(unquoted.split(line, options.delimiter, line_no)?, line_no)?;
         } else {
-            coder.record(line.split(options.delimiter), line_no)?;
+            coder.record(line.split(delimiter), line_no)?;
         }
     }
     coder.finish(name)
@@ -147,7 +153,9 @@ impl<'o> Coder<'o> {
     }
 
     /// Takes one non-blank line's fields: the header, or a record coded
-    /// straight into the table.
+    /// straight into the table. Kept out of the line loop: inlined there,
+    /// the parse ran 2–5% slower.
+    #[inline(never)]
     fn record<'a>(
         &mut self,
         fields: impl Iterator<Item = &'a str> + Clone,
@@ -170,48 +178,47 @@ impl<'o> Coder<'o> {
                 *self.layout.insert((width, label_idx))
             }
         };
+        // No field index reaches `usize::MAX`, so without a label column
+        // every field is a feature.
+        let label = label_idx.unwrap_or(usize::MAX);
+        let missing = self.options.missing_tokens.as_slice();
+        let drop_missing = self.options.drop_missing;
+        let columns = self.columns.as_mut_slice();
+        let codes = &mut self.codes;
 
-        let row_start = self.codes.len();
-        let mut found = 0;
-        let mut kept = true;
+        let row_start = codes.len();
         let mut label_field = "";
+        let mut missing_seen = false;
+        let mut found = 0;
         for field in fields {
-            let col = found;
+            if found < width {
+                let field = trim(field);
+                if found == label {
+                    label_field = field;
+                } else {
+                    let code =
+                        columns[found - usize::from(found > label)].code(field, missing, line_no);
+                    missing_seen |= code == MISSING;
+                    codes.push(code);
+                }
+            }
             found += 1;
-            // Past the width only the count matters: the row is an error.
-            if col >= width || !kept {
-                continue;
-            }
-            let field = trim(field);
-            if Some(col) == label_idx {
-                label_field = field;
-            } else if self.options.missing_tokens.iter().any(|t| t == field) {
-                kept = !self.options.drop_missing;
-                self.codes.push(MISSING);
-            } else {
-                let r = if label_idx.is_some_and(|l| l < col) { col - 1 } else { col };
-                self.codes.push(self.columns[r].code(field, line_no));
-            }
         }
+        // Past the width only the count matters: the row is an error.
         if found != width {
             return Err(DataError::Parse {
                 line: line_no,
                 message: format!("expected {width} fields, found {found}"),
             });
         }
+        let kept = !(missing_seen && drop_missing);
         if kept {
-            let label =
-                label_idx.map_or(0, |_| self.label_column.code(label_field, line_no) as usize);
-            self.labels.push(label);
+            let class = label_idx.map_or(0, |_| self.label_column.code(label_field, &[], line_no));
+            self.labels.push(class as usize);
         } else {
             self.codes.truncate(row_start);
-            // One value per column per record, so a label this record was
-            // first to show is its column's newest.
             for column in &mut self.columns {
-                if column.newest_from == line_no {
-                    column.domain.forget_newest();
-                    column.newest_from = 0;
-                }
+                column.forget_from(line_no);
             }
         }
         Ok(())
@@ -222,7 +229,8 @@ impl<'o> Coder<'o> {
             return Err(DataError::EmptyTable);
         }
         let schema = Schema::new(self.columns.into_iter().map(|column| column.domain).collect());
-        let table = CategoricalTable::from_flat(schema, self.codes)?;
+        // Every code is one `Column::code` returned: interned, or MISSING.
+        let table = CategoricalTable::from_coded(schema, self.codes)?;
         Dataset::new(name, table, self.labels)
     }
 }
@@ -274,7 +282,9 @@ fn max_records(text: &str, width: usize) -> usize {
 }
 
 /// `field.trim()`, without the Unicode whitespace test when both ends are
-/// visible ASCII (which no trim removes).
+/// visible ASCII (which no trim removes). Only that test is inlined into
+/// the per-field loop.
+#[inline(always)]
 fn trim(field: &str) -> &str {
     let bytes = field.as_bytes();
     if bytes.first().is_some_and(u8::is_ascii_graphic)
@@ -282,21 +292,76 @@ fn trim(field: &str) -> &str {
     {
         field
     } else {
-        field.trim()
+        unicode_trim(field)
     }
 }
 
-/// Slots in a [`Column`]'s memo of recent codes.
+#[inline(never)]
+fn unicode_trim(field: &str) -> &str {
+    field.trim()
+}
+
+/// Slots in a [`Column`]'s memo of recent codes (a power of two).
 const RECENT: usize = 64;
 
-/// One column's domain, with a direct-mapped memo of the code last seen
-/// for each (length, last byte) slot. A hit costs one comparison with the
-/// domain's label, where [`FeatureDomain::intern`] would hash the field. Two
-/// labels sharing a slot only cost misses, which fall back to `intern` and
-/// its keyed `HashMap`, so no input makes a lookup much dearer than that.
+/// Labels of at most this many bytes are held whole in a memo key.
+const INLINE: usize = 15;
+
+/// A field's memo key: a label of at most [`INLINE`] bytes whole, zero
+/// padded, with its length in the top byte, so two such keys are equal
+/// exactly when the labels are. A longer label keeps its first 8 and last 7
+/// bytes and a length byte above `INLINE`; its key can be shared, so a hit
+/// on it is confirmed against the domain.
+fn memo_key(field: &str) -> [u64; 2] {
+    let b = field.as_bytes();
+    let len = b.len();
+    let word = |at: usize| u64::from_le_bytes(b[at..at + 8].try_into().expect("8 bytes"));
+    let half =
+        |at: usize| u64::from(u32::from_le_bytes(b[at..at + 4].try_into().expect("4 bytes")));
+    let (lo, hi) = match len {
+        0 => (0, 0),
+        // Bytes 0, len/2 and len-1 cover every byte of a 1–3-byte label.
+        1..=3 => {
+            let byte = |i: usize| u64::from(b[i]) << (8 * i);
+            (byte(0) | byte(len / 2) | byte(len - 1), 0)
+        }
+        // Two overlapping 4-byte loads; the second keeps bytes 4..len.
+        4..=7 => (half(0) | (half(len - 4) >> (8 * (8 - len))) << 32, 0),
+        // Two overlapping 8-byte loads; the second keeps bytes 8..len, or
+        // the last 7 bytes of a longer label.
+        _ => (word(0), (word(len - 8) >> 8) >> (8 * (INLINE - len.min(INLINE)))),
+    };
+    [lo, hi | (len.min(255) as u64) << 56]
+}
+
+/// The memo slot of `key`: the top bits of a multiplicative hash.
+fn memo_slot(key: [u64; 2]) -> usize {
+    let mix = (key[0] ^ key[1]).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (mix >> (64 - RECENT.trailing_zeros())) as usize
+}
+
+/// One memo slot: a key and the code it was last seen with. `EMPTY`'s key
+/// needs `0xFF` bytes, which no UTF-8 text holds, so it never hits.
+#[derive(Clone, Copy)]
+struct Slot {
+    key: [u64; 2],
+    code: u32,
+}
+
+impl Slot {
+    const EMPTY: Slot = Slot { key: [u64::MAX; 2], code: MISSING };
+}
+
+/// One column's domain, with a direct-mapped memo from [`memo_key`] to the
+/// code (or [`MISSING`], for a missing token) last seen under that key. A
+/// hit on a label of at most [`INLINE`] bytes is two integer comparisons; a
+/// longer label's hit is confirmed against the domain's label. A miss (a new
+/// key, or two keys sharing a slot) falls back to the missing tokens and
+/// [`FeatureDomain::intern`] with its keyed `HashMap`, so no input makes a
+/// lookup much dearer than that.
 struct Column {
     domain: FeatureDomain,
-    recent: [u32; RECENT],
+    memo: [Slot; RECENT],
     /// The line whose record interned the domain's newest label (0: none),
     /// so a record dropped later on that line can forget it again.
     newest_from: usize,
@@ -304,25 +369,60 @@ struct Column {
 
 impl Column {
     fn new(domain: FeatureDomain) -> Self {
-        // `u32::MAX` is no code, so every slot starts as a miss.
-        Column { domain, recent: [u32::MAX; RECENT], newest_from: 0 }
+        Column { domain, memo: [Slot::EMPTY; RECENT], newest_from: 0 }
     }
 
-    /// The code of `field`, met in the record on line `line_no`.
-    fn code(&mut self, field: &str, line_no: usize) -> u32 {
-        let last = field.as_bytes().last().copied().unwrap_or(0);
-        let slot = (usize::from(last) + 17 * field.len()) % RECENT;
-        let code = self.recent[slot];
-        if self.domain.label(code) == Some(field) {
+    /// The code of `field`, met in the record on line `line_no`: [`MISSING`]
+    /// if it is one of `missing`, else its domain code.
+    #[inline(always)]
+    fn code(&mut self, field: &str, missing: &[String], line_no: usize) -> u32 {
+        let key = memo_key(field);
+        let slot = memo_slot(key);
+        let Slot { key: held, code } = self.memo[slot];
+        if held == key && (field.len() <= INLINE || self.domain.label(code) == Some(field)) {
             return code;
         }
-        let fresh = self.domain.cardinality();
-        let code = self.domain.intern(field);
-        if code == fresh {
-            self.newest_from = line_no;
-        }
-        self.recent[slot] = code;
+        self.miss(field, key, slot, missing, line_no)
+    }
+
+    /// [`Column::code`] past the memo: codes `field` and stores it in `slot`.
+    #[inline(never)]
+    fn miss(
+        &mut self,
+        field: &str,
+        key: [u64; 2],
+        slot: usize,
+        missing: &[String],
+        line_no: usize,
+    ) -> u32 {
+        let code = if missing.iter().any(|t| t == field) {
+            MISSING
+        } else {
+            let fresh = self.domain.cardinality();
+            let code = self.domain.intern(field);
+            if code == fresh {
+                self.newest_from = line_no;
+            }
+            code
+        };
+        self.memo[slot] = Slot { key, code };
         code
+    }
+
+    /// Forgets the label the record on line `line_no` was first to show, if
+    /// any, with every memo slot holding its code (which the next new label
+    /// takes). One value per column per record means it can only be the
+    /// domain's newest.
+    fn forget_from(&mut self, line_no: usize) {
+        if self.newest_from != line_no {
+            return;
+        }
+        self.newest_from = 0;
+        self.domain.forget_newest();
+        let code = self.domain.cardinality();
+        for slot in self.memo.iter_mut().filter(|slot| slot.code == code) {
+            *slot = Slot::EMPTY;
+        }
     }
 }
 
@@ -592,12 +692,70 @@ mod tests {
 
     #[test]
     fn memo_slot_collisions_fall_back_to_the_domain() {
-        // "a" and "!" share a slot: same length, last bytes 64 apart.
+        // A one-byte label sharing the slot of "a".
+        let slot = |label: &str| memo_slot(memo_key(label));
+        let other = (b'!'..=b'~')
+            .map(|b| char::from(b).to_string())
+            .find(|label| label != "a" && slot(label) == slot("a"))
+            .expect("a printable byte shares the slot of \"a\"");
         let mut column = Column::new(FeatureDomain::new("f"));
-        let labels = ["a", "!", "a", "b", "!", "!", "a", "b"];
-        let codes: Vec<u32> = labels.iter().map(|l| column.code(l, 1)).collect();
+        let labels = ["a", &other, "a", "b", &other, &other, "a", "b"];
+        let codes: Vec<u32> = labels.iter().map(|l| column.code(l, &[], 1)).collect();
         assert_eq!(codes, [0, 1, 0, 2, 1, 1, 0, 2]);
-        assert_eq!(column.domain, FeatureDomain::with_labels("f", ["a", "!", "b"]));
+        assert_eq!(column.domain, FeatureDomain::with_labels("f", ["a", &other, "b"]));
+    }
+
+    #[test]
+    fn memo_keys_tell_inline_labels_apart_and_confirm_longer_ones() {
+        let labels = [
+            "",
+            "a",
+            "a\0",
+            "ab",
+            "abc",
+            "abcd",
+            "abcdefg",
+            "abcdefgh",
+            "abcdefghi",
+            "fifteen_bytes_x",
+            "fifteen_bytes_y",
+            "fourteen_bytes\u{e9}",
+            "fourteen_bytes\u{e8}",
+        ];
+        for (i, a) in labels.iter().enumerate() {
+            for b in &labels[i + 1..] {
+                assert_ne!(memo_key(a), memo_key(b), "{a:?} vs {b:?}");
+            }
+        }
+        // Longer labels with the same first 8 and last 7 bytes share a key,
+        // so a hit on one is checked against the domain.
+        let (x, y) = ("abcdefgh-1-klmnopq", "abcdefgh-2-klmnopq");
+        assert_eq!(memo_key(x), memo_key(y));
+        let mut column = Column::new(FeatureDomain::new("f"));
+        let codes: Vec<u32> = [x, y, x, y].iter().map(|l| column.code(l, &[], 1)).collect();
+        assert_eq!(codes, [0, 1, 0, 1]);
+    }
+
+    #[test]
+    fn a_forgotten_code_is_cleared_from_the_memo() {
+        let missing = ["?".to_owned()];
+        let mut column = Column::new(FeatureDomain::new("f"));
+        assert_eq!(column.code("a", &missing, 1), 0);
+        // Line 2 is dropped: "z" was first shown there.
+        assert_eq!(column.code("z", &missing, 2), 1);
+        column.forget_from(2);
+        // A kept row's new label takes the forgotten code ...
+        assert_eq!(column.code("y", &missing, 3), 1);
+        // ... so "z" must not hit its stale slot.
+        assert_eq!(column.code("z", &missing, 4), 2);
+        assert_eq!(column.code("?", &missing, 5), MISSING);
+        assert_eq!(column.domain, FeatureDomain::with_labels("f", ["a", "y", "z"]));
+
+        let text = "a,x,c1\nz,?,c2\ny,x,c1\nz,x,c2\n";
+        let ds = read_csv_str(text, &CsvOptions::default()).unwrap();
+        assert_eq!(domain_labels(&ds, 0), ["a", "y", "z"]);
+        assert_eq!(ds.table().column(0).collect::<Vec<_>>(), [0, 1, 2]);
+        assert_eq!(Ok(ds), csv_reference::read_csv_str(text, &CsvOptions::default()));
     }
 
     /// Generated CSV text with at most one defect, and options to read it
@@ -605,7 +763,7 @@ mod tests {
     /// padding, missing tokens, a header, every label column, and ASCII and
     /// multi-byte delimiters.
     fn generated_case(rng: &mut TestRng) -> (String, CsvOptions) {
-        const VALUES: [&str; 12] = [
+        const VALUES: [&str; 18] = [
             "a",
             "b",
             "v1",
@@ -618,6 +776,16 @@ mod tests {
             "a,b",
             "say \"hi\"",
             "NA",
+            // Longer than a memo key holds whole, and a pair sharing the
+            // key of such a label (first 8 and last 7 bytes).
+            "abcdefgh-1-klmnopq",
+            "abcdefgh-2-klmnopq",
+            // The whole inline prefix of a longer label, and multi-byte
+            // characters straddling its end.
+            "fifteen_bytes_x",
+            "fifteen_bytes_x;\u{e9}",
+            "fourteen_bytes\u{e9}",
+            "fourteen_bytes\u{e8}\u{a6}",
         ];
         let pick = |rng: &mut TestRng, n: usize| rng.below(n as u64) as usize;
         let delimiter = [',', ';', '\t', '\u{a6}'][pick(rng, 4)];
@@ -711,6 +879,66 @@ mod tests {
             text.truncate(text.len().saturating_sub(newline.len()));
         }
         (text, options)
+    }
+
+    /// One large generated file per delimiter and `drop_missing` setting:
+    /// enough rows and distinct labels (1–24 bytes, ASCII and multi-byte)
+    /// to reuse every memo slot many times over, as a real file does.
+    #[test]
+    fn a_large_file_matches_the_reference_reader() {
+        const ROWS: usize = 3000;
+        const WIDTH: usize = 6;
+        let mut rng = TestRng::new(0x1A46_E5F0);
+        let pick = |rng: &mut TestRng, n: usize| rng.below(n as u64) as usize;
+        let alphabet: Vec<char> = "abcxyz019_-\u{e9}\u{df}\u{20ac}\u{a6}".chars().collect();
+        for delimiter in [',', ';', '\t', '\u{a6}'] {
+            // Per column, 120 labels of 1–24 bytes without the delimiter.
+            let pools: Vec<Vec<String>> = (0..WIDTH)
+                .map(|_| {
+                    let mut pool = Vec::new();
+                    while pool.len() < 120 {
+                        let bytes = 1 + pick(&mut rng, 24);
+                        let mut label = String::new();
+                        while label.len() < bytes {
+                            let c = alphabet[pick(&mut rng, alphabet.len())];
+                            if c != delimiter && label.len() + c.len_utf8() <= bytes {
+                                label.push(c);
+                            } else if label.len() < bytes {
+                                label.push('q');
+                            }
+                        }
+                        pool.push(label);
+                    }
+                    pool
+                })
+                .collect();
+            let mut text = String::new();
+            for _ in 0..ROWS {
+                let fields: Vec<&str> = pools
+                    .iter()
+                    .map(|pool| match pick(&mut rng, 200) {
+                        0 => "?",
+                        1 => "",
+                        // A skewed draw, so some labels recur often.
+                        _ => {
+                            let upto = 1 + pick(&mut rng, pool.len());
+                            &pool[pick(&mut rng, upto)]
+                        }
+                    })
+                    .collect();
+                text.push_str(&fields.join(&delimiter.to_string()));
+                text.push('\n');
+            }
+            for drop_missing in [true, false] {
+                let options = CsvOptions { delimiter, drop_missing, ..CsvOptions::default() };
+                let got = read_csv_str(&text, &options);
+                let want = csv_reference::read_csv_str(&text, &options);
+                assert_eq!(got, want, "{options:?}");
+                let ds = got.unwrap();
+                assert!(ds.n_rows() > ROWS / 2, "{options:?}: {} rows", ds.n_rows());
+                assert!(ds.table().schema().domain(0).cardinality() > 100);
+            }
+        }
     }
 
     #[test]

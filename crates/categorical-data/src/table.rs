@@ -48,13 +48,22 @@ impl CategoricalTable {
     /// the schema arity, and [`DataError::CodeOutOfDomain`] if any code is
     /// neither in-domain nor [`MISSING`](crate::MISSING).
     pub fn from_flat(schema: Schema, data: Vec<u32>) -> Result<Self, DataError> {
+        let table = CategoricalTable::from_coded(schema, data)?;
+        table.validate()?;
+        Ok(table)
+    }
+
+    /// [`from_flat`](CategoricalTable::from_flat) for a buffer whose codes a
+    /// caller in this crate coded through the schema's own domains: only
+    /// the shape is checked, the codes only in debug builds.
+    pub(crate) fn from_coded(schema: Schema, data: Vec<u32>) -> Result<Self, DataError> {
         let d = schema.n_features();
         if d == 0 || !data.len().is_multiple_of(d) {
             return Err(DataError::RowArity { expected: d, found: data.len() % d.max(1) });
         }
         let n_rows = data.len() / d;
         let table = CategoricalTable { schema, data, n_rows };
-        table.validate()?;
+        debug_assert!(table.validate().is_ok(), "a coded buffer holds only domain codes");
         Ok(table)
     }
 

@@ -30,8 +30,9 @@ use crate::{ClusterProfile, ExecutionPlan, HotPathStats, McdcError, Workspace};
 
 /// Row count below which the parallel paths are not worth the fork/join.
 /// The rayon shim has no persistent pool: each call spawns a scoped thread
-/// per chunk past the first, which the calling thread maps itself (one
-/// spawn per call at 2 threads, ~23 µs spawn + join on a 2-vCPU Xeon), so
+/// per core past the first, and the calling thread maps items from the same
+/// queue (one spawn per call at 2 threads, ~23 µs spawn + join on a 2-vCPU
+/// Xeon), so
 /// the crossover sits higher than with a persistent rayon pool. The value
 /// was set when every chunk spawned a thread and has not been re-measured.
 const PARALLEL_MIN_ROWS: usize = 8192;

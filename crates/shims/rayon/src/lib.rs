@@ -1,18 +1,20 @@
 //! Offline stand-in for the `rayon` API surface used by this workspace.
 //!
 //! Parallel iterators are materialized eagerly into a work list; `map` is
-//! recorded lazily and executed on `collect`/`reduce`/`for_each` by chunking
-//! the work list: the calling thread maps the first chunk, a
-//! `std::thread::scope` thread each of the others. Chunks are concatenated
-//! in order, so results are identical to the sequential evaluation — which
-//! is what lets `mcdc-core` assert parallel CAME produces bit-identical
-//! labels.
+//! recorded lazily and executed on `collect`/`reduce`/`for_each`: the
+//! calling thread and one `std::thread::scope` thread per extra core pull
+//! the next item from one shared queue until it is empty, and each result
+//! is placed by its item's index. Results therefore come back in input
+//! order, identical to the sequential evaluation — which is what lets
+//! `mcdc-core` assert parallel CAME produces bit-identical labels — and a
+//! slow item never leaves other items waiting behind it on a busy thread.
 //!
 //! Thread count: `RAYON_NUM_THREADS` if set, else
 //! `std::thread::available_parallelism()`, read on every call so a caller
 //! can change it between calls.
 
 use std::ops::Range;
+use std::sync::Mutex;
 
 pub mod prelude {
     //! Glob-import surface, mirroring `rayon::prelude`.
@@ -39,14 +41,15 @@ where
     U: Send,
     F: Fn(T) -> U + Sync,
 {
-    par_map_chunks(items, current_num_threads(), f)
+    par_map_queue(items, current_num_threads(), f)
 }
 
-/// Maps `items` through `f` in up to `threads` contiguous chunks: the first
-/// on the calling thread, each other on a scoped thread of its own, so a
-/// call spawns `threads - 1` threads. The chunks are concatenated in input
-/// order; a panic in any chunk propagates to the caller.
-fn par_map_chunks<T, U, F>(items: Vec<T>, threads: usize, f: F) -> Vec<U>
+/// Maps `items` through `f` on the calling thread and `threads - 1` scoped
+/// threads, each taking the next item from one shared queue. Every item is
+/// mapped exactly once and the results come back in input order. A panic in
+/// `f` reaches the caller with its own payload, whichever thread ran the
+/// item.
+fn par_map_queue<T, U, F>(items: Vec<T>, threads: usize, f: F) -> Vec<U>
 where
     T: Send,
     U: Send,
@@ -57,30 +60,31 @@ where
     if threads <= 1 {
         return items.into_iter().map(f).collect();
     }
-    let chunk_len = len.div_ceil(threads);
-    let mut iter = items.into_iter();
-    let first: Vec<T> = iter.by_ref().take(chunk_len).collect();
-    let mut rest: Vec<Vec<T>> = Vec::with_capacity(threads - 1);
-    loop {
-        let chunk: Vec<T> = iter.by_ref().take(chunk_len).collect();
-        if chunk.is_empty() {
-            break;
+    let queue = Mutex::new(items.into_iter().enumerate());
+    // The lock is held only to take an item, never while `f` runs, so a
+    // panic in `f` cannot poison it.
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let next = queue.lock().expect("the queue lock is never held across `f`").next();
+            let Some((i, item)) = next else { return done };
+            done.push((i, f(item)));
         }
-        rest.push(chunk);
-    }
-    let f = &f;
+    };
+    let mut slots: Vec<Option<U>> = (0..len).map(|_| None).collect();
     std::thread::scope(|scope| {
-        let handles: Vec<_> = rest
-            .into_iter()
-            .map(|chunk| scope.spawn(move || chunk.into_iter().map(f).collect::<Vec<U>>()))
-            .collect();
-        let mut out: Vec<U> = Vec::with_capacity(len);
-        out.extend(first.into_iter().map(f));
-        for handle in handles {
-            out.extend(handle.join().expect("rayon-shim worker panicked"));
+        let workers: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+        let mut place = |done: Vec<(usize, U)>| {
+            for (i, value) in done {
+                slots[i] = Some(value);
+            }
+        };
+        place(work());
+        for worker in workers {
+            place(worker.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)));
         }
-        out
-    })
+    });
+    slots.into_iter().map(|slot| slot.expect("the queue hands out every item")).collect()
 }
 
 /// An eager parallel iterator: the pending work list.
@@ -217,6 +221,10 @@ impl<T: Sync> ParallelSlice<T> for [T] {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{mpsc, Mutex};
+    use std::time::Duration;
+
     use super::prelude::*;
 
     #[test]
@@ -241,38 +249,53 @@ mod tests {
     }
 
     #[test]
-    fn chunks_keep_input_order_with_the_caller_mapping_the_first() {
-        let caller = std::thread::current().id();
+    fn every_item_is_mapped_once_and_returned_in_input_order() {
         for threads in 1..=5 {
-            for len in [0usize, 1, 2, 7, 64] {
-                let out = super::par_map_chunks((0..len).collect(), threads, |i| {
-                    (i * 3, std::thread::current().id() == caller)
+            for len in [0usize, 1, 2, 3, 7, 64] {
+                let calls: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
+                let out = super::par_map_queue((0..len).collect(), threads, |i| {
+                    calls[i].fetch_add(1, Ordering::SeqCst);
+                    i * 3
                 });
-                let values: Vec<usize> = out.iter().map(|&(v, _)| v).collect();
-                assert_eq!(values, (0..len).map(|i| i * 3).collect::<Vec<_>>());
-                // The first chunk (and only it) runs on the calling thread.
-                let chunk_len = len.div_ceil(threads.min(len).max(1));
-                for (i, &(_, on_caller)) in out.iter().enumerate() {
-                    assert_eq!(on_caller, i < chunk_len, "threads={threads} len={len} i={i}");
+                assert_eq!(out, (0..len).map(|i| i * 3).collect::<Vec<_>>());
+                for (i, n) in calls.iter().enumerate() {
+                    assert_eq!(n.load(Ordering::SeqCst), 1, "threads={threads} len={len} i={i}");
                 }
             }
         }
     }
 
     #[test]
-    #[should_panic(expected = "boom in the first chunk")]
+    fn a_slow_item_does_not_hold_back_the_next_one() {
+        // Item 0 waits for a signal that only item 1 sends, so the two must
+        // run on different threads at once. Contiguous chunks of 3 items on
+        // 2 threads would give both to one thread, and item 0 would time out.
+        let (send, receive) = mpsc::channel();
+        let receive = Mutex::new(receive);
+        let out = super::par_map_queue(vec![0usize, 1, 2], 2, |i| match i {
+            0 => receive.lock().unwrap().recv_timeout(Duration::from_secs(10)).is_ok(),
+            1 => send.send(()).is_ok(),
+            _ => true,
+        });
+        assert_eq!(out, [true, true, true]);
+    }
+
+    // Item 0 is taken first, mostly by the calling thread, and item 11 last;
+    // either way the panic must reach the caller with its own message.
+    #[test]
+    #[should_panic(expected = "boom in the first item")]
     fn a_panic_on_the_calling_thread_propagates() {
-        super::par_map_chunks((0..12usize).collect(), 3, |i| {
-            assert!(i != 1, "boom in the first chunk");
+        super::par_map_queue((0..12usize).collect(), 3, |i| {
+            assert!(i != 0, "boom in the first item");
             i
         });
     }
 
     #[test]
-    #[should_panic(expected = "rayon-shim worker panicked")]
+    #[should_panic(expected = "boom in the last item")]
     fn a_panic_on_a_worker_propagates() {
-        super::par_map_chunks((0..12usize).collect(), 3, |i| {
-            assert!(i != 10, "boom in the last chunk");
+        super::par_map_queue((0..12usize).collect(), 3, |i| {
+            assert!(i != 11, "boom in the last item");
             i
         });
     }
