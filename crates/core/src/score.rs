@@ -463,8 +463,12 @@ mod tests {
     const CARDINALITIES: [u32; 4] = [3, 5, 2, 4];
 
     fn schema() -> Schema {
+        schema_of(&CARDINALITIES)
+    }
+
+    fn schema_of(cardinalities: &[u32]) -> Schema {
         Schema::new(
-            CARDINALITIES
+            cardinalities
                 .iter()
                 .enumerate()
                 .map(|(r, &m)| FeatureDomain::anonymous(format!("f{r}"), m))
@@ -473,7 +477,11 @@ mod tests {
     }
 
     fn random_row(rng: &mut ChaCha8Rng, missing_rate: f64) -> Vec<u32> {
-        CARDINALITIES
+        random_row_of(rng, &CARDINALITIES, missing_rate)
+    }
+
+    fn random_row_of(rng: &mut ChaCha8Rng, cardinalities: &[u32], missing_rate: f64) -> Vec<u32> {
+        cardinalities
             .iter()
             .map(|&m| if rng.gen_bool(missing_rate) { MISSING } else { rng.gen_range(0..m) })
             .collect()
@@ -616,15 +624,22 @@ mod tests {
 
     #[test]
     fn serving_tiles_match_the_per_row_argmax_at_every_remainder() {
-        let schema = schema();
-        let layout = schema.csr_layout();
-        let d = CARDINALITIES.len();
-        let post_scale = 1.0 / d as f64;
         let mut rng = ChaCha8Rng::seed_from_u64(0x711E);
         // k ≤ 4 takes the narrow tile, the rest the wide one; 5, 9, 17 and
-        // 24 end on a partial block, 8 and 24 fill their last one.
-        for k in [1usize, 3, 4, 5, 8, 9, 17, 24] {
-            let rows: Vec<Vec<u32>> = (0..4 * k).map(|_| random_row(&mut rng, 0.2)).collect();
+        // 24 end on a partial block, 8 and 24 fill their last one. The
+        // uniform (d, m, k) = (10, 4, 3), (32, 8, 16) and (64, 8, 64)
+        // shapes grow the table from a few KB to L2 size.
+        let shapes = [1usize, 3, 4, 5, 8, 9, 17, 24]
+            .map(|k| (CARDINALITIES.to_vec(), k))
+            .into_iter()
+            .chain([(vec![4; 10], 3), (vec![8; 32], 16), (vec![8; 64], 64)]);
+        for (cardinalities, k) in shapes {
+            let schema = schema_of(&cardinalities);
+            let layout = schema.csr_layout();
+            let d = cardinalities.len();
+            let post_scale = 1.0 / d as f64;
+            let rows: Vec<Vec<u32>> =
+                (0..4 * k).map(|_| random_row_of(&mut rng, &cardinalities, 0.2)).collect();
             let mut profiles: Vec<ClusterProfile> = (0..k)
                 .map(|l| {
                     let mut p = ClusterProfile::with_layout(layout.clone());
@@ -645,7 +660,7 @@ mod tests {
                         .map(|i| match (i + len) % 4 {
                             0 => vec![MISSING; d],
                             1 => rows[rng.gen_range(0..rows.len())].clone(),
-                            _ => random_row(&mut rng, 0.3),
+                            _ => random_row_of(&mut rng, &cardinalities, 0.3),
                         })
                         .collect();
                     let batch: Vec<&[u32]> = batch.iter().map(Vec::as_slice).collect();
@@ -655,10 +670,10 @@ mod tests {
                         .iter()
                         .map(|row| reference_argmax(&profiles, &prefactors, row))
                         .collect();
-                    assert_eq!(out, expected, "k={k} len={len} batch={batch:?}");
+                    assert_eq!(out, expected, "d={d} k={k} len={len} batch={batch:?}");
                     for (&row, &label) in batch.iter().zip(&out) {
                         let one = table.argmax(row, layout.offsets(), &prefactors, post_scale);
-                        assert_eq!(one as u32, label, "k={k} row={row:?}");
+                        assert_eq!(one as u32, label, "d={d} k={k} row={row:?}");
                     }
                 }
             }

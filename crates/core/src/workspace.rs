@@ -11,8 +11,8 @@
 //! `Mgcpl::fit` / `Came::fit` create a throwaway workspace internally;
 //! callers that fit repeatedly (benchmarks, the streaming re-fit, servers)
 //! pass a persistent one to `fit_with`. Buffer *growth* events are counted
-//! ([`Workspace::allocations`]), which is what `hotpath_snapshot` reports
-//! as `allocations_per_pass`.
+//! ([`Workspace::allocations`]), which is what the benchmark's traced
+//! run reports as `mgcpl.allocations`.
 
 use crate::mgcpl::Cohort;
 use crate::trace::HotPathStats;
@@ -121,8 +121,8 @@ pub(crate) struct CameScratch {
 /// A fresh workspace is empty; the first fit grows every buffer to size
 /// and later fits reuse them, so steady-state passes allocate nothing.
 /// [`Workspace::allocations`] counts buffer *growth* events (a fresh
-/// buffer or a capacity increase), which is the `allocations_per_pass`
-/// metric `hotpath_snapshot` records.
+/// buffer or a capacity increase), which is the `mgcpl.allocations`
+/// metric the benchmark's traced run records.
 ///
 /// # Example
 ///

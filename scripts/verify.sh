@@ -1,18 +1,22 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate plus style/lint hygiene. Run from anywhere.
 #
-#   scripts/verify.sh           # build + tests + fmt + clippy + docs + examples + perf smoke + perfbench
+#   scripts/verify.sh           # build + tests + fmt + clippy + docs + examples + fig6 ledger smoke + perfbench
 #
 # The tier-1 gate (ROADMAP.md) is `cargo build --release && cargo test -q`;
 # fmt/clippy keep the tree warning-free, the rustdoc build (warnings
 # denied) + doctests keep the documented API contracts honest, and the
-# perf-smoke step (`hotpath_snapshot --quick`, n = 10k) fails on
-# panics/NaN medians or a missing stage row. The inference smoke
-# (`infer_hotpath --quick`) times the frozen-model serving path on three
-# shapes and fails on panics/NaN medians, on frozen/live argmax parity
-# breaking on the pinned seed, or on the frozen kernels losing to the
-# live per-profile `ClusterProfile::similarity` argmax they compact. The
-# reconcile smoke
+# Fig. 6 ledger smoke (`fig6_scaling --quick`) fits two small points per
+# scaling axis twice per seed and fails on a missing point, a zero or
+# non-finite work counter, or two fits of one seed that count
+# differently. It replaces two removed timing smokes: perfbench's
+# `--smoke` tests (below) now catch non-finite or degenerate fit, serve
+# and absorb outputs (the old `hotpath_snapshot --quick` and
+# `infer_hotpath --quick` NaN/zero-median guards), conformance catches
+# MGCPL and CAME exactness, and the frozen ≡ live serving parity the
+# inference smoke asserted is a unit test
+# (`score::tests::serving_tiles_match_the_per_row_argmax_at_every_remainder`).
+# The reconcile smoke
 # (`reconcile_ablation --quick`) fits serial and a 4-shard mini-batch
 # plan with and without a shard halo on a small nested table and fails
 # on panics or non-finite metrics. The chaos smoke (`fault_chaos --quick`)
@@ -62,11 +66,8 @@ for example in examples/*.rs; do
     cargo run --release --quiet --example "$(basename "$example" .rs)"
 done
 
-echo "==> perf smoke (hotpath_snapshot --quick)"
-cargo run --release -p mcdc-bench --bin hotpath_snapshot -- --quick
-
-echo "==> inference smoke (infer_hotpath --quick)"
-cargo run --release -p mcdc-bench --bin infer_hotpath -- --quick
+echo "==> Fig. 6 ledger smoke (fig6_scaling --quick)"
+cargo run --release -p mcdc-bench --bin fig6_scaling -- --quick
 
 echo "==> reconcile smoke (reconcile_ablation --quick)"
 cargo run --release -p mcdc-bench --bin reconcile_ablation -- --quick
