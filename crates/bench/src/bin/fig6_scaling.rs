@@ -4,23 +4,30 @@
 //! MCDC in all three (Section III-C), not the absolute seconds of the
 //! authors' testbed, so each fit records machine-independent counters —
 //! MGCPL `score_evals` and passes, the first stage's share of those
-//! evaluations, κ and k₀, and CAME `score_evals` — with wall seconds as a
-//! secondary column. Every seed is fitted twice; the counters must agree.
+//! evaluations, κ and k₀, and CAME `score_evals` and iterations — with
+//! wall seconds as a secondary column. Every seed is fitted twice; the
+//! counters must agree. A fit whose CAME stops at its iteration cap rather
+//! than at a fixpoint is reported.
 //! The per-axis log-log slope is a least-squares fit over every fit's
 //! (x, counter) pair. Writes `BENCH_scaling.json`.
 //!
 //! Usage: `fig6_scaling [n|k|d|all] [--quick]`
 //!
 //! `--quick` is the CI smoke (`scripts/verify.sh`): two small points per
-//! axis and two seeds, written to `target/fig6_quick.json`. Either mode
-//! exits non-zero on a missing point, a zero or non-finite counter, or two
-//! fits of one seed that count differently.
+//! axis, plus a k above the distinct rows of Γ, and two seeds, written to
+//! `target/fig6_quick.json`. Either mode exits non-zero on a missing point,
+//! a zero or non-finite counter, or two fits of one seed that count
+//! differently; `--quick` also fails when a fit reaches CAME's cap.
 
 use std::time::Instant;
 
 use categorical_data::synth::scaling;
 use categorical_data::{CategoricalTable, Dataset};
 use mcdc_core::{Mcdc, Mgcpl, StageRecord};
+
+/// CAME's default iteration cap (`CameBuilder::max_iterations`), which the
+/// ledger's fits run under.
+const CAME_CAP: usize = 100;
 
 /// One fit's ledger row.
 struct Fit {
@@ -36,6 +43,7 @@ struct Fit {
     mgcpl_evals: u64,
     stage1_share: f64,
     came_evals: u64,
+    came_iterations: usize,
     wall_s: f64,
 }
 
@@ -46,7 +54,8 @@ impl Fit {
         format!(
             "{{\"axis\": \"{}\", \"x\": {}, \"n\": {}, \"d\": {}, \"k\": {}, \"seed\": {}, \
              \"k0\": {}, \"kappa\": {:?}, \"passes\": {}, \"mgcpl_score_evals\": {}, \
-             \"stage1_share\": {:.4}, \"came_score_evals\": {}, \"wall_s\": {:.4}}}",
+             \"stage1_share\": {:.4}, \"came_score_evals\": {}, \"came_iterations\": {}, \
+             \"wall_s\": {:.4}}}",
             self.axis,
             self.x,
             self.n,
@@ -59,6 +68,7 @@ impl Fit {
             self.mgcpl_evals,
             self.stage1_share,
             self.came_evals,
+            self.came_iterations,
             self.wall_s
         )
     }
@@ -78,6 +88,14 @@ fn main() {
                 match ledger_fit(axis, x, args.quick, seed) {
                     Ok(fit) => {
                         println!("{}", fit.json());
+                        if fit.came_iterations >= CAME_CAP {
+                            let note = format!("{axis} = {x}, seed {seed}: CAME reached its cap");
+                            if args.quick {
+                                failures.push(note);
+                            } else {
+                                eprintln!("fig6 ledger note: {note}");
+                            }
+                        }
                         fits.push(fit);
                     }
                     Err(e) => failures.push(format!("{axis} = {x}, seed {seed}: {e}")),
@@ -119,7 +137,9 @@ fn grid(axis: &str, quick: bool) -> Vec<usize> {
         ("n", false) => vec![5_000, 10_000, 20_000, 40_000, 80_000],
         ("n", true) => vec![2_000, 4_000],
         ("k", false) => vec![25, 50, 100, 200, 400],
-        ("k", true) => vec![3, 6],
+        // k = 50 exceeds the distinct rows of Γ at n = 2000 (κ = [3] on both
+        // seeds), so CAME re-seeds empty clusters in every iteration.
+        ("k", true) => vec![3, 6, 50],
         (_, false) => vec![10, 20, 40, 80, 160],
         (_, true) => vec![5, 10],
     }
@@ -158,7 +178,7 @@ fn ledger_fit(axis: &'static str, x: usize, quick: bool, seed: u64) -> Result<Fi
         return Err("two fits of one seed count differently".to_owned());
     }
     let wall_s = runs[0].0.min(runs[1].0);
-    let (mgcpl, came) = (runs[0].1.mgcpl(), runs[0].1.came().stats());
+    let (mgcpl, came) = (runs[0].1.mgcpl(), runs[0].1.came());
     let first = mgcpl.trace.stages.first().ok_or("MGCPL ran no stage")?;
     let stage1 = stage1_evals(table, seed, first);
     let fit = Fit {
@@ -173,7 +193,8 @@ fn ledger_fit(axis: &'static str, x: usize, quick: bool, seed: u64) -> Result<Fi
         passes: mgcpl.stats.passes,
         mgcpl_evals: mgcpl.stats.score_evals,
         stage1_share: stage1 as f64 / mgcpl.stats.score_evals as f64,
-        came_evals: came.score_evals,
+        came_evals: came.stats().score_evals,
+        came_iterations: came.iterations(),
         wall_s,
     };
     // Each later stage scores between its closing and opening live counts

@@ -25,7 +25,6 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 
-use crate::workspace::{copy_into, resize_tracked, CameScratch};
 use crate::{ClusterProfile, ExecutionPlan, HotPathStats, McdcError, Workspace};
 
 /// Row count below which the parallel paths are not worth the fork/join.
@@ -35,6 +34,9 @@ use crate::{ClusterProfile, ExecutionPlan, HotPathStats, McdcError, Workspace};
 /// Xeon), so
 /// the crossover sits higher than with a persistent rayon pool. The value
 /// was set when every chunk spawned a thread and has not been re-measured.
+/// No benchmark workload reaches the chunked path: `fit_syn` runs Serial,
+/// `fit_nested_mb` fits n = 8,000 rows (below this gate), and
+/// `stream_drift` runs no CAME (ROADMAP item 6).
 const PARALLEL_MIN_ROWS: usize = 8192;
 
 /// Safety slack added to every dirty-cluster margin test: the drift bounds
@@ -271,23 +273,6 @@ impl Came {
     /// Returns [`McdcError::EmptyInput`] for an empty encoding and
     /// [`McdcError::InvalidK`] when `k` is zero or exceeds `n`.
     pub fn fit(&self, encoding: &CategoricalTable, k: usize) -> Result<CameResult, McdcError> {
-        self.fit_with(encoding, k, &mut Workspace::new())
-    }
-
-    /// [`fit`](Self::fit) against a caller-provided [`Workspace`]: the
-    /// margin cache, drift vectors, and Step-2 count buffers are checked
-    /// out of `ws` and left grown for the next fit. Results are identical
-    /// to [`fit`](Self::fit).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`fit`](Self::fit).
-    pub fn fit_with(
-        &self,
-        encoding: &CategoricalTable,
-        k: usize,
-        ws: &mut Workspace,
-    ) -> Result<CameResult, McdcError> {
         let n = encoding.n_rows();
         if n == 0 {
             return Err(McdcError::EmptyInput);
@@ -309,39 +294,37 @@ impl Came {
             && (rayon::current_num_threads() > 1 || self.force_chunking);
 
         let mut stats = HotPathStats::default();
-        let alloc_start = ws.allocs;
-        let Workspace { came: scratch, allocs, .. } = ws;
-        resize_tracked(&mut scratch.margins, n, f64::NEG_INFINITY, allocs);
-        scratch.margins.fill(f64::NEG_INFINITY);
-        resize_tracked(&mut scratch.drift, k, 0.0, allocs);
-        resize_tracked(&mut scratch.decay, k, 0.0, allocs);
-        scratch.prev_modes.clear();
-        scratch.prev_theta.clear();
+        // The fit's scratch, reused across all of its iterations: each row's
+        // winner margin, the per-cluster drift and skip thresholds, the
+        // (Z, Θ) and labels an iteration started from, and Step 2's serial
+        // count buffers.
+        let mut margins = vec![f64::NEG_INFINITY; n];
+        let mut drift = vec![0.0; k];
+        let mut decay = vec![0.0; k];
+        let mut prev_modes = modes.clone();
+        let mut prev_theta = theta.clone();
+        let mut start_labels = Vec::with_capacity(n);
+        let mut counts = Vec::new();
+        let mut intra = Vec::new();
 
         let mut labels = vec![usize::MAX; n];
         let mut iterations = 0;
         for _ in 0..self.max_iterations {
             iterations += 1;
+            start_labels.clone_from(&labels);
             // Step 1: fix Θ and Z, recompute the partition Q (Eq. 20).
             // After the first iteration the per-cluster drift bound tells
             // which rows' cached margins still prove their winner (dirty-
             // cluster tracking, DESIGN.md §3); only the rest rescan against
             // all k modes.
-            let decay: Option<&[f64]> = if iterations > 1 {
-                compute_decay(scratch, &modes, &theta, k);
-                Some(&scratch.decay[..k])
+            let skip: Option<&[f64]> = if iterations > 1 {
+                compute_decay(&modes, &theta, &prev_modes, &prev_theta, &mut drift, &mut decay);
+                Some(&decay)
             } else {
                 None
             };
-            let (changed, full, skipped) = assign_labels(
-                encoding,
-                &modes,
-                &theta,
-                &mut labels,
-                &mut scratch.margins,
-                decay,
-                parallel,
-            );
+            let (changed, full, skipped) =
+                assign_labels(encoding, &modes, &theta, &mut labels, &mut margins, skip, parallel);
             stats.full_rescans += full;
             stats.skipped_rescans += skipped;
             // Each full rescan scans all k modes; a skip proves its cached
@@ -350,35 +333,44 @@ impl Came {
 
             // Re-seed emptied clusters on the objects farthest from their
             // current mode so the sought k is always delivered.
-            reseed_empty_clusters(encoding, &mut labels, k, &theta, &modes, &mut scratch.margins);
+            reseed_empty_clusters(encoding, &mut labels, k, &theta, &modes, &mut margins);
 
             // Step 2: fix Q, update modes Z and feature weights Θ (Eqs. 21–22).
             // The (Z, Θ) the assignment above used become the drift
             // reference for the next iteration's skip test.
-            copy_into(&mut scratch.prev_modes, &modes.data, allocs);
-            copy_into(&mut scratch.prev_theta, &theta, allocs);
-            modes = modes_of_matrix(
-                encoding,
-                &layout,
-                &labels,
-                k,
-                parallel,
-                &mut scratch.counts,
-                allocs,
-            );
+            let next_modes = modes_of_matrix(encoding, &layout, &labels, k, parallel, &mut counts);
+            prev_modes = std::mem::replace(&mut modes, next_modes);
             if self.weighted {
-                theta =
-                    update_theta(encoding, &labels, &modes, parallel, &mut scratch.intra, allocs);
+                let next_theta = update_theta(encoding, &labels, &modes, parallel, &mut intra);
+                prev_theta = std::mem::replace(&mut theta, next_theta);
             }
 
-            if !changed {
+            // Stop when Step 1 moved no label, or when the re-seed moved
+            // back exactly the rows Step 1 moved (k above the distinct rows
+            // of Γ): then this Step 2 recomputed the (Z, Θ) the iteration
+            // started from, and every later iteration would repeat this one.
+            if !changed || labels == start_labels {
                 break;
             }
         }
 
         stats.passes = iterations as u64;
-        stats.allocations = *allocs - alloc_start;
         Ok(CameResult { labels, theta, modes: modes.into_rows(), iterations, stats })
+    }
+
+    /// [`fit`](Self::fit); the empty [`Workspace`] is ignored. Kept until
+    /// the benchmark stops using it (ROADMAP item 12).
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`fit`](Self::fit).
+    pub fn fit_with(
+        &self,
+        encoding: &CategoricalTable,
+        k: usize,
+        _ws: &mut Workspace,
+    ) -> Result<CameResult, McdcError> {
+        self.fit(encoding, k)
     }
 
     /// Picks initial modes per the configured strategy.
@@ -435,23 +427,29 @@ fn nearest_mode(row: &[u32], modes: &ModeMatrix, theta: &[f64]) -> (usize, f64) 
 /// cached margin survives iff it exceeds `decay[l] = drift[l] +
 /// max_{l'≠l} drift[l']` — the winner drifting up while the best other
 /// cluster drifts down.
-fn compute_decay(scratch: &mut CameScratch, modes: &ModeMatrix, theta: &[f64], k: usize) {
-    let sigma = modes.sigma;
-    let t_theta: f64 = theta.iter().zip(&scratch.prev_theta).map(|(&a, &b)| (a - b).abs()).sum();
+fn compute_decay(
+    modes: &ModeMatrix,
+    theta: &[f64],
+    prev_modes: &ModeMatrix,
+    prev_theta: &[f64],
+    drift: &mut [f64],
+    decay: &mut [f64],
+) {
+    let k = drift.len();
+    let t_theta: f64 = theta.iter().zip(prev_theta).map(|(&a, &b)| (a - b).abs()).sum();
     for l in 0..k {
-        let old_mode = &scratch.prev_modes[l * sigma..(l + 1) * sigma];
         let mut moved = t_theta;
-        for (r, (&new, &old)) in modes.row(l).iter().zip(old_mode).enumerate() {
+        for (r, (&new, &old)) in modes.row(l).iter().zip(prev_modes.row(l)).enumerate() {
             if new != old {
-                moved += theta[r].max(scratch.prev_theta[r]);
+                moved += theta[r].max(prev_theta[r]);
             }
         }
-        scratch.drift[l] = moved;
+        drift[l] = moved;
     }
     let mut max = f64::NEG_INFINITY;
     let mut argmax = usize::MAX;
     let mut second = f64::NEG_INFINITY;
-    for (l, &d) in scratch.drift[..k].iter().enumerate() {
+    for (l, &d) in drift.iter().enumerate() {
         if d > max {
             second = max;
             max = d;
@@ -462,7 +460,7 @@ fn compute_decay(scratch: &mut CameScratch, modes: &ModeMatrix, theta: &[f64], k
     }
     for l in 0..k {
         let other = if l == argmax { second } else { max };
-        scratch.decay[l] = scratch.drift[l] + if other == f64::NEG_INFINITY { 0.0 } else { other };
+        decay[l] = drift[l] + if other == f64::NEG_INFINITY { 0.0 } else { other };
     }
 }
 
@@ -596,12 +594,13 @@ fn label_chunks(labels: &[usize], n: usize) -> Vec<(usize, &[usize])> {
 }
 
 /// Recomputes per-cluster modes from the current labels via one flat CSR
-/// count matrix (`k × total_values` of plain `u32` in one workspace
-/// buffer — modes need counts only, not `k` separate `ClusterProfile`s).
+/// count matrix (`k × total_values` of plain `u32` in one buffer — modes
+/// need counts only, not `k` separate `ClusterProfile`s).
 /// The parallel path accumulates per-chunk matrices and sums them —
 /// integer counts make the merge exact, so the resulting modes equal the
-/// sequential ones. The serial path counts into the workspace's persistent buffer; the parallel
-/// reduce keeps per-chunk accumulators (inherent to the merge tree).
+/// sequential ones. The serial path counts into the fit's `counts_buf`;
+/// the parallel reduce keeps per-chunk accumulators (inherent to the
+/// merge tree).
 fn modes_of_matrix(
     encoding: &CategoricalTable,
     layout: &CsrLayout,
@@ -609,7 +608,6 @@ fn modes_of_matrix(
     k: usize,
     parallel: bool,
     counts_buf: &mut Vec<u32>,
-    allocs: &mut u64,
 ) -> ModeMatrix {
     let n = encoding.n_rows();
     let sigma = encoding.n_features();
@@ -645,8 +643,8 @@ fn modes_of_matrix(
             );
         &counts_owned
     } else {
-        resize_tracked(counts_buf, k * total, 0, allocs);
-        counts_buf.fill(0);
+        counts_buf.clear();
+        counts_buf.resize(k * total, 0);
         count_chunk(counts_buf, 0, labels);
         counts_buf
     };
@@ -672,14 +670,13 @@ fn modes_of_matrix(
 /// Feature weight update of Eqs. (21)–(22): θ_r ∝ the number of objects
 /// agreeing with their cluster mode in feature r. Agreement counts are
 /// integers, so the parallel per-chunk accumulation is exact. The serial
-/// path counts into the workspace's persistent buffer.
+/// path counts into the fit's `intra_buf`.
 fn update_theta(
     encoding: &CategoricalTable,
     labels: &[usize],
     modes: &ModeMatrix,
     parallel: bool,
     intra_buf: &mut Vec<u64>,
-    allocs: &mut u64,
 ) -> Vec<f64> {
     let n = encoding.n_rows();
     let sigma = encoding.n_features();
@@ -714,8 +711,8 @@ fn update_theta(
             );
         &intra_owned
     } else {
-        resize_tracked(intra_buf, sigma, 0, allocs);
-        intra_buf.fill(0);
+        intra_buf.clear();
+        intra_buf.resize(sigma, 0);
         count_chunk(intra_buf, 0, labels);
         intra_buf
     };

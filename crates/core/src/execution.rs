@@ -294,22 +294,11 @@ impl ShardMap {
 
     /// Fills one presentation span per replica — the global shuffled
     /// `order` filtered to each replica's owned-plus-borrowed rows,
-    /// preserving the shuffled order — into the caller's reusable buffers
-    /// (cleared, grown only when the shard count itself grew). This is the
-    /// workspace-backed replacement for allocating fresh span vectors
-    /// every pass.
-    pub(crate) fn fill_spans(
-        &self,
-        order: &[usize],
-        spans: &mut Vec<Vec<usize>>,
-        allocs: &mut u64,
-    ) {
-        if spans.len() != self.n_shards {
-            if spans.capacity() < self.n_shards {
-                *allocs += 1;
-            }
-            spans.resize_with(self.n_shards, Vec::new);
-        }
+    /// preserving the shuffled order — into the caller's span buffers,
+    /// which a fit clears and refills every pass instead of allocating
+    /// fresh ones.
+    pub(crate) fn fill_spans(&self, order: &[usize], spans: &mut Vec<Vec<usize>>) {
+        spans.resize_with(self.n_shards, Vec::new);
         for span in spans.iter_mut() {
             span.clear();
         }

@@ -31,10 +31,11 @@
 //!   scoring tables for the serving hot path: `score_one`/`score_batch`
 //!   match the live kernels' argmax bit for bit, and the versioned
 //!   save/load roundtrip is bit-exact (DESIGN.md §9);
-//! * [`Workspace`] — a reusable pass-scratch arena:
-//!   `fit_with` runs repeated fits allocation-free once warm, and
-//!   [`HotPathStats`] reports scoring work, CAME's skipped rescans, and
-//!   workspace growth per fit (DESIGN.md §3).
+//! * [`HotPathStats`] — deterministic work counters per fit: scoring
+//!   work, passes, rows settled by replicated passes and CAME's skipped
+//!   rescans (DESIGN.md §3). Every fit owns its pass scratch; the empty
+//!   [`Workspace`] is kept only for callers that still pass one to
+//!   `fit_with`.
 //!
 //! # Quickstart
 //!

@@ -21,10 +21,9 @@ use categorical_data::CsrLayout;
 use crate::execution::ShardMap;
 use crate::score::ScoreTable;
 use crate::weights::feature_weights_into;
-use crate::workspace::{
-    copy_into, note_growth, resize_tracked, MgcplScratch, ReplicaSlot, ReplicatedScratch, Workspace,
+use crate::{
+    ClusterProfile, ExecutionPlan, HotPathStats, LearningTrace, McdcError, StageRecord, Workspace,
 };
-use crate::{ClusterProfile, ExecutionPlan, HotPathStats, LearningTrace, McdcError, StageRecord};
 
 /// Safety valve on the number of granularity stages per fit: every stage
 /// but the last strictly lowers k, so real fits stop far earlier.
@@ -247,9 +246,9 @@ pub struct MgcplResult {
     pub kappa: Vec<usize>,
     /// Per-stage learning trace (Fig. 5).
     pub trace: LearningTrace,
-    /// Hot-path counters (passes, scoring sweeps, merges, workspace
-    /// growth). Excluded from equality: a warm and a cold workspace fit
-    /// the same partitions but count allocations differently.
+    /// Hot-path counters (passes, scoring sweeps, merges). Excluded from
+    /// equality: a one-shard mini-batch plan fits the serial partitions
+    /// but also counts the rows it settles as merges.
     pub stats: HotPathStats,
 }
 
@@ -369,48 +368,21 @@ impl Cohort {
         scores.sync(to, &profiles[to], row, omega_row(to));
     }
 
-    /// `*self = src.clone()` reusing every buffer whose capacity suffices;
-    /// what replica slots use to refresh their local cohort from the
-    /// pass-start snapshot without the clone-allocate-drop churn. When the
-    /// snapshot has fewer clusters than the previous pass (pruning), the
-    /// excess profiles park in `spares` instead of dropping, so a later
-    /// fit that starts wide again (k₀ ≫ final k) reuses their buffers.
-    pub(crate) fn copy_from(
-        &mut self,
-        src: &Cohort,
-        spares: &mut Vec<ClusterProfile>,
-        allocs: &mut u64,
-    ) {
-        if self.layout != src.layout {
-            *allocs += 1;
-            *self = src.clone();
-            spares.clear();
-            return;
-        }
-        while self.profiles.len() > src.profiles.len() {
-            spares.push(self.profiles.pop().expect("length checked above"));
-        }
+    /// `*self = src.clone()` keeping every buffer: what a replica slot
+    /// uses to refresh its local cohort from the pass-start snapshot.
+    /// Within one fit the layout is fixed and k only shrinks, so the
+    /// pruned clusters' profiles drop and the rest copy in place.
+    fn copy_from(&mut self, src: &Cohort) {
+        debug_assert!(self.len() >= src.len(), "k only shrinks within a fit");
+        self.profiles.truncate(src.len());
         for (dst, s) in self.profiles.iter_mut().zip(&src.profiles) {
             dst.copy_from_profile(s);
         }
-        while self.profiles.len() < src.profiles.len() {
-            let next = self.profiles.len();
-            match spares.pop() {
-                Some(mut spare) => {
-                    spare.copy_from_profile(&src.profiles[next]);
-                    self.profiles.push(spare);
-                }
-                None => {
-                    *allocs += 1;
-                    self.profiles.push(src.profiles[next].clone());
-                }
-            }
-        }
-        copy_into(&mut self.delta, &src.delta, allocs);
-        copy_into(&mut self.wins_prev, &src.wins_prev, allocs);
-        copy_into(&mut self.wins_now, &src.wins_now, allocs);
-        copy_into(&mut self.omega, &src.omega, allocs);
-        self.scores.copy_from(&src.scores, allocs);
+        self.delta.clone_from(&src.delta);
+        self.wins_prev.clone_from(&src.wins_prev);
+        self.wins_now.clone_from(&src.wins_now);
+        self.omega.clone_from(&src.omega);
+        self.scores.copy_from(&src.scores);
     }
 
     /// Re-launch reset (Alg. 1 step 13): keep memberships/profiles, clear
@@ -459,6 +431,57 @@ impl Cohort {
     }
 }
 
+/// One fit's pass scratch, created by `fit_inner` and reused across every
+/// pass and stage of that fit.
+#[derive(Debug, Default)]
+struct PassScratch {
+    /// Per-pass presentation order.
+    order: Vec<usize>,
+    /// `1 − ρ_l` snapshot.
+    one_minus_rho: Vec<f64>,
+    /// Hoisted `(1 − ρ)·u` prefactors.
+    prefactors: Vec<f64>,
+    /// Winner per presented row (serial path).
+    decisions: Vec<usize>,
+    /// Replica-merge scratch (replicated plans only).
+    replicated: ReplicatedScratch,
+}
+
+/// Scratch for replicated (mini-batch / sharded) passes.
+#[derive(Debug, Default)]
+struct ReplicatedScratch {
+    /// One slot per shard, reused across passes.
+    slots: Vec<ReplicaSlot>,
+    /// Span staging buffers [`ShardMap::fill_spans`] writes into before
+    /// the spans swap into the slots.
+    spans: Vec<Vec<usize>>,
+    /// Final membership per row for the current pass.
+    final_of: Vec<usize>,
+    /// Vote buffers for multiply-presented (halo) rows.
+    votes: Vec<Vec<(usize, f64)>>,
+}
+
+/// Per-replica scratch for replicated passes: the replica's cohort clone
+/// target, its local prefactor vector, and its presentation span and
+/// verdicts. Slots are moved into the rayon workers and returned, so
+/// buffers persist across passes without sharing.
+#[derive(Debug, Default)]
+struct ReplicaSlot {
+    /// Replica-local cohort, refreshed from the pass-start snapshot; its
+    /// δ at span end feeds the consensus average.
+    cohort: Option<Cohort>,
+    /// Replica-local copy of the hoisted `(1 − ρ)·u` prefactors.
+    prefactors: Vec<f64>,
+    /// Presentation span: the global shuffle filtered to this replica.
+    rows: Vec<usize>,
+    /// Winner per presented row, parallel to `rows`.
+    decisions: Vec<usize>,
+    /// Winner similarity per presented row; filled only under overlap.
+    confidences: Vec<f64>,
+    /// Hot-path counters accumulated inside the worker, folded after join.
+    stats: HotPathStats,
+}
+
 impl Mgcpl {
     /// Starts building an MGCPL learner with paper-default parameters.
     pub fn builder() -> MgcplBuilder {
@@ -484,15 +507,11 @@ impl Mgcpl {
     /// [`McdcError::InvalidShards`] if the configured [`ExecutionPlan`]
     /// does not fit `n` rows.
     pub fn fit(&self, table: &CategoricalTable) -> Result<MgcplResult, McdcError> {
-        self.fit_with(table, &mut Workspace::new())
+        self.fit_inner(table, &self.execution)
     }
 
-    /// [`fit`](Self::fit) against a caller-provided [`Workspace`]: all
-    /// pass- and replica-scoped scratch is checked out of `ws` and left
-    /// grown for the next fit, so repeated fits (benchmarks, streaming
-    /// re-fits, servers) run allocation-free once the workspace is warm.
-    /// Results are identical to [`fit`](Self::fit) — the workspace holds
-    /// scratch only, never state that survives into the output.
+    /// [`fit`](Self::fit); the empty [`Workspace`] is ignored. Kept until
+    /// the benchmark stops using it (ROADMAP item 12).
     ///
     /// # Errors
     ///
@@ -500,27 +519,22 @@ impl Mgcpl {
     pub fn fit_with(
         &self,
         table: &CategoricalTable,
-        ws: &mut Workspace,
+        _ws: &mut Workspace,
     ) -> Result<MgcplResult, McdcError> {
-        self.fit_inner(table, &self.execution, ws)
+        self.fit(table)
     }
 
     /// Internal re-fit entry: adapts the configured plan to the table's
     /// current row count ([`ExecutionPlan::for_rows`]) instead of cloning
     /// the whole learner — what the streaming reservoir re-fit uses.
-    pub(crate) fn fit_adapted(
-        &self,
-        table: &CategoricalTable,
-        ws: &mut Workspace,
-    ) -> Result<MgcplResult, McdcError> {
-        self.fit_inner(table, &self.execution.for_rows(table.n_rows()), ws)
+    pub(crate) fn fit_adapted(&self, table: &CategoricalTable) -> Result<MgcplResult, McdcError> {
+        self.fit_inner(table, &self.execution.for_rows(table.n_rows()))
     }
 
     fn fit_inner(
         &self,
         table: &CategoricalTable,
         plan: &ExecutionPlan,
-        ws: &mut Workspace,
     ) -> Result<MgcplResult, McdcError> {
         let n = table.n_rows();
         if n == 0 {
@@ -586,7 +600,8 @@ impl Mgcpl {
         let mut kappa: Vec<usize> = Vec::new();
         let mut trace = LearningTrace { initial_k: k0, stages: Vec::new() };
         let mut stats = HotPathStats::default();
-        let alloc_start = ws.allocs;
+        // The fit's pass scratch, reused across all of its passes and stages.
+        let mut scratch = PassScratch::default();
         let mut k_old = clusters.len();
 
         for stage in 1..=MAX_STAGES {
@@ -598,7 +613,7 @@ impl Mgcpl {
                 &mut assignment,
                 &mut rng,
                 shard_map.as_ref(),
-                ws,
+                &mut scratch,
                 &mut stats,
             );
             let k_after = clusters.len();
@@ -620,7 +635,6 @@ impl Mgcpl {
             clusters.reset_statistics(d);
         }
 
-        stats.allocations = ws.allocs - alloc_start;
         Ok(MgcplResult { partitions, kappa, trace, stats })
     }
 
@@ -649,24 +663,15 @@ impl Mgcpl {
         assignment: &mut [Option<usize>],
         rng: &mut ChaCha8Rng,
         shard_map: Option<&ShardMap>,
-        ws: &mut Workspace,
+        scratch: &mut PassScratch,
         stats: &mut HotPathStats,
     ) -> usize {
         let n = table.n_rows();
         let d = table.n_features();
         let mut passes = 0;
-        // All pass scratch is checked out of the workspace: grown at most
-        // once, reused across passes, stages, and fits.
-        let Workspace { mgcpl: scratch, allocs, .. } = ws;
-        let MgcplScratch { order, one_minus_rho, prefactors, decisions, replicated } = scratch;
-        note_growth(order, n, allocs);
+        let PassScratch { order, one_minus_rho, prefactors, decisions, replicated } = scratch;
         order.clear();
         order.extend(0..n);
-        if shard_map.is_none() {
-            // `decisions` backs only the serial arm; replicated passes keep
-            // their verdicts in the replica slots.
-            note_growth(decisions, n, allocs);
-        }
 
         for _ in 0..self.max_inner_iterations {
             passes += 1;
@@ -674,7 +679,7 @@ impl Mgcpl {
             // sequential award/penalty cascades don't depend on storage order.
             order.shuffle(rng);
 
-            let post_scale = self.snapshot_pass(clusters, one_minus_rho, prefactors, d, allocs);
+            let post_scale = self.snapshot_pass(clusters, one_minus_rho, prefactors, d);
 
             let mut changed = match shard_map {
                 None => {
@@ -705,7 +710,6 @@ impl Mgcpl {
                     post_scale,
                     map,
                     replicated,
-                    allocs,
                     stats,
                 ),
             };
@@ -759,12 +763,9 @@ impl Mgcpl {
         one_minus_rho: &mut Vec<f64>,
         prefactors: &mut Vec<f64>,
         d: usize,
-        allocs: &mut u64,
     ) -> f64 {
         let total_prev: u64 = clusters.wins_prev.iter().sum();
         clusters.wins_now.fill(0);
-        let k = clusters.len();
-        note_growth(one_minus_rho, k, allocs);
         one_minus_rho.clear();
         one_minus_rho.extend(clusters.wins_prev.iter().map(|&w| {
             if total_prev == 0 {
@@ -773,7 +774,6 @@ impl Mgcpl {
                 1.0 - w as f64 / total_prev as f64
             }
         }));
-        note_growth(prefactors, k, allocs);
         prefactors.clear();
         prefactors.extend(
             one_minus_rho.iter().zip(&clusters.delta).map(|(&m, &dl)| m * sigmoid_weight(dl)),
@@ -919,23 +919,18 @@ impl Mgcpl {
         post_scale: f64,
         map: &ShardMap,
         rep: &mut ReplicatedScratch,
-        allocs: &mut u64,
         stats: &mut HotPathStats,
     ) -> bool {
         let n_rows = assignment.len();
         let overlap = map.has_overlap();
 
-        // One persistent slot per shard: each holds the replica's cohort
-        // clone target, span, and verdict buffers, all reused across
-        // passes (and fits).
-        if rep.slots.len() != map.n_shards {
-            note_growth(&rep.slots, map.n_shards, allocs);
-            rep.slots.resize_with(map.n_shards, ReplicaSlot::default);
-        }
+        // One slot per shard: each holds the replica's cohort clone target,
+        // span, and verdict buffers, all reused across the fit's passes.
+        rep.slots.resize_with(map.n_shards, ReplicaSlot::default);
 
         // Presentation spans: the global shuffle filtered to each replica's
         // owned-plus-borrowed row set, preserving the shuffled order.
-        map.fill_spans(order, &mut rep.spans, allocs);
+        map.fill_spans(order, &mut rep.spans);
         for (slot, span) in rep.slots.iter_mut().zip(rep.spans.iter_mut()) {
             std::mem::swap(&mut slot.rows, span);
         }
@@ -944,25 +939,19 @@ impl Mgcpl {
         // returned, so their buffers never cross threads by reference and
         // still persist. Each replica refreshes its local cohort from the
         // frozen pass-start snapshot (`copy_from` reuses the buffers the
-        // previous pass grew) and runs the shared `apply_span`.
+        // previous pass filled) and runs the shared `apply_span`.
         let snapshot: &Cohort = clusters;
         let frozen_assignment: &[Option<usize>] = assignment;
         let slots_in = std::mem::take(&mut rep.slots);
         let slots: Vec<ReplicaSlot> = slots_in
             .into_par_iter()
             .map(|mut slot| {
-                slot.allocs = 0;
                 match slot.cohort.as_mut() {
-                    Some(cohort) => {
-                        cohort.copy_from(snapshot, &mut slot.spare_profiles, &mut slot.allocs);
-                    }
-                    None => {
-                        slot.allocs += 1;
-                        slot.cohort = Some(snapshot.clone());
-                    }
+                    Some(cohort) => cohort.copy_from(snapshot),
+                    None => slot.cohort = Some(snapshot.clone()),
                 }
-                copy_into(&mut slot.prefactors, prefactors, &mut slot.allocs);
-                note_growth(&slot.decisions, slot.rows.len(), &mut slot.allocs);
+                slot.prefactors.clear();
+                slot.prefactors.extend_from_slice(prefactors);
                 let local = slot.cohort.as_mut().expect("cohort installed above");
                 slot.stats = HotPathStats::default();
                 self.apply_span(
@@ -985,14 +974,11 @@ impl Mgcpl {
         // row was presented once, the halo vote otherwise. Vote buffers
         // are indexed by the shard map's dense halo slots, so their size
         // tracks the overlap (≤ 2·halo·(shards−1) rows), not n.
-        resize_tracked(&mut rep.final_of, n_rows, usize::MAX, allocs);
-        rep.final_of.fill(usize::MAX);
+        rep.final_of.clear();
+        rep.final_of.resize(n_rows, usize::MAX);
         if overlap {
-            if rep.votes.len() < map.halo_rows.len() {
-                note_growth(&rep.votes, map.halo_rows.len(), allocs);
-                rep.votes.resize_with(map.halo_rows.len(), Vec::new);
-            }
-            for votes in rep.votes[..map.halo_rows.len()].iter_mut() {
+            rep.votes.resize_with(map.halo_rows.len(), Vec::new);
+            for votes in rep.votes.iter_mut() {
                 votes.clear();
             }
             for slot in &slots {
@@ -1053,7 +1039,6 @@ impl Mgcpl {
             stats.full_rescans += slot.stats.full_rescans;
             stats.skipped_rescans += slot.stats.skipped_rescans;
             stats.score_evals += slot.stats.score_evals;
-            *allocs += slot.allocs;
         }
         rep.slots = slots;
         changed
@@ -1329,17 +1314,16 @@ mod tests {
                         scores: ScoreTable::default(),
                         layout: table.schema().csr_layout(),
                     };
-                    let mut ws = Workspace::new();
+                    let mut replicated = ReplicatedScratch::default();
                     let mut order: Vec<usize> = (0..n).collect();
                     for _pass in 0..3 {
                         order.shuffle(&mut rng);
-                        let (mut one_minus_rho, mut prefactors, mut allocs) = (vec![], vec![], 0);
+                        let (mut one_minus_rho, mut prefactors) = (vec![], vec![]);
                         let post_scale = mgcpl.snapshot_pass(
                             &mut clusters,
                             &mut one_minus_rho,
                             &mut prefactors,
                             d,
-                            &mut allocs,
                         );
                         let before = assignment.clone();
                         let mut stats = HotPathStats::default();
@@ -1352,8 +1336,7 @@ mod tests {
                             &prefactors,
                             post_scale,
                             &map,
-                            &mut ws.mgcpl.replicated,
-                            &mut allocs,
+                            &mut replicated,
                             &mut stats,
                         );
                         let moved = before.iter().zip(&assignment).filter(|(a, b)| a != b).count();

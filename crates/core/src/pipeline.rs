@@ -5,7 +5,6 @@ use categorical_data::CategoricalTable;
 
 use crate::{
     encode_mgcpl, Came, CameInit, CameResult, ExecutionPlan, McdcError, Mgcpl, MgcplResult,
-    Workspace,
 };
 
 /// The full MCDC clusterer. Construct via [`Mcdc::builder`].
@@ -255,26 +254,9 @@ impl Mcdc {
     /// Returns [`McdcError::EmptyInput`] / [`McdcError::InvalidK`] on invalid
     /// input shapes.
     pub fn fit(&self, table: &CategoricalTable, k: usize) -> Result<McdcResult, McdcError> {
-        self.fit_with(table, k, &mut Workspace::new())
-    }
-
-    /// [`fit`](Self::fit) against a caller-provided [`Workspace`]: both
-    /// stages check their pass scratch out of `ws`, so repeated pipeline
-    /// fits reuse one warm arena. Results are identical to
-    /// [`fit`](Self::fit).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`fit`](Self::fit).
-    pub fn fit_with(
-        &self,
-        table: &CategoricalTable,
-        k: usize,
-        ws: &mut Workspace,
-    ) -> Result<McdcResult, McdcError> {
-        let mgcpl = self.mgcpl.fit_with(table, ws)?;
+        let mgcpl = self.mgcpl.fit(table)?;
         let encoding = encode_mgcpl(&mgcpl)?;
-        let came = self.came.fit_with(&encoding, k, ws)?;
+        let came = self.came.fit(&encoding, k)?;
         Ok(McdcResult { labels: came.labels().to_vec(), mgcpl, came, encoding })
     }
 

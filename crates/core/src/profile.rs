@@ -147,8 +147,8 @@ impl ClusterProfile {
         profile
     }
 
-    /// The CSR layout this profile is shaped for (workspace buffers use it
-    /// to detect cross-schema reuse).
+    /// The CSR layout this profile is shaped for (the scoring tables walk
+    /// its value ranges).
     pub(crate) fn layout(&self) -> &CsrLayout {
         &self.layout
     }
@@ -219,7 +219,8 @@ impl ClusterProfile {
 
     /// Empties the profile in place (counts, presence, reciprocals), keeping
     /// the layout and every buffer's capacity — the reuse counterpart of
-    /// [`with_layout`](Self::with_layout) for workspace-pooled profiles.
+    /// [`with_layout`](Self::with_layout) for a caller that rebuilds one
+    /// profile per group (CAME's guided seeding).
     pub fn reset(&mut self) {
         self.counts.fill(0);
         self.present.fill(0);
@@ -227,19 +228,15 @@ impl ClusterProfile {
         self.size = 0;
     }
 
-    /// `*self = src.clone()` without reallocating when the layouts already
-    /// match (the workspace warm path); falls back to a plain clone
-    /// otherwise.
+    /// `*self = src.clone()` without reallocating, for a profile of the
+    /// same layout (a replica refreshing its cohort within one fit).
     pub(crate) fn copy_from_profile(&mut self, src: &ClusterProfile) {
-        if self.layout == src.layout {
-            self.counts.copy_from_slice(&src.counts);
-            self.present.copy_from_slice(&src.present);
-            self.inv_present.copy_from_slice(&src.inv_present);
-            self.inv_arity = src.inv_arity;
-            self.size = src.size;
-        } else {
-            *self = src.clone();
-        }
+        debug_assert!(self.layout == src.layout, "profiles of one fit share a layout");
+        self.counts.copy_from_slice(&src.counts);
+        self.present.copy_from_slice(&src.present);
+        self.inv_present.copy_from_slice(&src.inv_present);
+        self.inv_arity = src.inv_arity;
+        self.size = src.size;
     }
 
     /// Count of members holding value `code` in feature `r`

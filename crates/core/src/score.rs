@@ -20,7 +20,6 @@
 use categorical_data::{CategoricalTable, MISSING};
 
 use crate::profile::{inv_count, INV_TABLE};
-use crate::workspace::copy_into;
 use crate::ClusterProfile;
 
 /// Width of one accumulator block: the per-value cluster columns are padded
@@ -131,10 +130,10 @@ impl ScoreTable {
     }
 
     /// `*self = src.clone()`, reusing the entry buffer.
-    pub(crate) fn copy_from(&mut self, src: &ScoreTable, allocs: &mut u64) {
+    pub(crate) fn copy_from(&mut self, src: &ScoreTable) {
         self.k = src.k;
         self.k_pad = src.k_pad;
-        copy_into(&mut self.table, &src.table, allocs);
+        self.table.clone_from(&src.table);
     }
 
     /// [`top2`](Self::top2)'s sweep (the `R = 1, W = LANES` case of the

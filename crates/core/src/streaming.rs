@@ -55,7 +55,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::score::CountTable;
-use crate::{FrozenModel, McdcError, Mgcpl, MgcplResult, Workspace};
+use crate::{FrozenModel, McdcError, Mgcpl, MgcplResult};
 
 /// Default bound on the re-fit reservoir (rows).
 const DEFAULT_BUFFER_CAPACITY: usize = 4096;
@@ -256,11 +256,6 @@ pub struct StreamingMcdc {
     health: HealthState,
     /// Health-state transitions over the stream's lifetime.
     health_transitions: u64,
-    /// Persistent fit scratch: every re-fit (and the bootstrap) checks its
-    /// pass buffers out of here instead of reallocating, so a long-lived
-    /// stream's re-fits run allocation-free once warm. (Cloning a stream
-    /// clones the scratch as empty — it holds no state.)
-    workspace: Workspace,
 }
 
 impl StreamingMcdc {
@@ -271,8 +266,7 @@ impl StreamingMcdc {
     ///
     /// Propagates [`McdcError`] from the underlying MGCPL fit.
     pub fn bootstrap(mgcpl: Mgcpl, batch: &CategoricalTable) -> Result<Self, McdcError> {
-        let mut workspace = Workspace::new();
-        let result = mgcpl.fit_with(batch, &mut workspace)?;
+        let result = mgcpl.fit(batch)?;
         Ok(StreamingMcdc {
             mgcpl,
             levels: count_tables(batch, &result),
@@ -295,7 +289,6 @@ impl StreamingMcdc {
             refit_drift_ratio: 0.25,
             health: HealthState::Healthy,
             health_transitions: 0,
-            workspace,
         })
     }
 
@@ -779,10 +772,9 @@ impl StreamingMcdc {
     /// sizes, so an overlapping re-fit stays well-posed at any reservoir
     /// size.
     ///
-    /// Nothing is rebuilt from scratch per re-fit: the reservoir's encoded
-    /// buffer is the fit input as-is, the plan adapts in place (no learner
-    /// clone), and all pass scratch comes from the stream's persistent
-    /// [`Workspace`] — so steady-state re-fits allocate only their output.
+    /// The reservoir's encoded buffer is the fit input as-is and the plan
+    /// adapts in place (no learner clone); like every fit, the re-fit
+    /// allocates its own pass scratch.
     ///
     /// The re-fit always installs: the served snapshot
     /// ([`serve_one`](Self::serve_one),
@@ -793,7 +785,7 @@ impl StreamingMcdc {
     ///
     /// Propagates [`McdcError`] from the underlying MGCPL fit.
     pub fn refit(&mut self) -> Result<(), McdcError> {
-        let result = self.mgcpl.fit_adapted(&self.buffer, &mut self.workspace)?;
+        let result = self.mgcpl.fit_adapted(&self.buffer)?;
         self.drifted = 0;
         self.arrived = 0;
         self.window_rejected = 0;
@@ -896,7 +888,7 @@ mod tests {
 
     impl ReferenceStream {
         fn new(stream: &StreamingMcdc, batch: &CategoricalTable) -> Self {
-            let fitted = stream.mgcpl.fit_with(batch, &mut Workspace::new()).unwrap();
+            let fitted = stream.mgcpl.fit(batch).unwrap();
             ReferenceStream { stream: stream.clone(), levels: profiles(batch, &fitted) }
         }
 
@@ -936,7 +928,7 @@ mod tests {
 
         fn refit(&mut self) {
             let buffer = &self.stream.buffer;
-            let fitted = self.stream.mgcpl.fit_adapted(buffer, &mut Workspace::new()).unwrap();
+            let fitted = self.stream.mgcpl.fit_adapted(buffer).unwrap();
             self.levels = profiles(buffer, &fitted);
             self.stream.refit().unwrap();
         }
@@ -1026,13 +1018,13 @@ mod tests {
         };
         let data = batch(19);
         let mgcpl = Mgcpl::builder().seed(1).build();
-        let fitted = mgcpl.fit_with(data.table(), &mut Workspace::new()).unwrap();
+        let fitted = mgcpl.fit(data.table()).unwrap();
         let mut stream = StreamingMcdc::bootstrap(mgcpl, data.table()).unwrap();
         assert_eq!(stream.served_model().to_bytes(), frozen(data.table(), &fitted));
         for t in 0..200u32 {
             stream.absorb(&[3, t % 4, 3, 3, (t / 4) % 4, 3, 3, 3]);
         }
-        let refitted = stream.mgcpl.fit_adapted(&stream.buffer, &mut Workspace::new()).unwrap();
+        let refitted = stream.mgcpl.fit_adapted(&stream.buffer).unwrap();
         stream.refit().unwrap();
         assert_eq!(stream.served_model().to_bytes(), frozen(&stream.buffer, &refitted));
     }
@@ -1302,7 +1294,7 @@ mod tests {
         assert_eq!(stream.served_model().to_bytes(), snapshot_before);
         assert_eq!(stream.kappa(), kappa_before);
         // A re-fit swaps the snapshot and the κ summary together.
-        let refitted = stream.mgcpl.fit_adapted(&stream.buffer, &mut Workspace::new()).unwrap();
+        let refitted = stream.mgcpl.fit_adapted(&stream.buffer).unwrap();
         stream.refit().unwrap();
         assert_eq!(stream.kappa(), refitted.kappa);
         assert_eq!(stream.sigma(), refitted.sigma());
@@ -1319,7 +1311,7 @@ mod tests {
             stream.absorb(data.table().row(i));
         }
         // Every re-fit installs: the served κ is the re-fit's κ.
-        let refitted = stream.mgcpl.fit_adapted(&stream.buffer, &mut Workspace::new()).unwrap();
+        let refitted = stream.mgcpl.fit_adapted(&stream.buffer).unwrap();
         stream.refit().unwrap();
         assert!(stream.sigma() >= 1);
         assert_eq!(stream.kappa(), refitted.kappa);

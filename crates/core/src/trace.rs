@@ -1,9 +1,10 @@
 /// Hot-path execution counters for one fit (MGCPL or CAME).
 ///
 /// Observability, not semantics: two runs that produce identical labels
-/// may count differently (a cold workspace grows buffers a warm one
-/// reuses), so result types exclude these counters from their equality —
-/// see `MgcplResult` / `CameResult`.
+/// may count differently (a one-shard mini-batch plan reproduces the
+/// serial labels but also counts the rows it settles as `merges`), so
+/// result types exclude these counters from their equality — see
+/// `MgcplResult` / `CameResult`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HotPathStats {
     /// Full object rescans performed (one `d×k` scoring sweep each). MGCPL
@@ -25,8 +26,9 @@ pub struct HotPathStats {
     /// per row whose settled cluster differs from its pass-start one. 0
     /// under serial plans.
     pub merges: u64,
-    /// Workspace buffer-growth events during the fit (0 on a warm
-    /// [`Workspace`](crate::Workspace)).
+    /// Always 0: buffer growth is no longer counted, since every fit owns
+    /// its scratch. Kept until the benchmark stops using it (ROADMAP
+    /// item 12).
     pub allocations: u64,
     /// Learning passes (MGCPL) or alternating-minimization iterations
     /// (CAME) executed.
@@ -41,15 +43,6 @@ impl HotPathStats {
             0.0
         } else {
             self.skipped_rescans as f64 / total as f64
-        }
-    }
-
-    /// Workspace buffer-growth events per pass.
-    pub fn allocations_per_pass(&self) -> f64 {
-        if self.passes == 0 {
-            0.0
-        } else {
-            self.allocations as f64 / self.passes as f64
         }
     }
 }

@@ -181,3 +181,22 @@ fn came_dirty_tracking_skips_on_multi_iteration_fits() {
         );
     }
 }
+
+#[test]
+fn came_stops_when_the_reseed_undoes_step_one() {
+    // 300 rows but only 3 distinct rows of Γ: at k = 4 and 5 the re-seed
+    // pulls a row into each empty cluster and Step 1 moves it straight
+    // back, so labels cycle between two states and the per-iteration
+    // `changed` flag never clears. The state after the re-seed is a
+    // fixpoint from iteration 2 on; CAME must stop there, not at its cap.
+    let fine: Vec<usize> = (0..300).map(|i| i % 3).collect();
+    let coarse: Vec<usize> = fine.iter().map(|&l| l / 2).collect();
+    let encoding = encode_partitions(&[fine, coarse]).unwrap();
+    for k in [4, 5] {
+        for weighted in [false, true] {
+            let came = Came::builder().weighted(weighted).build().fit(&encoding, k).unwrap();
+            assert!(came.iterations() <= 3, "k={k}: {} iterations", came.iterations());
+            assert_matches_oracle(&encoding, k, weighted, 0);
+        }
+    }
+}

@@ -6,7 +6,8 @@
 //! * smaller batches change the cascade's semantics (shard-local δ, frozen
 //!   snapshot scoring) but must stay inside the quality tolerance band of
 //!   the stochastic suites on well-separated synthetic data;
-//! * for a fixed seed and shard count, every backend is deterministic;
+//! * for a fixed seed and shard count, every backend is deterministic,
+//!   through `fit` and the kept `fit_with` alike;
 //! * invalid plans surface `McdcError::InvalidShards` instead of panicking,
 //!   and the builder boundary rejects non-finite or zero knobs with
 //!   `McdcError::InvalidConfig` naming the offending parameter, for MGCPL
@@ -15,7 +16,7 @@
 use categorical_data::synth::GeneratorConfig;
 use categorical_data::Dataset;
 use cluster_eval::{accuracy, adjusted_rand_index};
-use mcdc_core::{ExecutionPlan, Mcdc, McdcError, Mgcpl};
+use mcdc_core::{encode_mgcpl, Came, ExecutionPlan, Mcdc, McdcError, Mgcpl, Workspace};
 
 fn separated(n: usize, k: usize, seed: u64) -> Dataset {
     GeneratorConfig::new("engine", n, vec![4; 8], k).noise(0.05).generate(seed).dataset
@@ -97,16 +98,31 @@ fn sharded_quality_stays_in_tolerance() {
 
 #[test]
 fn mini_batch_is_deterministic_for_fixed_seed_and_shard_count() {
+    // Two fits under one plan agree, counters included — and the second
+    // goes through `fit_with`, which the benchmark's traced run still calls
+    // with an (empty) `Workspace`: MGCPL and CAME, serial, mini-batch and
+    // mini-batch with a halo.
     let data = separated(400, 3, 8);
-    let fit = || {
-        Mgcpl::builder()
-            .seed(9)
-            .execution(ExecutionPlan::mini_batch(100))
-            .build()
-            .fit(data.table())
-            .unwrap()
-    };
-    assert_eq!(fit(), fit());
+    for (plan, halo) in [
+        (ExecutionPlan::Serial, 0),
+        (ExecutionPlan::mini_batch(100), 0),
+        (ExecutionPlan::mini_batch(100), 6),
+    ] {
+        let case = format!("{plan:?} halo={halo}");
+        let mgcpl = Mgcpl::builder().seed(9).execution(plan.clone()).halo(halo).build();
+        let fit = mgcpl.fit(data.table()).unwrap();
+        let fit_with = mgcpl.fit_with(data.table(), &mut Workspace::new()).unwrap();
+        assert_eq!(fit, fit_with, "{case}");
+        assert_eq!(fit.stats, fit_with.stats, "{case}");
+        assert_eq!(fit.stats.allocations, 0, "{case}");
+
+        let encoding = encode_mgcpl(&fit).unwrap();
+        let came = Came::builder().execution(plan).build();
+        let fit = came.fit(&encoding, 3).unwrap();
+        let fit_with = came.fit_with(&encoding, 3, &mut Workspace::new()).unwrap();
+        assert_eq!(fit, fit_with, "{case}");
+        assert_eq!(fit.stats(), fit_with.stats(), "{case}");
+    }
 }
 
 #[test]

@@ -51,6 +51,7 @@ pub fn reference_came(
 
     for _ in 0..MAX_ITERATIONS {
         iterations += 1;
+        let start_labels = labels.clone();
 
         // Step 1 (Eq. 20): fix Z and Θ, recompute the partition Q — each
         // object joins its θ-Hamming-nearest mode.
@@ -73,7 +74,10 @@ pub fn reference_came(
             theta = update_theta(encoding, &labels, &modes, sigma);
         }
 
-        if !changed {
+        // Stop at the fixpoint: no label moved, or the re-seed moved back
+        // exactly the objects Step 1 moved, so Step 2 recomputed the Z and
+        // Θ this iteration started from and every later one would repeat it.
+        if !changed || labels == start_labels {
             break;
         }
     }
