@@ -8,13 +8,16 @@
 //!        [--replay SEED] [--gates PATH]`
 //!
 //! * `--quick` (also the default mode): replays `--tables` seeded tables
-//!   (default 50) through all 5 grid cells; any divergence prints a
+//!   (default 50), plus one fixed 4,500-row table on which the default
+//!   `k₀` cap binds, through all 5 grid cells; any divergence prints a
 //!   seed + shrunk-table witness and exits nonzero. This is the
 //!   `scripts/verify.sh` conformance gate.
 //! * `--gate`: measures the fixed counter suites, compares them against
 //!   the checked-in baselines, then self-tests the gate by holding the
 //!   measured `[replicated]` counters to the `[serial]` baseline — the
-//!   rows the replicated passes move must fail it.
+//!   rows the replicated passes move must fail it — and the `[scaling]`
+//!   workload at the paper's uncapped `k₀ = √n` to the `[scaling]`
+//!   baseline, which it must fail too.
 //! * `--write-gates`: re-measures and rewrites `PERF_GATES.toml`,
 //!   printing the old → new diff (wrapped by `scripts/update_gates.sh`).
 //! * `--replay SEED`: verbose single-seed replay, one line per cell.
@@ -22,9 +25,9 @@
 use std::process::ExitCode;
 
 use mcdc_bench::conformance::{
-    cell_divergence, compare_counters, gate_suites, grid, measure_suite, minimize_table,
-    parse_gates, random_table, render_gates, render_witness, replay_table, run_reference,
-    GateCounters,
+    cap_table_spec, cell_divergence, compare_counters, gate_suites, grid, measure_scaling,
+    measure_suite, minimize_table, parse_gates, random_table, render_gates, render_witness,
+    replay_spec, replay_table, run_reference, GateCounters, CAP_TABLE_SEED,
 };
 
 /// Default fuzz breadth for `--quick`.
@@ -143,11 +146,27 @@ fn run_quick(tables: usize, seed_base: u64) -> bool {
             }
         }
     }
-    if divergent_seeds == 0 {
-        println!("conformance: all {tables} tables conform on every cell");
+    // The fixed n > 4,096 table, where the default k₀ cap binds; printed
+    // unshrunk, since dropping rows would take it below the cap.
+    let cap = cap_table_spec();
+    let cap_divergences = replay_spec(&cap, CAP_TABLE_SEED);
+    for divergence in &cap_divergences {
+        println!(
+            "DIVERGENCE cap table (n = {}) cell={} — {}",
+            cap.n, divergence.cell, divergence.detail
+        );
+    }
+    if divergent_seeds == 0 && cap_divergences.is_empty() {
+        println!(
+            "conformance: all {tables} tables and the n = {} cap table conform on every cell",
+            cap.n
+        );
         true
     } else {
-        println!("conformance: {divergent_seeds}/{tables} tables diverged");
+        println!(
+            "conformance: {divergent_seeds}/{tables} tables diverged; the cap table {}",
+            if cap_divergences.is_empty() { "conforms" } else { "diverged" }
+        );
         false
     }
 }
@@ -226,42 +245,53 @@ fn run_gate(path: &str) -> bool {
     ok && gate_self_test(&file.suites, &measured_suites, file.tolerance)
 }
 
-/// The gate's own regression test: hold the measured `[replicated]`
-/// counters to the `[serial]` baseline. The replicated suite moves rows
-/// between profiles to settle every pass while the serial one moves none
-/// that way, so the comparison must report violations (`merges` alone
-/// grows from 0) — if it passes, the gate is vacuous and the run fails.
+/// The gate's own regression tests, each of which must report violations
+/// or the gate is vacuous and the run fails:
+///
+/// * the measured `[replicated]` counters held to the `[serial]`
+///   baseline: the replicated suite moves rows between profiles to settle
+///   every pass while the serial one moves none that way (`merges` alone
+///   grows from 0);
+/// * the `[scaling]` workload at the paper's uncapped `k₀ = round(√n)`
+///   held to the `[scaling]` baseline: a lost `k₀` cap must fail CI.
 fn gate_self_test(
     baselines: &[(String, GateCounters)],
     measured: &[(String, GateCounters)],
     tolerance: f64,
 ) -> bool {
-    let Some((_, baseline)) = baselines.iter().find(|(name, _)| name == "serial") else {
-        eprintln!("gate: self-test needs a [serial] baseline");
-        return false;
-    };
-    let Some((_, replicated)) = measured.iter().find(|(name, _)| name == "replicated") else {
+    let baseline = |name: &str| baselines.iter().find(|(n, _)| n == name).map(|(_, c)| *c);
+    let Some(replicated) = measured.iter().find(|(name, _)| name == "replicated") else {
         eprintln!("gate: self-test needs a measured [replicated] suite");
         return false;
     };
-    match compare_counters("serial", baseline, replicated, tolerance) {
-        Err(violations) => {
-            println!(
-                "gate: self-test OK — [replicated] counters correctly violate the [serial] \
-                 baseline ({} violations, e.g. {})",
+    let probes = [
+        ("serial", "[replicated] counters", replicated.1),
+        ("scaling", "uncapped-k₀ [scaling] counters", measure_scaling(true)),
+    ];
+    let mut ok = true;
+    for (suite, what, counters) in probes {
+        let Some(base) = baseline(suite) else {
+            eprintln!("gate: self-test needs a [{suite}] baseline");
+            ok = false;
+            continue;
+        };
+        match compare_counters(suite, &base, &counters, tolerance) {
+            Err(violations) => println!(
+                "gate: self-test OK — {what} correctly violate the [{suite}] baseline ({} \
+                 violations, e.g. {})",
                 violations.len(),
                 violations[0]
-            );
-            true
-        }
-        Ok(_) => {
-            eprintln!(
-                "gate: self-test FAILED — [replicated] counters pass the [serial] baseline; \
-                 the gate has no teeth"
-            );
-            false
+            ),
+            Ok(_) => {
+                eprintln!(
+                    "gate: self-test FAILED — {what} pass the [{suite}] baseline; the gate has \
+                     no teeth"
+                );
+                ok = false;
+            }
         }
     }
+    ok
 }
 
 /// `--write-gates`: re-measure and rewrite the baseline file, printing

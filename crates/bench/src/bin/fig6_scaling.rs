@@ -9,9 +9,12 @@
 //! counters must agree. A fit whose CAME stops at its iteration cap rather
 //! than at a fixpoint is reported.
 //! The per-axis log-log slope is a least-squares fit over every fit's
-//! (x, counter) pair. Writes `BENCH_scaling.json`.
+//! (x, counter) pair. The n axis runs twice: at the default
+//! `k₀ = min(√n, 64)` (`n`) and at the paper's `k₀ = round(√n)` set
+//! through `initial_k` (`n_sqrt`), so both n-slopes are recorded. Writes
+//! `BENCH_scaling.json`.
 //!
-//! Usage: `fig6_scaling [n|k|d|all] [--quick]`
+//! Usage: `fig6_scaling [n|n_sqrt|k|d|all] [--quick]`
 //!
 //! `--quick` is the CI smoke (`scripts/verify.sh`): two small points per
 //! axis, plus a k above the distinct rows of Γ, and two seeds, written to
@@ -78,7 +81,8 @@ fn main() {
     let args = Args::parse();
     let (seeds, out) =
         if args.quick { (2, "target/fig6_quick.json") } else { (5, "BENCH_scaling.json") };
-    let axes = ["n", "k", "d"].into_iter().filter(|&a| args.axis == "all" || args.axis == a);
+    let axes =
+        ["n", "n_sqrt", "k", "d"].into_iter().filter(|&a| args.axis == "all" || args.axis == a);
     let (mut rows, mut slopes, mut failures) = (Vec::new(), Vec::new(), Vec::new());
     for axis in axes {
         println!("\nFig. 6({axis})");
@@ -134,8 +138,9 @@ fn main() {
 
 fn grid(axis: &str, quick: bool) -> Vec<usize> {
     match (axis, quick) {
-        ("n", false) => vec![5_000, 10_000, 20_000, 40_000, 80_000],
-        ("n", true) => vec![2_000, 4_000],
+        ("n" | "n_sqrt", false) => vec![5_000, 10_000, 20_000, 40_000, 80_000],
+        // The default k₀ cap binds at 8,000 rows (above 4,160).
+        ("n" | "n_sqrt", true) => vec![2_000, 8_000],
         ("k", false) => vec![25, 50, 100, 200, 400],
         // k = 50 exceeds the distinct rows of Γ at n = 2000 (κ = [3] on both
         // seeds), so CAME re-seeds empty clusters in every iteration.
@@ -154,7 +159,7 @@ fn point(axis: &str, x: usize, quick: bool, seed: u64) -> (Dataset, usize) {
         _ => 5_000,
     };
     match axis {
-        "n" => (scaling::syn_n(x, seed), 3),
+        "n" | "n_sqrt" => (scaling::syn_n(x, seed), 3),
         "k" => (scaling::syn_n(n, seed), x),
         _ => (scaling::custom(format!("d{x}"), n, x, 3, seed), 3),
     }
@@ -165,7 +170,12 @@ fn point(axis: &str, x: usize, quick: bool, seed: u64) -> (Dataset, usize) {
 fn ledger_fit(axis: &'static str, x: usize, quick: bool, seed: u64) -> Result<Fit, String> {
     let (data, k) = point(axis, x, quick, seed);
     let table = data.table();
-    let mcdc = Mcdc::builder().seed(seed).build();
+    let k0 = (axis == "n_sqrt").then(|| (x as f64).sqrt().round() as usize);
+    let mut mcdc = Mcdc::builder().seed(seed);
+    if let Some(k0) = k0 {
+        mcdc = mcdc.initial_k(k0);
+    }
+    let mcdc = mcdc.build();
     let mut runs = Vec::with_capacity(2);
     for _ in 0..2 {
         let start = Instant::now();
@@ -180,7 +190,7 @@ fn ledger_fit(axis: &'static str, x: usize, quick: bool, seed: u64) -> Result<Fi
     let wall_s = runs[0].0.min(runs[1].0);
     let (mgcpl, came) = (runs[0].1.mgcpl(), runs[0].1.came());
     let first = mgcpl.trace.stages.first().ok_or("MGCPL ran no stage")?;
-    let stage1 = stage1_evals(table, seed, first);
+    let stage1 = stage1_evals(table, seed, k0, first);
     let fit = Fit {
         axis,
         x,
@@ -219,13 +229,22 @@ fn ledger_fit(axis: &'static str, x: usize, quick: bool, seed: u64) -> Result<Fi
 /// first `j` passes of the uncapped stage 1, so its stage-1 `k_after` is
 /// the live count entering pass `j + 1`; the counts never grow, so the
 /// probing stops once they reach the stage's closing count.
-fn stage1_evals(table: &CategoricalTable, seed: u64, first: &StageRecord) -> u64 {
+fn stage1_evals(
+    table: &CategoricalTable,
+    seed: u64,
+    k0: Option<usize>,
+    first: &StageRecord,
+) -> u64 {
     let mut live = first.k_before;
     let mut sum = 0;
     for pass in 1..=first.inner_iterations {
         sum += live as u64;
         if live > first.k_after && pass < first.inner_iterations {
-            let capped = Mgcpl::builder().seed(seed).max_inner_iterations(pass).build();
+            let mut capped = Mgcpl::builder().seed(seed).max_inner_iterations(pass);
+            if let Some(k0) = k0 {
+                capped = capped.initial_k(k0);
+            }
+            let capped = capped.build();
             live = capped.fit(table).expect("the uncapped fit succeeded").trace.stages[0].k_after;
         }
     }
@@ -252,9 +271,9 @@ impl Args {
         let mut args = Args { axis: "all".to_owned(), quick: false };
         for flag in std::env::args().skip(1) {
             match flag.as_str() {
-                "n" | "k" | "d" | "all" => args.axis = flag,
+                "n" | "n_sqrt" | "k" | "d" | "all" => args.axis = flag,
                 "--quick" => args.quick = true,
-                other => panic!("unknown flag {other}; use n, k, d, all or --quick"),
+                other => panic!("unknown flag {other}; use n, n_sqrt, k, d, all or --quick"),
             }
         }
         args

@@ -24,10 +24,12 @@
 //!   into deterministic test failures ([`compare_counters`]).
 
 use categorical_data::stats::entropy_from_counts;
-use categorical_data::synth::GeneratorConfig;
+use categorical_data::synth::{scaling, GeneratorConfig};
 use categorical_data::{CategoricalTable, MISSING};
 use cluster_eval::accuracy;
-use mcdc_core::{ExecutionPlan, Mcdc, McdcResult, Mgcpl, StreamingMcdc, UnseenPolicy};
+use mcdc_core::{
+    ExecutionPlan, HotPathStats, Mcdc, McdcResult, Mgcpl, StreamingMcdc, UnseenPolicy,
+};
 use mcdc_reference::{
     distinct_labels, partition_entropy, reference_mcdc, ReferenceConfig, ReferenceMcdc,
 };
@@ -273,11 +275,21 @@ pub fn cell_divergence(
     cell: &GridCell,
     oracle: &ReferenceMcdc,
 ) -> Option<String> {
-    let opt = run_cell(table, k, initial_k, seed, cell);
+    result_divergence(&run_cell(table, k, initial_k, seed, cell), k, cell.tier, oracle)
+}
+
+/// Holds one optimized result to the oracle at `tier` (see
+/// [`cell_divergence`]).
+pub fn result_divergence(
+    opt: &McdcResult,
+    k: usize,
+    tier: Tier,
+    oracle: &ReferenceMcdc,
+) -> Option<String> {
     if let Some(detail) = internal_divergence(&opt.mgcpl().partitions, &opt.mgcpl().kappa) {
         return Some(detail);
     }
-    match cell.tier {
+    match tier {
         Tier::Exact => {
             if opt.mgcpl().kappa != oracle.mgcpl.kappa {
                 return Some(format!(
@@ -328,7 +340,30 @@ pub struct Divergence {
 /// (empty = fully conformant). The oracle itself is also held to the
 /// internal-consistency checks, reported under the pseudo-cell `oracle`.
 pub fn replay_table(seed: u64) -> Vec<Divergence> {
-    let (spec, table) = random_table(seed);
+    replay_spec(&table_spec(seed), seed)
+}
+
+/// Generator seed of the [`cap_table_spec`] table.
+pub const CAP_TABLE_SEED: u64 = 1;
+
+/// The one fixed table above 4,096 rows: the fuzzed tables stay at
+/// n ≤ 240, so this is where the default `k₀ = min(round(√n), 64)` binds
+/// (√4500 rounds to 67) and is held to the oracle's rule. Four narrow
+/// features keep the oracle's replay cheap.
+pub fn cap_table_spec() -> TableSpec {
+    TableSpec {
+        n: 4_500,
+        k: 3,
+        initial_k: None,
+        cardinalities: vec![3, 4, 2, 5],
+        noise: 0.1,
+        missing: 0.0,
+    }
+}
+
+/// [`replay_table`] for an explicit spec.
+pub fn replay_spec(spec: &TableSpec, seed: u64) -> Vec<Divergence> {
+    let table = build_table(spec, seed);
     let oracle = run_reference(&table, spec.k, spec.initial_k, seed);
     let mut divergences = Vec::new();
     if let Some(detail) = internal_divergence(&oracle.mgcpl.partitions, &oracle.mgcpl.kappa) {
@@ -473,32 +508,53 @@ impl GateCounters {
     }
 }
 
+/// What one gate suite runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GateWorkload {
+    /// MCDC fits of the 480-row gate tables at `k₀ = 24`, under a
+    /// mini-batch plan of this many rows (0 = serial).
+    Fit {
+        /// Mini-batch size; 0 = serial.
+        batch: usize,
+    },
+    /// Serial MGCPL at the default `k₀` on `syn_n` tables above the cap
+    /// ([`SCALING_N`]): a regression of the `k₀ = min(√n, 64)` rule
+    /// multiplies its evaluations (DESIGN.md §3).
+    Scaling,
+    /// Corrupted traffic through the streaming `try_absorb` boundary
+    /// instead of batch fits (DESIGN.md §11).
+    Ingest,
+}
+
 /// One fixed perf-gate suite: a deterministic workload whose summed
 /// counters are pinned in `PERF_GATES.toml`.
 #[derive(Debug, Clone, Copy)]
 pub struct GateSuite {
     /// Section name in `PERF_GATES.toml`.
     pub name: &'static str,
-    /// Mini-batch size; 0 = serial.
-    pub batch: usize,
-    /// Streaming-ingest suite: drives corrupted traffic through the
-    /// `try_absorb` boundary instead of batch fits (DESIGN.md §11).
-    pub ingest: bool,
+    /// The workload whose counters the suite sums.
+    pub workload: GateWorkload,
 }
 
 /// Rows per gate-suite table.
 const GATE_N: usize = 480;
 /// Seeds each suite sums over.
 const GATE_SEEDS: [u64; 3] = [11, 12, 13];
+/// `syn_n` sizes of the `[scaling]` suite, both above the 4,160 rows from
+/// which `min(round(√n), 64)` departs from `round(√n)`.
+pub const SCALING_N: [usize; 2] = [5_000, 20_000];
 
 /// The checked-in gate suites: the serial hot path (`k₀ = 24`), the
-/// replicated settling path at the per-pass barrier, and the
-/// streaming-ingest boundary under seeded row corruption.
+/// replicated settling path at the per-pass barrier, the streaming-ingest
+/// boundary under seeded row corruption, and MGCPL's default `k₀` on
+/// tables above its cap.
 pub fn gate_suites() -> Vec<GateSuite> {
+    use GateWorkload::*;
     vec![
-        GateSuite { name: "serial", batch: 0, ingest: false },
-        GateSuite { name: "replicated", batch: GATE_N / 4, ingest: false },
-        GateSuite { name: "streaming-ingest", batch: 0, ingest: true },
+        GateSuite { name: "serial", workload: Fit { batch: 0 } },
+        GateSuite { name: "replicated", workload: Fit { batch: GATE_N / 4 } },
+        GateSuite { name: "streaming-ingest", workload: Ingest },
+        GateSuite { name: "scaling", workload: Scaling },
     ]
 }
 
@@ -507,27 +563,57 @@ pub fn gate_suites() -> Vec<GateSuite> {
 /// schedule and wall clock.
 pub fn measure_suite(suite: &GateSuite) -> GateCounters {
     let mut total = GateCounters::default();
-    if suite.ingest {
-        measure_ingest_suite(&mut total);
-        return total;
-    }
+    let batch = match suite.workload {
+        GateWorkload::Ingest => {
+            measure_ingest_suite(&mut total);
+            return total;
+        }
+        GateWorkload::Scaling => return measure_scaling(false),
+        GateWorkload::Fit { batch } => batch,
+    };
     for &seed in &GATE_SEEDS {
         let data =
             GeneratorConfig::new("gate", GATE_N, vec![6; 8], 3).noise(0.12).generate(seed).dataset;
         let mut builder = Mcdc::builder().seed(seed).initial_k(24);
-        if suite.batch > 0 {
-            builder = builder.execution(ExecutionPlan::mini_batch(suite.batch));
+        if batch > 0 {
+            builder = builder.execution(ExecutionPlan::mini_batch(batch));
         }
         let result = builder.build().fit(data.table(), 3).expect("gate tables are well-formed");
-        for stats in [&result.mgcpl().stats, result.came().stats()] {
-            total.score_evals += stats.score_evals;
-            total.merges += stats.merges;
-            total.passes += stats.passes;
-            total.full_rescans += stats.full_rescans;
-            total.skipped_rescans += stats.skipped_rescans;
+        add_fit_stats(&mut total, &result.mgcpl().stats);
+        add_fit_stats(&mut total, result.came().stats());
+    }
+    total
+}
+
+/// The `[scaling]` workload: serial MGCPL on `syn_n` at each of
+/// [`SCALING_N`] and every gate seed, at the default `k₀`, or with
+/// `paper_k0` at the paper's uncapped `round(√n)`. The gate self-test
+/// holds the uncapped counters to the `[scaling]` baseline to show that a
+/// `k₀` regression fails it.
+pub fn measure_scaling(paper_k0: bool) -> GateCounters {
+    let mut total = GateCounters::default();
+    for n in SCALING_N {
+        for &seed in &GATE_SEEDS {
+            let mut builder = Mgcpl::builder().seed(seed);
+            if paper_k0 {
+                builder = builder.initial_k((n as f64).sqrt().round() as usize);
+            }
+            let result = builder
+                .build()
+                .fit(scaling::syn_n(n, seed).table())
+                .expect("syn_n tables are well-formed");
+            add_fit_stats(&mut total, &result.stats);
         }
     }
     total
+}
+
+fn add_fit_stats(total: &mut GateCounters, stats: &HotPathStats) {
+    total.score_evals += stats.score_evals;
+    total.merges += stats.merges;
+    total.passes += stats.passes;
+    total.full_rescans += stats.full_rescans;
+    total.skipped_rescans += stats.skipped_rescans;
 }
 
 /// Arrivals the streaming-ingest gate suite pushes through `try_absorb`
@@ -722,6 +808,17 @@ mod tests {
     }
 
     #[test]
+    fn default_k0_cap_matches_the_oracle_above_4096_rows() {
+        let spec = cap_table_spec();
+        let table = build_table(&spec, CAP_TABLE_SEED);
+        let oracle = run_reference(&table, spec.k, None, CAP_TABLE_SEED);
+        let serial = grid().into_iter().find(|c| c.plan == PlanArm::Serial).unwrap();
+        let core = run_cell(&table, spec.k, None, CAP_TABLE_SEED, &serial);
+        assert_eq!(core.mgcpl().trace.initial_k, 64);
+        assert_eq!(result_divergence(&core, spec.k, Tier::Exact, &oracle), None);
+    }
+
+    #[test]
     fn internal_checks_catch_bad_bookkeeping() {
         assert_eq!(internal_divergence(&[vec![0, 1, 0]], &[2]), None);
         assert!(internal_divergence(&[vec![0, 1, 0]], &[3]).is_some(), "κ over-count");
@@ -791,7 +888,10 @@ mod tests {
 
     #[test]
     fn ingest_suite_counters_fire_and_replay_deterministically() {
-        let suite = gate_suites().into_iter().find(|s| s.ingest).expect("ingest suite listed");
+        let suite = gate_suites()
+            .into_iter()
+            .find(|s| s.workload == GateWorkload::Ingest)
+            .expect("ingest suite listed");
         assert_eq!(suite.name, "streaming-ingest");
         let first = measure_suite(&suite);
         // Every boundary counter is exercised by the corruption mix:

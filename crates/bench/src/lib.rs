@@ -12,7 +12,8 @@
 //!   checks (`conformance`'s ingest gate and `fault_chaos`).
 //!
 //! Each experiment has a dedicated binary (`table2`, `table3`, `table4`,
-//! `fig4_ablation`, `fig5_ktrace`, `fig6_scaling`, `dist_partition`); see
+//! `fig4_ablation`, `fig5_ktrace`, `fig6_scaling`, `quality_ledger`,
+//! `dist_partition`); see
 //! `DESIGN.md` §13 for the experiment ↔ binary index.
 
 #![warn(missing_docs)]

@@ -29,6 +29,10 @@ use crate::{
 /// but the last strictly lowers k, so real fits stop far earlier.
 const MAX_STAGES: usize = 64;
 
+/// Ceiling on the default `k₀`: the paper's `round(√n)` up to n = 4,160,
+/// a constant-size first stage above it (DESIGN.md §3).
+const DEFAULT_K0_CAP: usize = 64;
+
 /// Configurable MGCPL learner. Construct via [`Mgcpl::builder`].
 ///
 /// # Example
@@ -60,7 +64,9 @@ pub struct Mgcpl {
 }
 
 /// Builder for [`Mgcpl`]; defaults follow the paper (`η = 0.03`,
-/// `k₀ = √n`, feature weighting on).
+/// feature weighting on) except `k₀ = min(√n, 64)`: the paper's √n seeding
+/// makes stage 1 cost O(n^1.5·d), and the cap keeps MGCPL linear in n at
+/// no measured loss of quality (`BENCH_quality.json`, DESIGN.md §3).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MgcplBuilder {
     learning_rate: f64,
@@ -95,7 +101,9 @@ impl MgcplBuilder {
         self
     }
 
-    /// Overrides the initial cluster count `k₀` (paper default `√n`).
+    /// Overrides the initial cluster count `k₀` (default `min(√n, 64)`,
+    /// rounded, at least 2 and at most n; pass `round(√n)` for the paper's
+    /// uncapped rule).
     pub fn initial_k(mut self, k0: usize) -> Self {
         self.initial_k = Some(k0);
         self
@@ -550,9 +558,11 @@ impl Mgcpl {
                 }
                 k
             }
-            // √n, at least 2 but never more than n: a one-row table
-            // seeds one cluster (`clamp(2, n)` would panic there).
-            None => ((n as f64).sqrt().round() as usize).max(2).min(n),
+            // √n capped at 64, at least 2 but never more than n: a one-row
+            // table seeds one cluster (`clamp(2, n)` would panic there).
+            // The cap makes stage 1 O(n·d) instead of O(n^1.5·d); tables
+            // up to 4,160 rows are unaffected.
+            None => ((n as f64).sqrt().round() as usize).clamp(2, DEFAULT_K0_CAP).min(n),
         };
 
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);

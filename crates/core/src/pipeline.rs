@@ -30,8 +30,10 @@ pub struct Mcdc {
     came: Came,
 }
 
-/// Builder for [`Mcdc`] with the paper's defaults (`η = 0.03`, `k₀ = √n`,
-/// weighted MGCPL similarity, weighted CAME, granularity-guided init).
+/// Builder for [`Mcdc`] with the paper's defaults (`η = 0.03`, weighted
+/// MGCPL similarity, weighted CAME, granularity-guided init), except that
+/// `k₀ = min(√n, 64)` keeps MGCPL linear in n (see
+/// [`MgcplBuilder`](crate::MgcplBuilder)).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct McdcBuilder {
     learning_rate: Option<f64>,
@@ -51,7 +53,8 @@ impl McdcBuilder {
         self
     }
 
-    /// Overrides MGCPL's initial cluster count `k₀` (default `√n`).
+    /// Overrides MGCPL's initial cluster count `k₀` (default `min(√n, 64)`;
+    /// pass `round(√n)` for the paper's uncapped rule).
     pub fn initial_k(mut self, k0: usize) -> Self {
         self.initial_k = Some(k0);
         self

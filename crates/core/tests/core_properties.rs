@@ -74,9 +74,25 @@ proptest! {
 }
 
 #[test]
+fn default_k0_is_root_n_capped_at_64() {
+    // round(√n), floored at 2 and capped at n and at 64: tables up to
+    // 4,160 rows keep the paper's √n, larger ones seed 64 clusters. One
+    // pass per stage keeps the larger fits cheap; it does not touch k₀.
+    for (n, k0) in [(1, 1), (3, 2), (4096, 64), (4290, 64), (30_000, 64)] {
+        let mut table = CategoricalTable::new(Schema::uniform(2, 3));
+        for i in 0..n {
+            table.push_row(&[(i % 3) as u32, (i / 3 % 3) as u32]).unwrap();
+        }
+        let fit = Mgcpl::builder().seed(1).max_inner_iterations(1).build().fit(&table).unwrap();
+        assert_eq!(fit.trace.initial_k, k0, "n = {n}");
+    }
+}
+
+#[test]
 fn one_row_table_fits_with_a_single_cluster() {
-    // k₀ = √n rounded, floored at 2 and capped at n: a one-row table seeds
-    // exactly one cluster instead of asking for two out of one row.
+    // k₀ = √n rounded and capped at 64, floored at 2 and capped at n: a
+    // one-row table seeds exactly one cluster instead of asking for two out
+    // of one row.
     let mut table = CategoricalTable::new(Schema::uniform(3, 4));
     table.push_row(&[1, 0, 3]).unwrap();
     let mgcpl = Mgcpl::builder().seed(4).build().fit(&table).unwrap();

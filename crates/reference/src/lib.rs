@@ -45,7 +45,8 @@ use categorical_data::{CategoricalTable, FeatureDomain, Schema};
 pub struct ReferenceConfig {
     /// Learning rate `η` of Eqs. (12)–(13). Paper default 0.03.
     pub learning_rate: f64,
-    /// Initial cluster count `k₀`; `None` = the paper's `√n` heuristic.
+    /// Initial cluster count `k₀`; `None` = the paper's `√n` heuristic
+    /// capped at 64, as in the production default.
     pub initial_k: Option<usize>,
     /// ω feature weighting in MGCPL (Eqs. 14–18). Paper default on.
     pub weighted_similarity: bool,

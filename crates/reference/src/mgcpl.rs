@@ -21,6 +21,8 @@ use crate::{sigmoid_weight, ReferenceConfig};
 const MAX_INNER_ITERATIONS: usize = 8;
 /// Granularity levels before giving up on κ stabilizing.
 const MAX_STAGES: usize = 64;
+/// Largest default `k₀`; matches the production default.
+const DEFAULT_K0_CAP: usize = 64;
 
 /// Output of the reference MGCPL stage.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,9 +71,9 @@ pub fn reference_mgcpl(
     let k0 = match config.initial_k {
         Some(k) if k == 0 || k > n => return Err(format!("initial k {k} out of 1..={n}")),
         Some(k) => k,
-        // The paper's √n heuristic (Alg. 1 step 2), at least 2 but never
-        // more than n.
-        None => ((n as f64).sqrt().round() as usize).max(2).min(n),
+        // The paper's √n heuristic (Alg. 1 step 2) capped at 64, which
+        // keeps stage 1 linear in n, at least 2 but never more than n.
+        None => ((n as f64).sqrt().round() as usize).clamp(2, DEFAULT_K0_CAP).min(n),
     };
     let cardinalities: Vec<usize> =
         table.schema().cardinalities().iter().map(|&m| m as usize).collect();

@@ -22,8 +22,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         nested.fine_k()
     );
 
-    // MGCPL with no k given: it starts from k0 = sqrt(n) seeds and converges
-    // in stages, one partition per natural granularity.
+    // MGCPL with no k given: it starts from k0 = min(sqrt(n), 64) seeds (the
+    // cap keeps large tables linear-time) and converges in stages, one
+    // partition per natural granularity.
     let result = Mgcpl::builder().seed(3).build().fit(nested.dataset.table())?;
     println!("learned kappa = {:?} over {} stages", result.kappa, result.trace.sigma());
 

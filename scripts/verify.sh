@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate plus style/lint hygiene. Run from anywhere.
 #
-#   scripts/verify.sh           # build + tests + fmt + clippy + docs + examples + fig6 ledger smoke + perfbench
+#   scripts/verify.sh           # build + tests + fmt + clippy + docs + examples + fig6 and quality ledger smokes + perfbench
 #
 # The tier-1 gate (ROADMAP.md) is `cargo build --release && cargo test -q`;
 # fmt/clippy keep the tree warning-free, the rustdoc build (warnings
@@ -9,7 +9,10 @@
 # Fig. 6 ledger smoke (`fig6_scaling --quick`) fits two small points per
 # scaling axis twice per seed and fails on a missing point, a zero or
 # non-finite work counter, or two fits of one seed that count
-# differently. It replaces two removed timing smokes: perfbench's
+# differently. The quality ledger smoke (`quality_ledger --quick`) fits
+# MCDC at every k₀ arm and k-modes on two sets over three seeds and fails
+# on a fit that errs or a non-finite mean, spread or p-value. The Fig. 6
+# smoke replaces two removed timing smokes: perfbench's
 # `--smoke` tests (below) now catch non-finite or degenerate fit, serve
 # and absorb outputs (the old `hotpath_snapshot --quick` and
 # `infer_hotpath --quick` NaN/zero-median guards), conformance catches
@@ -31,7 +34,8 @@
 # (`conformance --quick`) and check the deterministic work counters
 # against the `PERF_GATES.toml` baselines, self-testing that the gate
 # still has teeth — the `[replicated]` counters must fail the `[serial]`
-# baseline (`conformance --gate`); re-baseline deliberate
+# baseline and the `[scaling]` workload at the paper's uncapped k₀ = √n
+# must fail the `[scaling]` one (`conformance --gate`); re-baseline deliberate
 # changes with scripts/update_gates.sh. The examples smoke runs every
 # example under examples/ and fails when one panics or returns an error —
 # `streaming_drift` returns one when its drift trigger fires on in-regime
@@ -68,6 +72,9 @@ done
 
 echo "==> Fig. 6 ledger smoke (fig6_scaling --quick)"
 cargo run --release -p mcdc-bench --bin fig6_scaling -- --quick
+
+echo "==> quality ledger smoke (quality_ledger --quick)"
+cargo run --release -p mcdc-bench --bin quality_ledger -- --quick
 
 echo "==> reconcile smoke (reconcile_ablation --quick)"
 cargo run --release -p mcdc-bench --bin reconcile_ablation -- --quick
